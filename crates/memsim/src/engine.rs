@@ -19,16 +19,23 @@
 //!    and the bandwidth-bound term (volume / peak);
 //! 5. attribute instructions/cycles/latencies to functions and accesses to
 //!    objects, then free what the phase frees.
+//!
+//! Live objects are dense: object ids are handed out in the order their
+//! records are pushed, so a record's index is its object's id minus one,
+//! and per-site FIFO queues of record indices stand in for any map. The
+//! phase's live set does not change between steps 3 and 6, so the
+//! Memory Mode DRAM-cache split is computed once per phase and shared by
+//! the volumes, the timing solve, the hit ratio and function attribution.
 
-use crate::cache::{self, StreamDemand};
+use crate::cache::{self, CacheSplit, StreamDemand};
 use crate::counters::{FunctionStats, ObjectRecord, PhaseStats, RunResult};
 use crate::heap::TierHeap;
 use crate::machine::MachineConfig;
-use crate::model::{AppModel, PhaseSpec};
+use crate::model::{AccessSpec, AppModel, PhaseSpec};
 use crate::policy::{AllocContext, Migration, PhaseObservation, PlacementPolicy};
 use memtrace::{FuncId, ObjectId, SiteId, TierId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the machine serves memory.
@@ -51,12 +58,114 @@ impl ExecMode {
     }
 }
 
-struct LiveObject {
-    record: usize,
-    site: SiteId,
-    size: u64,
-    address: u64,
-    tier: TierId,
+/// The objects currently allocated, by record index.
+struct LiveSet {
+    /// Whether each record's object is still allocated.
+    live: Vec<bool>,
+    /// The model's site ids, ascending; a site's queue sits at its position.
+    sites: Vec<SiteId>,
+    /// Live record indices per site, oldest first.
+    by_site: Vec<VecDeque<usize>>,
+    /// No record below this index is live.
+    first_live: usize,
+}
+
+impl LiveSet {
+    fn new(app: &AppModel) -> Self {
+        let mut sites: Vec<SiteId> = app.sites.iter().map(|(s, _)| *s).collect();
+        sites.sort_unstable();
+        sites.dedup();
+        let by_site = vec![VecDeque::new(); sites.len()];
+        LiveSet { live: Vec::new(), sites, by_site, first_live: 0 }
+    }
+
+    fn queue(&self, site: SiteId) -> Option<usize> {
+        self.sites.binary_search(&site).ok()
+    }
+
+    /// The live records of `site`, oldest first; `None` when it has none.
+    fn of_site(&self, site: SiteId) -> Option<&VecDeque<usize>> {
+        let objs = &self.by_site[self.queue(site)?];
+        (!objs.is_empty()).then_some(objs)
+    }
+
+    /// Records the object just pushed at `record`.
+    fn insert(&mut self, record: usize, site: SiteId) {
+        debug_assert_eq!(record, self.live.len(), "records are pushed in id order");
+        let q = self.queue(site).expect("validated model allocates only at known sites");
+        self.live.push(true);
+        self.by_site[q].push_back(record);
+    }
+
+    /// Frees the oldest live object of `site`, returning its record.
+    fn pop_oldest(&mut self, site: SiteId) -> Option<usize> {
+        let q = self.queue(site)?;
+        let record = self.by_site[q].pop_front()?;
+        self.live[record] = false;
+        while self.first_live < self.live.len() && !self.live[self.first_live] {
+            self.first_live += 1;
+        }
+        Some(record)
+    }
+
+    /// The record of `object` while it is live.
+    fn record_of(&self, object: ObjectId) -> Option<usize> {
+        let record = usize::try_from(object.0).ok()?.checked_sub(1)?;
+        self.live.get(record).copied().unwrap_or(false).then_some(record)
+    }
+
+    /// Live records in id order.
+    fn records(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.first_live..self.live.len()).filter(|&r| self.live[r])
+    }
+}
+
+/// One access spec whose site has live objects this phase.
+struct Stream<'a> {
+    spec: &'a AccessSpec,
+    objs: &'a VecDeque<usize>,
+}
+
+/// A phase's streams in phase order — the list the cache model and every
+/// consumer of its split index by position.
+fn phase_streams<'a>(phase: &'a PhaseSpec, live: &'a LiveSet) -> Vec<Stream<'a>> {
+    phase
+        .accesses
+        .iter()
+        .filter_map(|spec| Some(Stream { spec, objs: live.of_site(spec.site)? }))
+        .collect()
+}
+
+/// The DRAM-cache model's verdict for one Memory Mode phase: one demand
+/// and one split per stream, by stream position.
+struct CacheView {
+    demands: Vec<StreamDemand>,
+    splits: Vec<CacheSplit>,
+}
+
+impl CacheView {
+    fn of(machine: &MachineConfig, streams: &[Stream<'_>], records: &[ObjectRecord]) -> Self {
+        let demands = memory_mode_demands(streams, records);
+        let splits = cache::split_streams(
+            &machine.cache_cfg,
+            machine.tier(machine.tiers_by_performance()[0]).capacity,
+            machine.cacheline,
+            &demands,
+        );
+        CacheView { demands, splits }
+    }
+}
+
+/// One object's accesses within the current phase.
+#[derive(Clone, Copy, Default)]
+struct PhaseAccess {
+    /// The phase these sums belong to; `None` before the first touch.
+    phase: Option<u32>,
+    load_misses: f64,
+    store_misses: f64,
+    stores: f64,
+    /// LLC load + store misses, the reactive policies' heat signal.
+    heat: f64,
 }
 
 /// Numerical guts of one phase's timing solve.
@@ -109,9 +218,9 @@ pub fn run(
         heaps[cache_tier.0 as usize].reserve(resident);
     }
 
-    let mut live: HashMap<ObjectId, LiveObject> = HashMap::new();
-    let mut live_by_site: HashMap<SiteId, Vec<ObjectId>> = HashMap::new();
+    let mut live = LiveSet::new(app);
     let mut records: Vec<ObjectRecord> = Vec::new();
+    let mut accessed: Vec<PhaseAccess> = Vec::new();
     let mut functions: HashMap<FuncId, FunctionStats> = HashMap::new();
     let mut phases_out: Vec<PhaseStats> = Vec::new();
 
@@ -125,6 +234,7 @@ pub fn run(
     let mut pending_migrations: Vec<Migration> = Vec::new();
     let mut total_migrations = 0u64;
     let mut migration_time = 0.0_f64;
+    let mut chain: Vec<TierId> = Vec::with_capacity(n_tiers + 1);
 
     for (pi, phase) in app.phases.iter().enumerate() {
         // Chaos-testing probe: a no-op unless a kill point was armed, in
@@ -136,7 +246,8 @@ pub fn run(
         // boundary.
         let mut migrated_bytes = 0u64;
         for m in pending_migrations.drain(..) {
-            let Some(obj) = live.get_mut(&m.object) else { continue };
+            let Some(r) = live.record_of(m.object) else { continue };
+            let obj = &mut records[r];
             if obj.tier == m.to {
                 continue;
             }
@@ -156,8 +267,6 @@ pub fn run(
             migration_time += cost;
             obj.tier = m.to;
             obj.address = new_addr;
-            records[obj.record].tier = m.to;
-            records[obj.record].address = new_addr;
         }
 
         // 2. Allocations.
@@ -180,7 +289,8 @@ pub fn run(
                     }
                 };
                 // Fallback chain: preferred, policy fallback, then any tier.
-                let mut chain = vec![preferred];
+                chain.clear();
+                chain.push(preferred);
                 if !chain.contains(&policy.fallback()) && mode == ExecMode::AppDirect {
                     chain.push(policy.fallback());
                 }
@@ -205,7 +315,7 @@ pub fn run(
                     let tid = backing_tier;
                     (tid, heaps[tid.0 as usize].force_alloc(op.size))
                 });
-                let record = records.len();
+                live.insert(records.len(), op.site);
                 records.push(ObjectRecord {
                     object,
                     site: op.site,
@@ -221,44 +331,47 @@ pub fn run(
                     store_misses: 0.0,
                     phase_activity: Vec::new(),
                 });
-                live.insert(
-                    object,
-                    LiveObject { record, site: op.site, size: op.size, address, tier },
-                );
-                live_by_site.entry(op.site).or_default().push(object);
+                accessed.push(PhaseAccess::default());
             }
         }
 
-        // 3 + 4. Traffic assembly and the timing fixed point.
-        let solution = solve_phase(app, machine, mode, phase, &live, &live_by_site);
+        // 3 + 4. Traffic assembly and the timing fixed point, on the one
+        // DRAM-cache split of this phase in Memory Mode.
+        let streams = phase_streams(phase, &live);
+        let cached = match mode {
+            ExecMode::MemoryMode => Some(CacheView::of(machine, &streams, &records)),
+            ExecMode::AppDirect => None,
+        };
+        let splits = cached.as_ref().map(|c| c.splits.as_slice());
+        let solution = solve_phase(machine, phase, &streams, &records, splits);
 
-        // 5a. Per-object attribution (totals + per-phase activity).
-        let mut phase_delta: HashMap<ObjectId, (f64, f64, f64)> = HashMap::new();
-        for spec in &phase.accesses {
-            let Some(objs) = live_by_site.get(&spec.site) else { continue };
-            if objs.is_empty() {
-                continue;
-            }
-            let n = objs.len() as f64;
-            for oid in objs {
-                let lo = &live[oid];
-                let r = &mut records[lo.record];
-                r.loads += spec.loads / n;
-                r.stores += spec.stores / n;
-                r.load_misses += spec.load_misses() / n;
-                r.store_misses += spec.store_misses() / n;
-                let d = phase_delta.entry(*oid).or_insert((0.0, 0.0, 0.0));
-                d.0 += spec.load_misses() / n;
-                d.1 += spec.store_misses() / n;
-                d.2 += spec.stores / n;
+        // 5a. Per-object attribution: run totals, then the phase's activity
+        // in id order.
+        for s in &streams {
+            let spec = s.spec;
+            let n = s.objs.len() as f64;
+            let heat = (spec.load_misses() + spec.store_misses()) / n;
+            for &r in s.objs {
+                let rec = &mut records[r];
+                rec.loads += spec.loads / n;
+                rec.stores += spec.stores / n;
+                rec.load_misses += spec.load_misses() / n;
+                rec.store_misses += spec.store_misses() / n;
+                let a = &mut accessed[r];
+                if a.phase != Some(pi32) {
+                    *a = PhaseAccess { phase: Some(pi32), ..PhaseAccess::default() };
+                }
+                a.load_misses += spec.load_misses() / n;
+                a.store_misses += spec.store_misses() / n;
+                a.stores += spec.stores / n;
+                a.heat += heat;
             }
         }
-        let mut touched: Vec<ObjectId> = phase_delta.keys().copied().collect();
-        touched.sort();
-        for oid in touched {
-            let (lm, sm, st) = phase_delta[&oid];
-            let rec = live[&oid].record;
-            records[rec].phase_activity.push((pi32, lm, sm, st));
+        for r in live.records() {
+            let a = &accessed[r];
+            if a.phase == Some(pi32) {
+                records[r].phase_activity.push((pi32, a.load_misses, a.store_misses, a.stores));
+            }
         }
 
         // 5b. Per-function attribution: each stream gets its instructions'
@@ -267,36 +380,26 @@ pub fn run(
         let phase_instr: f64 = phase.compute_instructions
             + phase.accesses.iter().map(|a| a.total_instructions()).sum::<f64>();
         total_instructions += phase_instr;
-        let total_misses: f64 =
-            phase.accesses.iter().map(|a| a.load_misses() + a.store_misses()).sum();
         let mem_time = (solution.duration - solution.compute_time).max(0.0);
         // Memory time is attributed by each stream's *latency-weighted*
         // miss volume, so functions whose data sits in the slow tier absorb
         // proportionally more stall cycles (the Table VII effect).
-        let mut stream_lat: Vec<(usize, f64)> = Vec::new();
+        let mut stream_lat: Vec<(&AccessSpec, f64)> = Vec::with_capacity(streams.len());
         let mut total_weight = 0.0;
-        for (si, spec) in phase.accesses.iter().enumerate() {
-            if live_by_site.get(&spec.site).is_none_or(|v| v.is_empty()) {
-                continue;
-            }
+        for (k, s) in streams.iter().enumerate() {
             let lat = stream_read_latency(
-                machine,
-                mode,
-                spec.site,
-                &live,
-                &live_by_site,
+                s,
+                &records,
                 &solution,
+                splits.map(|sp| &sp[k]),
                 cache_tier,
                 backing_tier,
-                phase,
             );
-            let weight = (spec.load_misses() + spec.store_misses()) * lat.max(1.0);
-            stream_lat.push((si, lat));
+            let weight = (s.spec.load_misses() + s.spec.store_misses()) * lat.max(1.0);
+            stream_lat.push((s.spec, lat));
             total_weight += weight;
         }
-        let _ = total_misses;
-        for &(si, lat) in &stream_lat {
-            let spec = &phase.accesses[si];
+        for &(spec, lat) in &stream_lat {
             let weight = (spec.load_misses() + spec.store_misses()) * lat.max(1.0);
             let mem_share = if total_weight > 0.0 { weight / total_weight } else { 0.0 };
             let f = functions.entry(spec.function).or_default();
@@ -316,10 +419,9 @@ pub fn run(
             compute_time: solution.compute_time,
             tier_read_bw: solution.tier_read_bw.clone(),
             tier_write_bw: solution.tier_write_bw.clone(),
-            dram_cache_hit_ratio: match mode {
-                ExecMode::MemoryMode => Some(phase_hit_ratio(machine, phase, &live, &live_by_site)),
-                ExecMode::AppDirect => None,
-            },
+            dram_cache_hit_ratio: cached
+                .as_ref()
+                .map(|c| cache::aggregate_hit_ratio(&c.demands, &c.splits)),
             migrated_bytes,
         });
         t += solution.duration;
@@ -328,30 +430,26 @@ pub fn run(
         if mode == ExecMode::AppDirect {
             let obs = PhaseObservation {
                 phase: pi32,
-                objects: phase_object_heat(phase, &live, &live_by_site),
+                objects: phase_object_heat(pi32, &live, &records, &accessed),
             };
             pending_migrations = policy.observe_phase(&obs);
         }
 
         // 7. Frees (oldest first).
         for f in &phase.frees {
-            let objs = live_by_site.entry(f.site).or_default();
             for _ in 0..f.count {
-                if objs.is_empty() {
-                    break;
-                }
-                let oid = objs.remove(0);
-                let lo = live.remove(&oid).expect("live map in sync");
-                heaps[lo.tier.0 as usize].free(lo.address, lo.size);
-                records[lo.record].free_time = t;
+                let Some(r) = live.pop_oldest(f.site) else { break };
+                let rec = &mut records[r];
+                heaps[rec.tier.0 as usize].free(rec.address, rec.size);
+                rec.free_time = t;
             }
         }
     }
 
     // Objects alive at exit live until the end of the run.
     let end = t + alloc_overhead;
-    for lo in live.values() {
-        records[lo.record].free_time = end;
+    for r in live.records() {
+        records[r].free_time = end;
     }
 
     let mut functions: Vec<(FuncId, FunctionStats)> = functions.into_iter().collect();
@@ -390,48 +488,38 @@ pub fn run(
     }
 }
 
-/// Per-tier read/write line volumes for a phase under the given placement.
+/// Per-tier read/write line volumes for a phase under the given placement:
+/// straight to the objects' tiers in App Direct, through the phase's
+/// DRAM-cache `splits` in Memory Mode.
 fn phase_tier_volumes(
     machine: &MachineConfig,
-    mode: ExecMode,
-    phase: &PhaseSpec,
-    live: &HashMap<ObjectId, LiveObject>,
-    live_by_site: &HashMap<SiteId, Vec<ObjectId>>,
+    streams: &[Stream<'_>],
+    records: &[ObjectRecord],
+    splits: Option<&[CacheSplit]>,
 ) -> (Vec<f64>, Vec<f64>) {
     let n = machine.tiers.len();
     let cl = machine.cacheline as f64;
     let mut read = vec![0.0; n];
     let mut write = vec![0.0; n];
-    match mode {
-        ExecMode::AppDirect => {
-            for spec in &phase.accesses {
-                let Some(objs) = live_by_site.get(&spec.site) else { continue };
-                if objs.is_empty() {
-                    continue;
-                }
-                let per = 1.0 / objs.len() as f64;
-                for oid in objs {
-                    let tier = live[oid].tier.0 as usize;
+    match splits {
+        None => {
+            for s in streams {
+                let spec = s.spec;
+                let per = 1.0 / s.objs.len() as f64;
+                for &r in s.objs {
+                    let tier = records[r].tier.0 as usize;
                     let amp = machine.tiers[tier].amplification(spec.pattern);
                     read[tier] += spec.load_misses() * per * cl * amp;
                     write[tier] += spec.store_misses() * per * cl * amp;
                 }
             }
         }
-        ExecMode::MemoryMode => {
+        Some(splits) => {
             let cache_tier = machine.tiers_by_performance()[0].0 as usize;
             let backing = machine.largest_tier().0 as usize;
-            let demands = memory_mode_demands(phase, live, live_by_site);
-            let splits = cache::split_streams(
-                &machine.cache_cfg,
-                machine.tier(TierId(cache_tier as u8)).capacity,
-                machine.cacheline,
-                &demands,
-            );
-            let specs = nonempty_specs(phase, live_by_site);
-            for (spec, s) in specs.iter().zip(&splits) {
-                let amp_back = machine.tiers[backing].amplification(spec.pattern);
-                let amp_cache = machine.tiers[cache_tier].amplification(spec.pattern);
+            for (stream, s) in streams.iter().zip(splits) {
+                let amp_back = machine.tiers[backing].amplification(stream.spec.pattern);
+                let amp_cache = machine.tiers[cache_tier].amplification(stream.spec.pattern);
                 read[cache_tier] += s.dram_hits * cl * amp_cache;
                 read[backing] += s.pmem_misses * cl * amp_back;
                 write[backing] += s.writeback_bytes * amp_back;
@@ -447,34 +535,13 @@ fn phase_tier_volumes(
     (read, write)
 }
 
-/// Access specs whose sites have live objects, in phase order — the subset
-/// the cache model and the split consumers must agree on.
-fn nonempty_specs<'a>(
-    phase: &'a PhaseSpec,
-    live_by_site: &HashMap<SiteId, Vec<ObjectId>>,
-) -> Vec<&'a crate::model::AccessSpec> {
-    phase
-        .accesses
-        .iter()
-        .filter(|s| live_by_site.get(&s.site).is_some_and(|v| !v.is_empty()))
-        .collect()
-}
-
 /// Builds the DRAM-cache model inputs for a Memory Mode phase.
-fn memory_mode_demands(
-    phase: &PhaseSpec,
-    live: &HashMap<ObjectId, LiveObject>,
-    live_by_site: &HashMap<SiteId, Vec<ObjectId>>,
-) -> Vec<StreamDemand> {
-    phase
-        .accesses
+fn memory_mode_demands(streams: &[Stream<'_>], records: &[ObjectRecord]) -> Vec<StreamDemand> {
+    streams
         .iter()
-        .filter_map(|spec| {
-            let objs = live_by_site.get(&spec.site)?;
-            if objs.is_empty() {
-                return None;
-            }
-            let footprint: f64 = objs.iter().map(|o| live[o].size as f64).sum();
+        .map(|s| {
+            let spec = s.spec;
+            let footprint: f64 = s.objs.iter().map(|&r| records[r].size as f64).sum();
             let touches = spec.load_misses() + spec.store_misses();
             // Touches per unique line this phase: single-sweep streams get
             // reuse ≈ 1 (→ no DRAM-cache hits), iteratively re-read data
@@ -484,47 +551,28 @@ fn memory_mode_demands(
             } else {
                 (touches * 64.0 / footprint.max(64.0)).max(1.0)
             };
-            Some(StreamDemand {
+            StreamDemand {
                 load_misses: spec.load_misses(),
                 store_misses: spec.store_misses(),
                 footprint,
                 pattern: spec.pattern,
                 reuse,
-            })
+            }
         })
         .collect()
 }
 
-/// Miss-weighted DRAM-cache hit ratio of a Memory Mode phase.
-fn phase_hit_ratio(
-    machine: &MachineConfig,
-    phase: &PhaseSpec,
-    live: &HashMap<ObjectId, LiveObject>,
-    live_by_site: &HashMap<SiteId, Vec<ObjectId>>,
-) -> f64 {
-    let cache_tier = machine.tiers_by_performance()[0];
-    let demands = memory_mode_demands(phase, live, live_by_site);
-    let splits = cache::split_streams(
-        &machine.cache_cfg,
-        machine.tier(cache_tier).capacity,
-        machine.cacheline,
-        &demands,
-    );
-    cache::aggregate_hit_ratio(&demands, &splits)
-}
-
-/// Solves the phase duration fixed point.
+/// Solves the phase duration fixed point; `splits` is the phase's
+/// DRAM-cache split in Memory Mode and `None` in App Direct.
 fn solve_phase(
-    app: &AppModel,
     machine: &MachineConfig,
-    mode: ExecMode,
     phase: &PhaseSpec,
-    live: &HashMap<ObjectId, LiveObject>,
-    live_by_site: &HashMap<SiteId, Vec<ObjectId>>,
+    streams: &[Stream<'_>],
+    records: &[ObjectRecord],
+    splits: Option<&[CacheSplit]>,
 ) -> PhaseSolution {
-    let _ = app;
     let n = machine.tiers.len();
-    let (read_bytes, write_bytes) = phase_tier_volumes(machine, mode, phase, live, live_by_site);
+    let (read_bytes, write_bytes) = phase_tier_volumes(machine, streams, records, splits);
 
     let phase_instr: f64 = phase.compute_instructions
         + phase.accesses.iter().map(|a| a.total_instructions()).sum::<f64>();
@@ -539,17 +587,14 @@ fn solve_phase(
         write: bool,
     }
     let mut terms: Vec<LatTerm> = Vec::new();
-    match mode {
-        ExecMode::AppDirect => {
-            for spec in &phase.accesses {
-                let Some(objs) = live_by_site.get(&spec.site) else { continue };
-                if objs.is_empty() {
-                    continue;
-                }
-                let per = 1.0 / objs.len() as f64;
+    match splits {
+        None => {
+            for s in streams {
+                let spec = s.spec;
+                let per = 1.0 / s.objs.len() as f64;
                 let mlp = machine.mlp_per_core * spec.pattern.mlp_factor();
-                for oid in objs {
-                    let tier = live[oid].tier.0 as usize;
+                for &r in s.objs {
+                    let tier = records[r].tier.0 as usize;
                     terms.push(LatTerm {
                         tier,
                         misses: spec.load_misses() * per,
@@ -565,23 +610,11 @@ fn solve_phase(
                 }
             }
         }
-        ExecMode::MemoryMode => {
+        Some(splits) => {
             let cache_tier = machine.tiers_by_performance()[0].0 as usize;
             let backing = machine.largest_tier().0 as usize;
-            let demands = memory_mode_demands(phase, live, live_by_site);
-            let splits = cache::split_streams(
-                &machine.cache_cfg,
-                machine.tier(TierId(cache_tier as u8)).capacity,
-                machine.cacheline,
-                &demands,
-            );
-            let specs: Vec<_> = phase
-                .accesses
-                .iter()
-                .filter(|s| live_by_site.get(&s.site).is_some_and(|v| !v.is_empty()))
-                .collect();
-            for (spec, split) in specs.iter().zip(&splits) {
-                let mlp = machine.mlp_per_core * spec.pattern.mlp_factor();
+            for (s, split) in streams.iter().zip(splits) {
+                let mlp = machine.mlp_per_core * s.spec.pattern.mlp_factor();
                 terms.push(LatTerm {
                     tier: cache_tier,
                     misses: split.dram_hits,
@@ -645,83 +678,52 @@ fn solve_phase(
 }
 
 /// Average loaded read latency seen by one stream's misses, for Table VII
-/// function attribution.
-#[allow(clippy::too_many_arguments)]
+/// function attribution. In Memory Mode `split` is this stream's own
+/// DRAM-cache split.
 fn stream_read_latency(
-    machine: &MachineConfig,
-    mode: ExecMode,
-    site: SiteId,
-    live: &HashMap<ObjectId, LiveObject>,
-    live_by_site: &HashMap<SiteId, Vec<ObjectId>>,
+    stream: &Stream<'_>,
+    records: &[ObjectRecord],
     solution: &PhaseSolution,
+    split: Option<&CacheSplit>,
     cache_tier: TierId,
     backing_tier: TierId,
-    phase: &PhaseSpec,
 ) -> f64 {
-    let Some(objs) = live_by_site.get(&site) else { return 0.0 };
-    if objs.is_empty() {
-        return 0.0;
-    }
-    match mode {
-        ExecMode::AppDirect => {
-            let per = 1.0 / objs.len() as f64;
-            objs.iter().map(|o| solution.tier_read_lat[live[o].tier.0 as usize] * per).sum()
+    match split {
+        None => {
+            let per = 1.0 / stream.objs.len() as f64;
+            stream
+                .objs
+                .iter()
+                .map(|&r| solution.tier_read_lat[records[r].tier.0 as usize] * per)
+                .sum()
         }
-        ExecMode::MemoryMode => {
-            // Weighted by the stream's cache split.
-            let demands = memory_mode_demands(phase, live, live_by_site);
-            let splits = cache::split_streams(
-                &machine.cache_cfg,
-                machine.tier(cache_tier).capacity,
-                machine.cacheline,
-                &demands,
-            );
-            // Find this stream's split by position among non-empty specs.
-            let mut idx = 0;
-            for spec in &phase.accesses {
-                if live_by_site.get(&spec.site).is_none_or(|v| v.is_empty()) {
-                    continue;
-                }
-                if spec.site == site {
-                    let s = &splits[idx];
-                    let total = s.dram_hits + s.pmem_misses;
-                    if total <= 0.0 {
-                        return solution.tier_read_lat[cache_tier.0 as usize];
-                    }
-                    return (s.dram_hits * solution.tier_read_lat[cache_tier.0 as usize]
-                        + s.pmem_misses * solution.tier_read_lat[backing_tier.0 as usize])
-                        / total;
-                }
-                idx += 1;
+        Some(s) => {
+            let total = s.dram_hits + s.pmem_misses;
+            if total <= 0.0 {
+                return solution.tier_read_lat[cache_tier.0 as usize];
             }
-            0.0
+            (s.dram_hits * solution.tier_read_lat[cache_tier.0 as usize]
+                + s.pmem_misses * solution.tier_read_lat[backing_tier.0 as usize])
+                / total
         }
     }
 }
 
-/// Per-object heat for reactive policies.
+/// Per-object heat for reactive policies: every live object in id order,
+/// with the LLC misses it took in phase `pi`.
 fn phase_object_heat(
-    phase: &PhaseSpec,
-    live: &HashMap<ObjectId, LiveObject>,
-    live_by_site: &HashMap<SiteId, Vec<ObjectId>>,
+    pi: u32,
+    live: &LiveSet,
+    records: &[ObjectRecord],
+    accessed: &[PhaseAccess],
 ) -> Vec<(ObjectId, SiteId, u64, TierId, f64)> {
-    let mut heat: HashMap<ObjectId, f64> = HashMap::new();
-    for spec in &phase.accesses {
-        let Some(objs) = live_by_site.get(&spec.site) else { continue };
-        if objs.is_empty() {
-            continue;
-        }
-        let per = (spec.load_misses() + spec.store_misses()) / objs.len() as f64;
-        for oid in objs {
-            *heat.entry(*oid).or_insert(0.0) += per;
-        }
-    }
-    let mut out: Vec<_> = live
-        .iter()
-        .map(|(oid, lo)| (*oid, lo.site, lo.size, lo.tier, heat.get(oid).copied().unwrap_or(0.0)))
-        .collect();
-    out.sort_by_key(|(oid, ..)| *oid);
-    out
+    live.records()
+        .map(|r| {
+            let o = &records[r];
+            let heat = if accessed[r].phase == Some(pi) { accessed[r].heat } else { 0.0 };
+            (o.object, o.site, o.size, o.tier, heat)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -827,6 +829,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn memory_mode_streams_on_one_site_read_their_own_split() {
+        // Two functions stream over the same object: a single sweep (no
+        // reuse, so every miss goes to PMem) and a re-read kernel that
+        // mostly hits the DRAM cache. Each must see its own split's
+        // latency, not the first stream's.
+        let mut app = streaming_model(1e9);
+        app.function_names.push("reread".into());
+        let sweep = AccessSpec { reuse_hint: 1.0, ..app.phases[0].accesses[0].clone() };
+        let reread = AccessSpec { function: FuncId(1), reuse_hint: 50.0, ..sweep.clone() };
+        app.phases[0].accesses = vec![sweep, reread];
+        let m = MachineConfig::optane_pmem6();
+        let r = run(&app, &m, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM));
+        let sweep_lat = r.function(FuncId(0)).unwrap().avg_load_latency_ns();
+        let reread_lat = r.function(FuncId(1)).unwrap().avg_load_latency_ns();
+        assert!(
+            reread_lat < sweep_lat,
+            "cache-hitting stream {reread_lat} ns vs PMem-bound stream {sweep_lat} ns"
+        );
     }
 
     #[test]

@@ -360,7 +360,12 @@ impl FleetResult {
 /// tier's bandwidth and the core count scaled by its share. A sole
 /// resident (`share == 1`, full-capacity grant) gets `machine.clone()`
 /// verbatim — the bit-identity the 1×1 differential test relies on.
-fn slice_machine(m: &MachineConfig, fast: TierId, grant: u64, share: f64) -> MachineConfig {
+pub(crate) fn slice_machine(
+    m: &MachineConfig,
+    fast: TierId,
+    grant: u64,
+    share: f64,
+) -> MachineConfig {
     let mut s = m.clone();
     if share >= 1.0 && grant == m.tier(fast).capacity {
         return s;
@@ -556,8 +561,13 @@ fn simulate_node(
             .iter()
             .zip(slices.iter())
             .map(|(&i, slice)| {
-                let key = RunKey::new(&states[i].spec.app, slice, ExecMode::AppDirect, tag.clone())
-                    .with_fleet(cell);
+                let key = RunKey::from_app_hash(
+                    states[i].app_hash,
+                    slice,
+                    ExecMode::AppDirect,
+                    tag.clone(),
+                )
+                .with_fleet(cell);
                 cache.run_with(key, &states[i].spec.app, slice, ExecMode::AppDirect, || {
                     fixed_policy(fast, backing)
                 })
@@ -701,13 +711,14 @@ pub fn simulate(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::{AccessPattern, AccessSpec, AllocOp, FreeOp, PhaseSpec};
     use memtrace::binmap::BinaryMapBuilder;
     use memtrace::{CallStack, Frame, FuncId, ModuleId, SiteId};
 
-    fn tiny_app(name: &str, bytes: u64, loads: f64) -> AppModel {
+    /// One phase streaming `loads` over one `bytes`-sized object.
+    pub(crate) fn tiny_app(name: &str, bytes: u64, loads: f64) -> AppModel {
         let mut b = BinaryMapBuilder::new();
         b.add_module("a.out", 4096, 1024, vec!["main.c".into()]);
         AppModel {

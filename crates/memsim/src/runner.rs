@@ -96,9 +96,21 @@ impl RunKey {
         mode: ExecMode,
         policy_tag: impl Into<String>,
     ) -> Self {
+        RunKey::from_app_hash(stable_hash(app), machine, mode, policy_tag)
+    }
+
+    /// [`RunKey::new`] for a caller that already holds `stable_hash(app)`:
+    /// hashing a model costs up to milliseconds, hashing a machine under a
+    /// microsecond. The `memsim.cache.key` span times this part only.
+    pub fn from_app_hash(
+        app_hash: u64,
+        machine: &MachineConfig,
+        mode: ExecMode,
+        policy_tag: impl Into<String>,
+    ) -> Self {
         let _span = ecohmem_obs::span("memsim.cache.key");
         RunKey {
-            app: stable_hash(app),
+            app: app_hash,
             machine: stable_hash(machine),
             mode,
             policy: policy_tag.into(),
@@ -373,6 +385,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::tests::tiny_app;
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -441,6 +454,66 @@ mod tests {
         assert_ne!(base.clone().with_fleet(cell(1, 2)), base);
         assert_ne!(base.clone().with_fleet(cell(1, 2)), base.clone().with_fleet(cell(3, 2)));
         assert_ne!(base.clone().with_fleet(cell(1, 2)), base.clone().with_fleet(cell(1, 4)));
+    }
+
+    #[test]
+    fn app_hash_constructor_matches_new() {
+        let app = tiny_app("a", 1 << 30, 2e10);
+        for m in [MachineConfig::optane_pmem6(), MachineConfig::hbm_ddr()] {
+            for mode in [ExecMode::AppDirect, ExecMode::MemoryMode] {
+                assert_eq!(
+                    RunKey::new(&app, &m, mode, "fixed:dram"),
+                    RunKey::from_app_hash(stable_hash(&app), &m, mode, "fixed:dram")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fleet_cells_keep_the_keys_new_derives() {
+        // Rebuilds every key of a contended fleet node the way the fleet
+        // derived them before it reused its tenant hashes — `RunKey::new`
+        // on the tenant's model and slice — and requires the cache to hold
+        // exactly those: same entries, so same hits and misses.
+        use crate::fleet::{self, FleetConfig, SchedulerPolicy, TenantSpec};
+        let m = MachineConfig::optane_pmem6();
+        let mut cfg = FleetConfig::new(m.clone(), 1, SchedulerPolicy::ProportionalShare);
+        cfg.quantum_bytes = 1 << 30;
+        cfg.churn.arrival_spread_s = 1.0;
+        let tenants = [
+            TenantSpec::new("a", tiny_app("a", 12 << 30, 2e10), 0),
+            TenantSpec::new("b", tiny_app("b", 6 << 30, 2e10), 0),
+        ];
+        let cache = RunCache::new();
+        let r = fleet::simulate_with(&cache, &cfg, &tenants, 1).unwrap();
+
+        let fast = m.tiers_by_performance()[0];
+        let tag = format!("fixed:{fast}>{}", m.largest_tier());
+        let app_of = |name: &str| &tenants.iter().find(|t| t.name == name).unwrap().app;
+        let mut expected = std::collections::HashSet::new();
+        for e in &r.nodes[0].epochs {
+            let total: u64 = e.grants.iter().sum();
+            let residents: Vec<(&AppModel, u64, f64)> = e
+                .residents
+                .iter()
+                .zip(&e.grants)
+                .map(|(n, &g)| (app_of(n), g, g as f64 / total as f64))
+                .collect();
+            let mix: Vec<(u64, u64, u64)> =
+                residents.iter().map(|&(a, g, s)| (stable_hash(a), g, s.to_bits())).collect();
+            let cell = FleetCellKey { colocation: stable_hash(&mix), scheduler: stable_hash(&cfg) };
+            for (a, g, s) in residents {
+                let slice = fleet::slice_machine(&m, fast, g, s);
+                expected.insert(
+                    RunKey::new(a, &slice, ExecMode::AppDirect, tag.clone()).with_fleet(cell),
+                );
+            }
+        }
+        assert!(r.nodes[0].epochs.iter().any(|e| e.residents.len() == 2), "node is contended");
+        let cached: std::collections::HashSet<RunKey> =
+            cache.slots.lock().unwrap().map.keys().cloned().collect();
+        assert_eq!(cached, expected);
+        assert_eq!(cache.misses(), expected.len() as u64);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Golden snapshot tests: the advisor's placement report and the run's
 //! normalized metrics document for the three reference workloads, pinned
-//! byte-for-byte against `tests/golden/*.json`.
+//! byte-for-byte against `tests/golden/*.json`, and digests of full engine
+//! and fleet results in `tests/golden/engine_runs.txt`.
 //!
 //! The pipeline is deterministic (seeded sampling, analytic simulation,
 //! insertion-ordered JSON), so these artifacts must not drift without an
@@ -249,6 +250,84 @@ fn durability_scenario() -> String {
     durability_metrics("durability")
 }
 
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// One line per engine case: a label and the FNV digest of the result's
+/// full `Debug` rendering, which prints every float in its exact
+/// shortest round-trip form, so any bit of drift changes the digest.
+///
+/// Cases: every model at two input scales under Memory Mode, App Direct
+/// DRAM-first with PMem fallback, and App Direct under the migrating
+/// kernel-tiering baseline; then one 4 × 4 mixed-colocation fleet cell
+/// per scheduler. Nothing here draws from `rand`.
+fn engine_fingerprints() -> String {
+    use baselines::KernelTiering;
+    use memsim::fleet::{self, ChurnConfig, FleetConfig, SchedulerPolicy};
+    use memsim::{ExecMode, FixedTier, MachineConfig, RunCache};
+    use memtrace::TierId;
+
+    let machine = MachineConfig::optane_pmem6();
+    let mut models = ecohmem::workloads::all_models();
+    models.push(ecohmem::workloads::model_by_name("phaseshift").unwrap());
+    let mut out = String::new();
+    let mut line = |label: String, debug: String| {
+        out.push_str(&format!("{label} {:016x}\n", fnv1a(debug.as_bytes())));
+    };
+    for model in &models {
+        for scale in [0.6, 1.0] {
+            let app = ecohmem::workloads::scale_model(model, scale);
+            let runs = [
+                (
+                    "memory-mode",
+                    memsim::run(
+                        &app,
+                        &machine,
+                        ExecMode::MemoryMode,
+                        &mut FixedTier::new(machine.largest_tier()),
+                    ),
+                ),
+                (
+                    "dram>pmem",
+                    memsim::run(
+                        &app,
+                        &machine,
+                        ExecMode::AppDirect,
+                        &mut FixedTier::with_fallback(TierId::DRAM, TierId::PMEM),
+                    ),
+                ),
+                (
+                    "kernel-tiering",
+                    memsim::run(
+                        &app,
+                        &machine,
+                        ExecMode::AppDirect,
+                        &mut KernelTiering::new(&machine),
+                    ),
+                ),
+            ];
+            for (policy, r) in runs {
+                line(format!("{} {policy}", app.name), format!("{r:?}"));
+            }
+        }
+    }
+    for scheduler in [
+        SchedulerPolicy::Priority,
+        SchedulerPolicy::ProportionalShare,
+        SchedulerPolicy::PaperGreedy,
+    ] {
+        let mut cfg = FleetConfig::new(machine.clone(), 4, scheduler);
+        cfg.quantum_bytes = 1 << 30;
+        cfg.churn = ChurnConfig { seed: 0xEC0, arrival_spread_s: 5.0 };
+        let tenants = ecohmem::workloads::colocations::mixed_colocations(4, 4);
+        let r = fleet::simulate_with(&RunCache::new(), &cfg, &tenants, 1).unwrap();
+        line(format!("fleet-4x4 {}", scheduler.name()), format!("{r:?}"));
+    }
+    out
+}
+
 #[test]
 fn pipeline_artifacts_match_goldens() {
     for app_name in APPS {
@@ -271,4 +350,7 @@ fn pipeline_artifacts_match_goldens() {
     // discipline: supervised restarts and explicit shedding are part of
     // the audited surface, not best-effort logging.
     assert_matches_golden("durability.metrics.json", &durability_scenario());
+
+    // Last, so its engine counters cannot leak into the snapshots above.
+    assert_matches_golden("engine_runs.txt", &engine_fingerprints());
 }
