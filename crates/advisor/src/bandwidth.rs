@@ -162,21 +162,21 @@ pub fn rebalance(
     let fast_tier = config.primary().tier;
     let classification = classify(profile, base, fast_tier, thresholds);
     let mut out = base.clone();
+    let index = profile.site_index();
+    let site = |s: SiteId| index.get(s).expect("classified sites exist");
 
     // All Streaming-D sites go to the fallback (PMEM), releasing capacity.
     let mut slack: i64 = 0;
-    for site in classification.sites_of(Category::StreamingD) {
-        let p = profile.site(site).expect("classified sites exist");
-        out.tiers.insert(site, config.fallback);
-        slack += p.total_bytes as i64; // base had charged total bytes
+    for s in classification.sites_of(Category::StreamingD) {
+        out.tiers.insert(s, config.fallback);
+        slack += site(s).total_bytes as i64; // base had charged total bytes
     }
 
     // Thrashing sites, sorted by bandwidth consumption then by allocation
     // and deallocation time (Algorithm 1's ordering).
     let mut thrashing = classification.sites_of(Category::Thrashing);
     thrashing.sort_by(|a, b| {
-        let pa = profile.site(*a).unwrap();
-        let pb = profile.site(*b).unwrap();
+        let (pa, pb) = (site(*a), site(*b));
         // total_cmp: degenerate-lifetime sites carry NaN bandwidths, which
         // must order deterministically instead of panicking.
         effective_bw(pb.avg_bw)
@@ -188,22 +188,22 @@ pub fn rebalance(
     // Fitting donors, smallest first ("smallest number in Fitting that can
     // accommodate").
     let mut fitting = classification.sites_of(Category::Fitting);
-    fitting.sort_by_key(|s| profile.site(*s).unwrap().total_bytes);
+    fitting.sort_by_key(|s| site(*s).total_bytes);
     let mut fitting_iter = fitting.into_iter();
 
-    for site in thrashing {
-        let need = profile.site(site).unwrap().peak_live_bytes as i64;
+    for s in thrashing {
+        let need = site(s).peak_live_bytes as i64;
         // Use leftover slack first, then evict donors smallest-first until
         // the Thrashing site's live footprint fits for its whole lifetime.
         let mut evicted = Vec::new();
         while slack < need {
             let Some(donor) = fitting_iter.next() else { break };
-            slack += profile.site(donor).unwrap().total_bytes as i64;
+            slack += site(donor).total_bytes as i64;
             evicted.push(donor);
         }
         if slack >= need {
             slack -= need;
-            out.tiers.insert(site, fast_tier);
+            out.tiers.insert(s, fast_tier);
             ecohmem_obs::incr("advisor.bw.swaps");
             for donor in evicted {
                 out.tiers.insert(donor, config.fallback);

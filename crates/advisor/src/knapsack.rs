@@ -108,6 +108,8 @@ pub fn assign_with(
     config.validate().expect("invalid advisor configuration");
     let _span = ecohmem_obs::span("advisor.knapsack");
 
+    let index = profile.site_index();
+    let site = |s: SiteId| index.get(s).expect("site came from the profile");
     let mut remaining: Vec<SiteId> = profile.sites.iter().map(|s| s.site).collect();
     let mut tiers: HashMap<SiteId, TierId> = HashMap::new();
     let mut charged = Vec::with_capacity(config.tiers.len());
@@ -118,26 +120,29 @@ pub fn assign_with(
         let mut ranked: Vec<(f64, SiteId)> = remaining
             .iter()
             .map(|&s| {
-                let p = profile.site(s).expect("site came from the profile");
-                (value_fn.value(p, budget.load_coeff, budget.store_coeff, profile.duration), s)
+                let v = value_fn.value(
+                    site(s),
+                    budget.load_coeff,
+                    budget.store_coeff,
+                    profile.duration,
+                );
+                (v, s)
             })
             .collect();
         ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
 
         let mut used = 0u64;
-        let mut placed = Vec::new();
         ecohmem_obs::count("advisor.knapsack.evaluations", ranked.len() as u64);
-        for (density, site) in ranked {
-            let p = profile.site(site).unwrap();
+        for (density, s) in ranked {
             // Sites with zero observed misses bring no value; leave them to
             // later tiers / the fallback rather than wasting budget.
             if density <= 0.0 {
                 continue;
             }
-            if used + p.total_bytes <= budget.capacity {
-                used += p.total_bytes;
-                tiers.insert(site, budget.tier);
-                placed.push(site);
+            let bytes = site(s).total_bytes;
+            if used + bytes <= budget.capacity {
+                used += bytes;
+                tiers.insert(s, budget.tier);
             }
         }
         if budget.capacity > 0 {
@@ -147,7 +152,8 @@ pub fn assign_with(
             );
         }
         charged.push((budget.tier, used));
-        remaining.retain(|s| !placed.contains(s));
+        // Sites placed on earlier tiers already left `remaining`.
+        remaining.retain(|s| !tiers.contains_key(s));
     }
 
     // Anything left (zero-value sites, or overflow of every budget) goes to

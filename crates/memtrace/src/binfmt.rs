@@ -26,7 +26,7 @@
 //!   consume a recorded trace without an upfront parse-and-alloc pass,
 //!   and buckets decode independently (in parallel upstream).
 
-use crate::columns::EventBatch;
+use crate::columns::{BatchOp, EventBatch};
 use crate::ctrace::ColumnarTrace;
 use crate::error::TraceError;
 use crate::events::TraceEvent;
@@ -72,22 +72,47 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads a varint.
+#[inline]
 pub fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        let byte =
-            *data.get(*pos).ok_or_else(|| TraceError::Malformed("truncated varint".into()))?;
+        let Some(&byte) = data.get(*pos) else {
+            return Err(varint_error("truncated varint"));
+        };
         *pos += 1;
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
+            // A 10th byte carries only bit 63: anything above 1 would
+            // have been shifted out silently.
+            if shift == 63 && byte > 1 {
+                return Err(varint_error("oversized varint"));
+            }
             return Ok(v);
         }
         shift += 7;
         if shift >= 64 {
-            return Err(TraceError::Malformed("oversized varint".into()));
+            return Err(varint_error("oversized varint"));
         }
     }
+}
+
+#[cold]
+fn varint_error(what: &str) -> TraceError {
+    TraceError::Malformed(what.into())
+}
+
+/// Reads a varint into a narrower id field, rejecting values that do not
+/// fit instead of truncating them.
+#[inline]
+fn get_field<T: TryFrom<u64>>(data: &[u8], pos: &mut usize, what: &str) -> Result<T, TraceError> {
+    let v = get_varint(data, pos)?;
+    T::try_from(v).map_err(|_| out_of_range(what, v))
+}
+
+#[cold]
+fn out_of_range(what: &str, v: u64) -> TraceError {
+    TraceError::Malformed(format!("{what} {v} out of range"))
 }
 
 fn micros(t: f64) -> u64 {
@@ -158,7 +183,7 @@ fn decode_record(
         TAG_ALLOC => TraceEvent::Alloc {
             time,
             object: ObjectId(get_varint(data, pos)?),
-            site: SiteId(get_varint(data, pos)? as u32),
+            site: SiteId(get_field(data, pos, "site id")?),
             size: get_varint(data, pos)?,
             address: get_varint(data, pos)?,
         },
@@ -167,15 +192,15 @@ fn decode_record(
             time,
             address: get_varint(data, pos)?,
             latency_cycles: get_varint(data, pos)? as f64,
-            function: FuncId(get_varint(data, pos)? as u16),
+            function: FuncId(get_field(data, pos, "function id")?),
         },
         TAG_STORE_HIT | TAG_STORE_MISS => TraceEvent::StoreSample {
             time,
             address: get_varint(data, pos)?,
             l1d_miss: tag == TAG_STORE_MISS,
-            function: FuncId(get_varint(data, pos)? as u16),
+            function: FuncId(get_field(data, pos, "function id")?),
         },
-        TAG_PHASE => TraceEvent::PhaseMarker { time, phase: get_varint(data, pos)? as u32 },
+        TAG_PHASE => TraceEvent::PhaseMarker { time, phase: get_field(data, pos, "phase")? },
         other => return Err(TraceError::Malformed(format!("unknown event tag {other}"))),
     })
 }
@@ -604,50 +629,57 @@ pub fn crc32(data: &[u8]) -> u32 {
 // The trace format above delta-codes timestamps at µs granularity — right
 // for archival traces, wrong for a write-ahead journal whose replay must be
 // *bit-identical* to the run it recovers. Frames encode every `f64` as its
-// raw IEEE-754 bits, so `read_frame(write_frame(events)) == events` exactly.
+// raw IEEE-754 bits, so `read_frame(write_frame(batch)) == batch` exactly.
 
-/// Appends an exact, self-delimiting encoding of `events` to `out`.
-pub fn write_frame(events: &[TraceEvent], out: &mut Vec<u8>) {
-    put_varint(out, events.len() as u64);
-    for e in events {
-        match e {
-            TraceEvent::Alloc { time, object, site, size, address } => {
+/// Appends an exact, self-delimiting encoding of a batch of events to
+/// `out`, reading the batch's columns directly.
+pub fn write_frame(batch: &EventBatch, out: &mut Vec<u8>) {
+    put_varint(out, batch.ops.len() as u64);
+    for &op in &batch.ops {
+        match op {
+            BatchOp::Alloc(r) => {
+                let r = r as usize;
                 out.push(TAG_ALLOC);
-                put_varint(out, time.to_bits());
-                put_varint(out, object.0);
-                put_varint(out, u64::from(site.0));
-                put_varint(out, *size);
-                put_varint(out, *address);
+                put_varint(out, batch.alloc_times[r].to_bits());
+                put_varint(out, batch.alloc_objects[r].0);
+                put_varint(out, u64::from(batch.alloc_sites[r].0));
+                put_varint(out, batch.alloc_sizes[r]);
+                put_varint(out, batch.alloc_addresses[r]);
             }
-            TraceEvent::Free { time, object } => {
+            BatchOp::Free(r) => {
+                let r = r as usize;
                 out.push(TAG_FREE);
-                put_varint(out, time.to_bits());
-                put_varint(out, object.0);
+                put_varint(out, batch.free_times[r].to_bits());
+                put_varint(out, batch.free_objects[r].0);
             }
-            TraceEvent::LoadMissSample { time, address, latency_cycles, function } => {
+            BatchOp::Load(r) => {
+                let r = r as usize;
                 out.push(TAG_LOAD);
-                put_varint(out, time.to_bits());
-                put_varint(out, *address);
-                put_varint(out, latency_cycles.to_bits());
-                put_varint(out, u64::from(function.0));
+                put_varint(out, batch.load_times[r].to_bits());
+                put_varint(out, batch.load_addresses[r]);
+                put_varint(out, batch.load_latencies[r].to_bits());
+                put_varint(out, u64::from(batch.load_functions[r].0));
             }
-            TraceEvent::StoreSample { time, address, l1d_miss, function } => {
-                out.push(if *l1d_miss { TAG_STORE_MISS } else { TAG_STORE_HIT });
-                put_varint(out, time.to_bits());
-                put_varint(out, *address);
-                put_varint(out, u64::from(function.0));
+            BatchOp::Store(r) => {
+                let r = r as usize;
+                out.push(if batch.store_l1d_miss[r] { TAG_STORE_MISS } else { TAG_STORE_HIT });
+                put_varint(out, batch.store_times[r].to_bits());
+                put_varint(out, batch.store_addresses[r]);
+                put_varint(out, u64::from(batch.store_functions[r].0));
             }
-            TraceEvent::PhaseMarker { time, phase } => {
+            BatchOp::Phase(r) => {
+                let r = r as usize;
                 out.push(TAG_PHASE);
-                put_varint(out, time.to_bits());
-                put_varint(out, u64::from(*phase));
+                put_varint(out, batch.phase_times[r].to_bits());
+                put_varint(out, u64::from(batch.phase_ids[r]));
             }
         }
     }
 }
 
-/// Decodes one frame written by [`write_frame`], advancing `pos` past it.
-pub fn read_frame(data: &[u8], pos: &mut usize) -> Result<Vec<TraceEvent>, TraceError> {
+/// Decodes one frame written by [`write_frame`] straight into a columnar
+/// batch, advancing `pos` past it — no per-event enum in between.
+pub fn read_frame(data: &[u8], pos: &mut usize) -> Result<EventBatch, TraceError> {
     let n = get_varint(data, pos)? as usize;
     // Checked before the relative guard (and before any allocation): the
     // relative guard scales with however many bytes a peer managed to
@@ -665,38 +697,36 @@ pub fn read_frame(data: &[u8], pos: &mut usize) -> Result<Vec<TraceEvent>, Trace
     if n > data.len().saturating_sub(*pos) / 2 {
         return Err(TraceError::Malformed(format!("frame claims {n} events in a short buffer")));
     }
-    let mut events = Vec::with_capacity(n);
+    let mut batch = EventBatch { ops: Vec::with_capacity(n), ..EventBatch::default() };
     for _ in 0..n {
         let tag = *data.get(*pos).ok_or_else(|| TraceError::Malformed("truncated frame".into()))?;
         *pos += 1;
         let time = f64::from_bits(get_varint(data, pos)?);
-        let event = match tag {
-            TAG_ALLOC => TraceEvent::Alloc {
-                time,
-                object: ObjectId(get_varint(data, pos)?),
-                site: SiteId(get_varint(data, pos)? as u32),
-                size: get_varint(data, pos)?,
-                address: get_varint(data, pos)?,
-            },
-            TAG_FREE => TraceEvent::Free { time, object: ObjectId(get_varint(data, pos)?) },
-            TAG_LOAD => TraceEvent::LoadMissSample {
-                time,
-                address: get_varint(data, pos)?,
-                latency_cycles: f64::from_bits(get_varint(data, pos)?),
-                function: FuncId(get_varint(data, pos)? as u16),
-            },
-            TAG_STORE_HIT | TAG_STORE_MISS => TraceEvent::StoreSample {
-                time,
-                address: get_varint(data, pos)?,
-                l1d_miss: tag == TAG_STORE_MISS,
-                function: FuncId(get_varint(data, pos)? as u16),
-            },
-            TAG_PHASE => TraceEvent::PhaseMarker { time, phase: get_varint(data, pos)? as u32 },
+        match tag {
+            TAG_ALLOC => {
+                let object = ObjectId(get_varint(data, pos)?);
+                let site = SiteId(get_field(data, pos, "site id")?);
+                let size = get_varint(data, pos)?;
+                let address = get_varint(data, pos)?;
+                batch.push_alloc(time, object, site, size, address);
+            }
+            TAG_FREE => batch.push_free(time, ObjectId(get_varint(data, pos)?)),
+            TAG_LOAD => {
+                let address = get_varint(data, pos)?;
+                let latency = f64::from_bits(get_varint(data, pos)?);
+                let function = FuncId(get_field(data, pos, "function id")?);
+                batch.push_load(time, address, latency, function);
+            }
+            TAG_STORE_HIT | TAG_STORE_MISS => {
+                let address = get_varint(data, pos)?;
+                let function = FuncId(get_field(data, pos, "function id")?);
+                batch.push_store(time, address, tag == TAG_STORE_MISS, function);
+            }
+            TAG_PHASE => batch.push_phase(time, get_field(data, pos, "phase")?),
             other => return Err(TraceError::Malformed(format!("unknown frame tag {other}"))),
-        };
-        events.push(event);
+        }
     }
-    Ok(events)
+    Ok(batch)
 }
 
 #[cfg(test)]
@@ -851,11 +881,11 @@ mod tests {
             TraceEvent::Free { time: 1e9 + 1e-9, object: ObjectId(3) },
         ];
         let mut buf = Vec::new();
-        write_frame(&events, &mut buf);
-        write_frame(&[], &mut buf);
+        write_frame(&EventBatch::from_events(&events), &mut buf);
+        write_frame(&EventBatch::default(), &mut buf);
         let mut pos = 0;
-        assert_eq!(read_frame(&buf, &mut pos).unwrap(), events);
-        assert_eq!(read_frame(&buf, &mut pos).unwrap(), Vec::new());
+        assert_eq!(read_frame(&buf, &mut pos).unwrap().to_events(), events);
+        assert!(read_frame(&buf, &mut pos).unwrap().is_empty());
         assert_eq!(pos, buf.len());
     }
 
@@ -863,7 +893,7 @@ mod tests {
     fn frames_reject_truncation_and_junk() {
         let events = sample_trace().events;
         let mut buf = Vec::new();
-        write_frame(&events, &mut buf);
+        write_frame(&EventBatch::from_events(&events), &mut buf);
         for cut in [0, 1, buf.len() / 2, buf.len() - 1] {
             let mut pos = 0;
             assert!(read_frame(&buf[..cut], &mut pos).is_err(), "cut at {cut}");
@@ -882,6 +912,77 @@ mod tests {
             let mut pos = 0;
             assert_eq!(get_varint(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
+        }
+    }
+
+    #[test]
+    fn varints_reject_a_tenth_byte_above_one() {
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert_eq!(get_varint(&max, &mut 0).unwrap(), u64::MAX);
+        let mut top = vec![0x80; 9];
+        top.push(0x01);
+        assert_eq!(get_varint(&top, &mut 0).unwrap(), 1 << 63);
+        for last in [0x02, 0x7f, 0x81] {
+            let mut bad = vec![0xff; 9];
+            bad.extend([last, 0x01]);
+            let err = get_varint(&bad, &mut 0).unwrap_err().to_string();
+            assert!(err.contains("oversized varint"), "10th byte {last:#x}: {err}");
+        }
+    }
+
+    /// One hand-encoded frame holding a single `tag` record.
+    fn frame_with(tag: u8, fields: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1);
+        buf.push(tag);
+        put_varint(&mut buf, 0.5f64.to_bits());
+        for &f in fields {
+            put_varint(&mut buf, f);
+        }
+        buf
+    }
+
+    /// A v1 trace file holding a single hand-encoded `tag` record.
+    fn v1_with(tag: u8, fields: &[u64]) -> Vec<u8> {
+        let mut t = sample_trace();
+        t.events.clear();
+        let mut buf = Vec::new();
+        write_trace(&t, &mut buf).unwrap();
+        assert_eq!(buf.pop(), Some(0), "the empty trace ends with its zero event count");
+        put_varint(&mut buf, 1);
+        buf.push(tag);
+        put_varint(&mut buf, 500_000);
+        for &f in fields {
+            put_varint(&mut buf, f);
+        }
+        buf
+    }
+
+    #[test]
+    fn decoders_reject_ids_that_overflow_their_field() {
+        let (u32_max, u16_max) = (u64::from(u32::MAX), u64::from(u16::MAX));
+        // (tag, fields with the largest value that fits, index of the
+        // field under test, its name in the error)
+        let cases: [(u8, Vec<u64>, usize, &str); 4] = [
+            (TAG_ALLOC, vec![1, u32_max, 64, 0x1000], 1, "site id"),
+            (TAG_LOAD, vec![0x1000, 300, u16_max], 2, "function id"),
+            (TAG_STORE_MISS, vec![0x1000, u16_max], 1, "function id"),
+            (TAG_PHASE, vec![u32_max], 0, "phase"),
+        ];
+        for (tag, fits, field, what) in cases {
+            let mut over = fits.clone();
+            over[field] += 1;
+            assert!(read_frame(&frame_with(tag, &fits), &mut 0).is_ok(), "{what} at its max");
+            assert!(read_trace(&v1_with(tag, &fits)[..]).is_ok(), "v1 {what} at its max");
+            let errors = [
+                read_frame(&frame_with(tag, &over), &mut 0).unwrap_err(),
+                read_trace(&v1_with(tag, &over)[..]).unwrap_err(),
+            ];
+            for err in errors {
+                let err = err.to_string();
+                assert!(err.contains(&format!("{what} {} out of range", over[field])), "{err}");
+            }
         }
     }
 
@@ -912,7 +1013,7 @@ mod tests {
     fn frames_reject_a_hostile_count_just_under_the_buffer_length() {
         let events = sample_trace().events;
         let mut buf = Vec::new();
-        write_frame(&events, &mut buf);
+        write_frame(&EventBatch::from_events(&events), &mut buf);
         // Overwrite the count varint with one claiming nearly as many
         // events as there are bytes — the 2-bytes-per-event floor must
         // reject it before any allocation happens.

@@ -482,6 +482,7 @@ impl EventBatch {
     }
 
     /// Appends an allocation without going through the event enum.
+    #[inline]
     pub fn push_alloc(&mut self, time: f64, object: ObjectId, site: SiteId, size: u64, addr: u64) {
         self.ops.push(BatchOp::Alloc(self.alloc_times.len() as u32));
         self.alloc_times.push(time);
@@ -492,6 +493,7 @@ impl EventBatch {
     }
 
     /// Appends a free without going through the event enum.
+    #[inline]
     pub fn push_free(&mut self, time: f64, object: ObjectId) {
         self.ops.push(BatchOp::Free(self.free_times.len() as u32));
         self.free_times.push(time);
@@ -499,6 +501,7 @@ impl EventBatch {
     }
 
     /// Appends a load-miss sample without going through the event enum.
+    #[inline]
     pub fn push_load(&mut self, time: f64, address: u64, latency_cycles: f64, function: FuncId) {
         self.ops.push(BatchOp::Load(self.load_times.len() as u32));
         self.load_times.push(time);
@@ -508,6 +511,7 @@ impl EventBatch {
     }
 
     /// Appends a store sample without going through the event enum.
+    #[inline]
     pub fn push_store(&mut self, time: f64, address: u64, l1d_miss: bool, function: FuncId) {
         self.ops.push(BatchOp::Store(self.store_times.len() as u32));
         self.store_times.push(time);
@@ -517,6 +521,7 @@ impl EventBatch {
     }
 
     /// Appends a phase marker without going through the event enum.
+    #[inline]
     pub fn push_phase(&mut self, time: f64, phase: u32) {
         self.ops.push(BatchOp::Phase(self.phase_times.len() as u32));
         self.phase_times.push(time);

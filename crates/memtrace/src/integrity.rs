@@ -61,7 +61,7 @@ impl Shape {
 
     /// The shape of one op of a columnar batch.
     #[inline]
-    pub(crate) fn of_op(b: &EventBatch, op: BatchOp) -> Shape {
+    pub fn of_op(b: &EventBatch, op: BatchOp) -> Shape {
         match op {
             BatchOp::Alloc(r) => {
                 let r = r as usize;

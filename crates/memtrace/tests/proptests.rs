@@ -90,6 +90,49 @@ fn trace_with(events: Vec<TraceEvent>) -> TraceFile {
     }
 }
 
+/// A valid trace passes validation and survives the JSON and binary
+/// encodings (binary with µs timestamp fidelity).
+fn check_survives_both_encodings(events: Vec<TraceEvent>) {
+    let t = trace_with(events);
+    t.validate().unwrap();
+
+    let json = t.to_json().unwrap();
+    assert_eq!(&TraceFile::from_json(&json).unwrap(), &t);
+
+    let mut bin = Vec::new();
+    write_trace(&t, &mut bin).unwrap();
+    let back = read_trace(&bin[..]).unwrap();
+    back.validate().unwrap();
+    assert_eq!(back.events.len(), t.events.len());
+    for (a, b) in t.events.iter().zip(&back.events) {
+        assert!((a.time() - b.time()).abs() < 2e-6);
+    }
+}
+
+/// The saved failure case in `proptests.proptest-regressions`: two
+/// adjacent 64-byte allocations at 2^44. Runs on every build, whichever
+/// proptest implementation resolves and whether or not it replays that
+/// file.
+#[test]
+fn adjacent_allocs_survive_both_encodings() {
+    check_survives_both_encodings(vec![
+        TraceEvent::Alloc {
+            time: 0.797570312830688,
+            object: ObjectId(1),
+            site: SiteId(0),
+            size: 64,
+            address: 17592186044416,
+        },
+        TraceEvent::Alloc {
+            time: 1.3169581004571467,
+            object: ObjectId(2),
+            site: SiteId(0),
+            size: 64,
+            address: 17592186044480,
+        },
+    ]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -97,20 +140,7 @@ proptest! {
     /// binary encodings (binary with µs timestamp fidelity).
     #[test]
     fn traces_survive_both_encodings(events in arb_events()) {
-        let t = trace_with(events);
-        t.validate().unwrap();
-
-        let json = t.to_json().unwrap();
-        prop_assert_eq!(&TraceFile::from_json(&json).unwrap(), &t);
-
-        let mut bin = Vec::new();
-        write_trace(&t, &mut bin).unwrap();
-        let back = read_trace(&bin[..]).unwrap();
-        back.validate().unwrap();
-        prop_assert_eq!(back.events.len(), t.events.len());
-        for (a, b) in t.events.iter().zip(&back.events) {
-            prop_assert!((a.time() - b.time()).abs() < 2e-6);
-        }
+        check_survives_both_encodings(events);
     }
 
     /// Binary decoding never panics on arbitrary corruption — it returns

@@ -74,9 +74,13 @@ mod tests {
     use super::*;
     use crate::json::Json;
 
+    // Both tests hold the crate's test lock: the sink is process-global,
+    // and every test that opens a span writes to whatever sink is
+    // installed.
     #[test]
     fn jsonl_sink_writes_parseable_lines() {
-        let path = std::env::temp_dir().join("obs_sink_test.jsonl");
+        let _l = crate::test_lock();
+        let path = std::env::temp_dir().join(format!("obs_sink_test.{}.jsonl", std::process::id()));
         let path = path.to_str().unwrap();
         install_jsonl(path).unwrap();
         emit_span("span_begin", "stage", 0, Duration::from_nanos(5), None);
@@ -93,6 +97,7 @@ mod tests {
 
     #[test]
     fn no_sink_is_a_quiet_no_op() {
+        let _l = crate::test_lock();
         uninstall();
         emit_span("span_begin", "quiet", 1, Duration::ZERO, None);
     }

@@ -9,16 +9,18 @@
 //! zero, which a decimal round-trip would quietly normalize.
 //!
 //! Hash containers (`HashMap`/`HashSet`) have no stable iteration order,
-//! so they are encoded as key-sorted vectors; the ingestor's per-site
-//! `objects` vectors, `grace` list and `tallies` are **order-carrying**
-//! state and are encoded verbatim. The only non-binary section is the
+//! and the ingestor's dense object and site slots are numbered in arrival
+//! order, so both are encoded as vectors sorted by id — the slots are a
+//! memory layout, not state, and are rebuilt on decode. The ingestor's
+//! per-site `objects` vectors, `grace` list and `tallies` are
+//! **order-carrying** state and are encoded verbatim (as ids). The only non-binary section is the
 //! stream header ([`StreamMeta`]): stacks and binary map ride the
 //! existing `TraceFile` JSON codec (all integer/string fields), while the
 //! header's three `f64` scalars are re-pinned bit-exactly beside it.
 
 use crate::config::OnlineConfig;
 use crate::incremental::IncrementalAdvisor;
-use crate::ingest::{ObjAcc, SiteAcc, StreamIngestor, StreamMeta};
+use crate::ingest::{ObjAcc, PeakSweep, SiteAcc, StreamIngestor, StreamMeta};
 use crate::stats::DecayedWindow;
 use crate::PlacementRevision;
 use advisor::{AdvisorConfig, Algorithm, Assignment, BwThresholds, TierBudget};
@@ -26,7 +28,7 @@ use memtrace::binfmt::{get_varint, put_varint};
 use memtrace::{
     DegradationPolicy, DroppedWindow, ObjectId, SiteId, TierId, TraceError, TraceFile, WarningKind,
 };
-use profiler::{ObjectLifetime, SiteProfile};
+use profiler::{ObjectLifetime, ProfileSet, SiteProfile};
 use std::collections::VecDeque;
 
 /// Every [`WarningKind`], in a frozen order that IS the wire encoding.
@@ -267,14 +269,15 @@ pub fn encode_ingestor(ing: &StreamIngestor, out: &mut Vec<u8>) {
     }
     put_window(out, &v.window);
 
-    // Object store, key-sorted.
-    let mut obj_ids: Vec<ObjectId> = ing.objects.keys().copied().collect();
-    obj_ids.sort();
-    put_u64(out, obj_ids.len() as u64);
-    for id in obj_ids {
-        let o = &ing.objects[&id];
+    // Object store, key-sorted by object id.
+    let mut by_id: Vec<(ObjectId, u32)> =
+        ing.object_slots.iter().map(|(&id, &s)| (id, s)).collect();
+    by_id.sort_unstable();
+    put_u64(out, by_id.len() as u64);
+    for (id, slot) in by_id {
+        let o = &ing.objects[slot as usize];
         put_u64(out, id.0);
-        put_u64(out, o.site.0 as u64);
+        put_u64(out, ing.sites[o.site as usize].id.0 as u64);
         put_u64(out, o.size);
         put_u64(out, o.address);
         put_f64(out, o.alloc_time);
@@ -284,41 +287,41 @@ pub fn encode_ingestor(ing: &StreamIngestor, out: &mut Vec<u8>) {
         put_u64(out, o.store_l1d_miss_samples);
     }
 
-    // Per-site accumulators, key-sorted; each site's `objects` vector is
-    // arrival-ordered state and is stored verbatim.
-    let mut site_ids: Vec<SiteId> = ing.sites.keys().copied().collect();
-    site_ids.sort();
-    put_u64(out, site_ids.len() as u64);
-    for id in site_ids {
-        let s = &ing.sites[&id];
-        put_u64(out, id.0 as u64);
+    // Per-site accumulators of every site that has seen an allocation,
+    // key-sorted; each site's `objects` vector is arrival-ordered state
+    // and is stored verbatim.
+    let mut sites: Vec<&SiteAcc> = ing.sites.iter().filter(|s| s.present).collect();
+    sites.sort_unstable_by_key(|s| s.id);
+    put_u64(out, sites.len() as u64);
+    for s in sites {
+        put_u64(out, s.id.0 as u64);
         put_u64(out, s.objects.len() as u64);
-        for o in &s.objects {
-            put_u64(out, o.0);
+        for &o in &s.objects {
+            put_u64(out, ing.objects[o as usize].id.0);
         }
         put_decayed(out, &s.load_stat);
         put_decayed(out, &s.store_stat);
     }
 
-    // Address index (BTreeMap iterates sorted) and the order-carrying
+    // Address index (sorted by start address) and the order-carrying
     // grace list.
     put_u64(out, ing.live.len() as u64);
-    for (&start, &(end, id)) in &ing.live {
+    for (start, end, slot) in ing.live.iter() {
         put_u64(out, start);
         put_u64(out, end);
-        put_u64(out, id.0);
+        put_u64(out, ing.objects[slot as usize].id.0);
     }
     put_u64(out, ing.grace.len() as u64);
-    for &(start, end, id, free_time) in &ing.grace {
+    for &(start, end, slot, free_time) in &ing.grace {
         put_u64(out, start);
         put_u64(out, end);
-        put_u64(out, id.0);
+        put_u64(out, ing.objects[slot as usize].id.0);
         put_f64(out, free_time);
     }
     put_u64(out, ing.unmatched_samples);
 
-    let mut dirty: Vec<SiteId> = ing.dirty.iter().copied().collect();
-    dirty.sort();
+    let mut dirty: Vec<SiteId> = ing.dirty.iter().map(|&s| ing.sites[s as usize].id).collect();
+    dirty.sort_unstable();
     put_u64(out, dirty.len() as u64);
     for s in dirty {
         put_u64(out, s.0 as u64);
@@ -337,6 +340,18 @@ pub fn encode_ingestor(ing: &StreamIngestor, out: &mut Vec<u8>) {
     }
     put_u64(out, ing.pending_load);
     put_u64(out, ing.pending_store_miss);
+}
+
+/// The dense slot of a checkpointed site id; every site a checkpoint
+/// names is in the header's stack table.
+fn site_slot(ing: &StreamIngestor, raw: u64) -> Result<u32, TraceError> {
+    let id = u32::try_from(raw).map_err(|_| corrupt("site id out of range"))?;
+    ing.site_slots.get(&SiteId(id)).copied().ok_or_else(|| corrupt("site not in the stack table"))
+}
+
+/// The dense slot of a checkpointed object id (decoded objects only).
+fn object_slot(ing: &StreamIngestor, raw: u64) -> Result<u32, TraceError> {
+    ing.object_slots.get(&ObjectId(raw)).copied().ok_or_else(|| corrupt("unknown object id"))
 }
 
 /// Rebuilds the ingestor encoded by [`encode_ingestor`].
@@ -376,7 +391,8 @@ pub fn decode_ingestor(data: &[u8], pos: &mut usize) -> Result<StreamIngestor, T
     for _ in 0..checked_len(data, pos, 9)? {
         let id = ObjectId(get_u64(data, pos)?);
         let acc = ObjAcc {
-            site: SiteId(get_u64(data, pos)? as u32),
+            id,
+            site: site_slot(&ing, get_u64(data, pos)?)?,
             size: get_u64(data, pos)?,
             address: get_u64(data, pos)?,
             alloc_time: get_f64(data, pos)?,
@@ -385,37 +401,51 @@ pub fn decode_ingestor(data: &[u8], pos: &mut usize) -> Result<StreamIngestor, T
             store_samples: get_u64(data, pos)?,
             store_l1d_miss_samples: get_u64(data, pos)?,
         };
-        ing.objects.insert(id, acc);
+        let slot = u32::try_from(ing.objects.len()).map_err(|_| corrupt("too many objects"))?;
+        if ing.object_slots.insert(id, slot).is_some() {
+            return Err(corrupt("object recorded twice"));
+        }
+        ing.objects.push(acc);
     }
 
     for _ in 0..checked_len(data, pos, 4)? {
-        let id = SiteId(get_u64(data, pos)? as u32);
-        let mut acc = SiteAcc::default();
+        let slot = site_slot(&ing, get_u64(data, pos)?)?;
+        let mut objects = Vec::new();
         for _ in 0..checked_len(data, pos, 1)? {
-            acc.objects.push(ObjectId(get_u64(data, pos)?));
+            objects.push(object_slot(&ing, get_u64(data, pos)?)?);
         }
+        let all = &ing.objects;
+        let acc = &mut ing.sites[slot as usize];
+        acc.by_id = objects.windows(2).all(|w| all[w[0] as usize].id < all[w[1] as usize].id);
+        acc.sweep = PeakSweep::of(all, &objects);
+        acc.objects = objects;
+        acc.present = true;
         acc.load_stat = get_decayed(data, pos)?;
         acc.store_stat = get_decayed(data, pos)?;
-        ing.sites.insert(id, acc);
     }
 
     for _ in 0..checked_len(data, pos, 3)? {
         let start = get_u64(data, pos)?;
         let end = get_u64(data, pos)?;
-        let id = ObjectId(get_u64(data, pos)?);
-        ing.live.insert(start, (end, id));
+        let slot = object_slot(&ing, get_u64(data, pos)?)?;
+        ing.live.insert(start, end, slot);
     }
     for _ in 0..checked_len(data, pos, 4)? {
         let start = get_u64(data, pos)?;
         let end = get_u64(data, pos)?;
-        let id = ObjectId(get_u64(data, pos)?);
+        let slot = object_slot(&ing, get_u64(data, pos)?)?;
         let free_time = get_f64(data, pos)?;
-        ing.grace.push((start, end, id, free_time));
+        ing.grace.push((start, end, slot, free_time));
     }
     ing.unmatched_samples = get_u64(data, pos)?;
 
     for _ in 0..checked_len(data, pos, 1)? {
-        ing.dirty.insert(SiteId(get_u64(data, pos)? as u32));
+        let slot = site_slot(&ing, get_u64(data, pos)?)?;
+        let s = &mut ing.sites[slot as usize];
+        if !s.dirty {
+            s.dirty = true;
+            ing.dirty.push(slot);
+        }
     }
 
     for _ in 0..checked_len(data, pos, 1)? {
@@ -442,7 +472,12 @@ fn get_tier(data: &[u8], pos: &mut usize) -> Result<TierId, TraceError> {
     Ok(TierId(get_u64(data, pos)? as u8))
 }
 
-fn put_site_profile(out: &mut Vec<u8>, p: &SiteProfile) {
+fn put_site_profile(
+    out: &mut Vec<u8>,
+    p: &SiteProfile,
+    load_misses_est: f64,
+    store_misses_est: f64,
+) {
     put_u64(out, p.site.0 as u64);
     put_u64(out, p.stack.frames().len() as u64);
     for f in p.stack.frames() {
@@ -453,8 +488,8 @@ fn put_site_profile(out: &mut Vec<u8>, p: &SiteProfile) {
     put_u64(out, p.max_size);
     put_u64(out, p.total_bytes);
     put_u64(out, p.peak_live_bytes);
-    put_f64(out, p.load_misses_est);
-    put_f64(out, p.store_misses_est);
+    put_f64(out, load_misses_est);
+    put_f64(out, store_misses_est);
     put_bool(out, p.has_stores);
     put_f64(out, p.first_alloc);
     put_f64(out, p.last_free);
@@ -579,11 +614,10 @@ pub fn encode_advisor(adv: &IncrementalAdvisor, out: &mut Vec<u8>) {
     put_u64(out, adv.epoch);
     put_u64(out, adv.rebuilt_sites);
 
-    let mut cached: Vec<SiteId> = adv.cache.keys().copied().collect();
-    cached.sort();
-    put_u64(out, cached.len() as u64);
-    for s in cached {
-        put_site_profile(out, &adv.cache[&s]);
+    // The cached profiles, sorted by site, with their unboosted estimates.
+    put_u64(out, adv.profile.sites.len() as u64);
+    for (p, &(load, store)) in adv.profile.sites.iter().zip(&adv.estimates) {
+        put_site_profile(out, p, load, store);
     }
     match &adv.assignment {
         Some(a) => {
@@ -620,18 +654,27 @@ pub fn decode_advisor(data: &[u8], pos: &mut usize) -> Result<IncrementalAdvisor
     let hysteresis = get_f64(data, pos)?;
     let epoch = get_u64(data, pos)?;
     let rebuilt_sites = get_u64(data, pos)?;
-    let mut cache = std::collections::HashMap::new();
+    let mut cache = std::collections::BTreeMap::new();
     for _ in 0..checked_len(data, pos, 8)? {
         let p = get_site_profile(data, pos)?;
         cache.insert(p.site, p);
     }
     let assignment = if get_bool(data, pos)? { Some(get_assignment(data, pos)?) } else { None };
+    let estimates = cache.values().map(|p| (p.load_misses_est, p.store_misses_est)).collect();
     Ok(IncrementalAdvisor {
         config,
         algorithm,
         thresholds,
         hysteresis,
-        cache,
+        profile: ProfileSet {
+            app_name: String::new(),
+            duration: 0.0,
+            sites: cache.into_values().collect(),
+            bw_series: Vec::new(),
+            peak_bw: 0.0,
+            binmap: memtrace::BinaryMap::default(),
+        },
+        estimates,
         assignment,
         epoch,
         rebuilt_sites,

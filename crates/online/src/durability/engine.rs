@@ -26,7 +26,7 @@ use crate::config::OnlineConfig;
 use crate::incremental::{IncrementalAdvisor, PlacementRevision};
 use crate::ingest::{StreamIngestor, StreamMeta};
 use advisor::{AdvisorConfig, Algorithm};
-use memtrace::{DegradationPolicy, DroppedWindow, TraceError, TraceEvent};
+use memtrace::{DegradationPolicy, DroppedWindow, EventBatch, TraceError, TraceEvent};
 use std::path::{Path, PathBuf};
 
 /// Durability tuning.
@@ -199,9 +199,7 @@ impl DurableEngine {
     fn apply(&mut self, rec: &Record) -> Result<(), TraceError> {
         match rec {
             Record::Events(events) => {
-                for e in events {
-                    self.ingestor.push(e.clone())?;
-                }
+                self.ingestor.push_batch(events)?;
             }
             Record::Tick { now } => {
                 let revs = self.advisor.tick(&mut self.ingestor, *now);
@@ -234,6 +232,12 @@ impl DurableEngine {
     /// replays the same frame and fails identically, preserving the
     /// invariant.
     pub fn ingest(&mut self, events: Vec<TraceEvent>) -> Result<(), TraceError> {
+        self.ingest_batch(EventBatch::from_events(&events))
+    }
+
+    /// [`Self::ingest`] for a columnar batch: journaled with the same
+    /// bytes, applied without rebuilding any event.
+    pub fn ingest_batch(&mut self, events: EventBatch) -> Result<(), TraceError> {
         if events.is_empty() {
             return Ok(());
         }

@@ -26,7 +26,7 @@
 
 use super::codec;
 use memtrace::binfmt::{crc32, read_frame, write_frame};
-use memtrace::{DroppedWindow, TraceError, TraceEvent};
+use memtrace::{DroppedWindow, EventBatch, TraceError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -42,10 +42,13 @@ const REC_TICK: u8 = 2;
 const REC_SHED: u8 = 3;
 
 /// One journaled input to the durable engine.
+// Event frames are most of the records; boxing the batch would only add
+// an allocation per record.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// A frame of admitted trace events.
-    Events(Vec<TraceEvent>),
+    Events(EventBatch),
     /// An epoch tick at stream time `now`.
     Tick {
         /// Stream time passed to the advisor.
@@ -338,7 +341,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memtrace::{ObjectId, SiteId};
+    use memtrace::{ObjectId, SiteId, TraceEvent};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -374,7 +377,7 @@ mod tests {
     fn appends_survive_reopen() {
         let dir = tmpdir("reopen");
         let recs = vec![
-            Record::Events(vec![ev(0.1, 1), ev(0.2, 2)]),
+            Record::Events(EventBatch::from_events(&[ev(0.1, 1), ev(0.2, 2)])),
             Record::Tick { now: 1.0 / 3.0 },
             Record::Shed {
                 window: DroppedWindow { count: 3, first_time: Some(0.5), last_time: Some(0.9) },
@@ -407,7 +410,7 @@ mod tests {
         {
             let (mut j, _) = Journal::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
             for i in 0..5 {
-                j.append(&Record::Events(vec![ev(i as f64, i)])).unwrap();
+                j.append(&Record::Events(EventBatch::from_events(&[ev(i as f64, i)]))).unwrap();
             }
             j.sync().unwrap();
         }

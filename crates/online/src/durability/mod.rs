@@ -23,7 +23,11 @@
 //!   explicitly under overload, and export staleness.
 
 pub mod checkpoint;
-pub(crate) mod codec;
+// Public only so integration tests can compare and restore checkpoint
+// bytes; the format's supported entry points are `DurableEngine` and
+// `CheckpointStore`.
+#[doc(hidden)]
+pub mod codec;
 pub mod engine;
 pub mod journal;
 pub mod queue;

@@ -21,12 +21,11 @@
 //! Each tick emits the *diff* against the previous plan as
 //! [`PlacementRevision`]s — the stream a dynamic placement layer consumes.
 
-use crate::ingest::StreamIngestor;
+use crate::ingest::{BwContext, StreamIngestor};
 use advisor::{bandwidth, knapsack, AdvisorConfig, Algorithm, Assignment, BwThresholds};
 use memtrace::{BinaryMap, CallStack, SiteId, TierId};
 use profiler::{ProfileSet, SiteProfile};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One placement change emitted by an epoch tick.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -48,10 +47,13 @@ pub struct PlacementRevision {
 pub trait ProfileSource {
     /// Sites whose statistics changed since the last call, sorted.
     fn take_dirty(&mut self) -> Vec<SiteId>;
-    /// One site's profile as of `now` (`None` if the site vanished).
-    fn site_profile(&self, site: SiteId, now: f64) -> Option<SiteProfile>;
-    /// `(bw_series, peak_bw)` as of `now`, for the bandwidth-aware pass.
-    fn bw_state(&self, now: f64) -> (Vec<(f64, f64)>, f64);
+    /// The bandwidth context as of `now`, built once per tick and shared
+    /// by every site rebuild of that tick.
+    fn bw_context(&self, now: f64) -> BwContext;
+    /// Rebuilds one site's profile as of `now` into `out`, reusing its
+    /// allocations. Returns false, leaving `out` untouched, if the site
+    /// has no profile (it vanished).
+    fn rebuild_site(&self, site: SiteId, now: f64, bw: &BwContext, out: &mut SiteProfile) -> bool;
     /// Application name for the assembled profile.
     fn app_name(&self) -> &str;
 }
@@ -61,17 +63,36 @@ impl ProfileSource for StreamIngestor {
         StreamIngestor::take_dirty(self)
     }
 
-    fn site_profile(&self, site: SiteId, now: f64) -> Option<SiteProfile> {
-        self.site_snapshot(site, now)
+    fn bw_context(&self, now: f64) -> BwContext {
+        StreamIngestor::bw_context(self, now)
     }
 
-    fn bw_state(&self, now: f64) -> (Vec<(f64, f64)>, f64) {
-        let bw = self.bw_context(now);
-        (bw.series, bw.peak)
+    fn rebuild_site(&self, site: SiteId, now: f64, bw: &BwContext, out: &mut SiteProfile) -> bool {
+        StreamIngestor::rebuild_site(self, site, now, bw, out)
     }
 
     fn app_name(&self) -> &str {
         &self.meta().app_name
+    }
+}
+
+/// An empty profile of `site`, for a source to rebuild into.
+pub(crate) fn blank_profile(site: SiteId) -> SiteProfile {
+    SiteProfile {
+        site,
+        stack: CallStack::default(),
+        alloc_count: 0,
+        max_size: 0,
+        total_bytes: 0,
+        peak_live_bytes: 0,
+        load_misses_est: 0.0,
+        store_misses_est: 0.0,
+        has_stores: false,
+        first_alloc: 0.0,
+        last_free: 0.0,
+        bw_at_alloc: 0.0,
+        avg_bw: 0.0,
+        objects: Vec::new(),
     }
 }
 
@@ -84,7 +105,13 @@ pub struct IncrementalAdvisor {
     pub(crate) algorithm: Algorithm,
     pub(crate) thresholds: BwThresholds,
     pub(crate) hysteresis: f64,
-    pub(crate) cache: HashMap<SiteId, SiteProfile>,
+    /// The assembled profile the solver ranks: one cached profile per
+    /// site, sorted by site, kept in place across ticks. Its miss
+    /// estimates carry the hysteresis boost of the last tick.
+    pub(crate) profile: ProfileSet,
+    /// The unboosted `(load_misses_est, store_misses_est)` of each entry
+    /// of `profile.sites`, as the source built them.
+    pub(crate) estimates: Vec<(f64, f64)>,
     pub(crate) assignment: Option<Assignment>,
     pub(crate) epoch: u64,
     pub(crate) rebuilt_sites: u64,
@@ -100,7 +127,17 @@ impl IncrementalAdvisor {
             algorithm,
             thresholds: BwThresholds::PAPER,
             hysteresis: 0.0,
-            cache: HashMap::new(),
+            profile: ProfileSet {
+                app_name: String::new(),
+                duration: 0.0,
+                sites: Vec::new(),
+                bw_series: Vec::new(),
+                peak_bw: 0.0,
+                // Reports rendered from an online plan use the live process
+                // image; the plan itself never consults it.
+                binmap: BinaryMap::default(),
+            },
+            estimates: Vec::new(),
             assignment: None,
             epoch: 0,
             rebuilt_sites: 0,
@@ -149,47 +186,41 @@ impl IncrementalAdvisor {
     pub fn tick(&mut self, source: &mut dyn ProfileSource, now: f64) -> Vec<PlacementRevision> {
         let _span = ecohmem_obs::span("online.tick");
         let rebuilt_before = self.rebuilt_sites;
+        let bw = source.bw_context(now);
         for site in source.take_dirty() {
-            match source.site_profile(site, now) {
-                Some(p) => {
-                    self.cache.insert(site, p);
-                }
-                None => {
-                    self.cache.remove(&site);
-                }
-            }
+            self.refresh(&*source, site, now, &bw);
             self.rebuilt_sites += 1;
         }
 
-        let (bw_series, peak_bw) = source.bw_state(now);
-        let mut sites: Vec<SiteProfile> = self.cache.values().cloned().collect();
-        sites.sort_by_key(|s| s.site);
-        if self.hysteresis > 0.0 {
-            if let Some(prev) = &self.assignment {
-                let primary = self.config.primary().tier;
-                let mut boosted = 0u64;
-                for s in sites.iter_mut().filter(|s| prev.tier_of(s.site) == primary) {
-                    s.load_misses_est *= 1.0 + self.hysteresis;
-                    s.store_misses_est *= 1.0 + self.hysteresis;
-                    boosted += 1;
-                }
-                ecohmem_obs::count("online.hysteresis.boosted", boosted);
+        // Assemble in place: only the run-level fields and the two
+        // hysteresis-boosted estimates change between ticks.
+        let profile = &mut self.profile;
+        if profile.app_name != source.app_name() {
+            profile.app_name = source.app_name().to_string();
+        }
+        profile.duration = now;
+        profile.bw_series = bw.series;
+        profile.peak_bw = bw.peak;
+        let incumbent = if self.hysteresis > 0.0 { self.assignment.as_ref() } else { None };
+        let primary = self.config.primary().tier;
+        let mut boosted = 0u64;
+        for (s, &(load, store)) in profile.sites.iter_mut().zip(&self.estimates) {
+            if incumbent.is_some_and(|prev| prev.tier_of(s.site) == primary) {
+                s.load_misses_est = load * (1.0 + self.hysteresis);
+                s.store_misses_est = store * (1.0 + self.hysteresis);
+                boosted += 1;
+            } else {
+                s.load_misses_est = load;
+                s.store_misses_est = store;
             }
         }
-        let profile = ProfileSet {
-            app_name: source.app_name().to_string(),
-            duration: now,
-            sites,
-            bw_series,
-            peak_bw,
-            // Reports rendered from an online plan use the live process
-            // image; the plan itself never consults it.
-            binmap: BinaryMap::default(),
-        };
+        if incumbent.is_some() {
+            ecohmem_obs::count("online.hysteresis.boosted", boosted);
+        }
 
-        let mut next = knapsack::assign(&profile, &self.config);
+        let mut next = knapsack::assign(&self.profile, &self.config);
         if self.algorithm == Algorithm::BandwidthAware {
-            next = bandwidth::rebalance(&profile, &next, &self.config, &self.thresholds).0;
+            next = bandwidth::rebalance(&self.profile, &next, &self.config, &self.thresholds).0;
         }
 
         let revisions = self.diff(&next, now);
@@ -200,12 +231,32 @@ impl IncrementalAdvisor {
         revisions
     }
 
+    /// Rebuilds one dirty site's cached profile in place (inserting a new
+    /// site, dropping a vanished one).
+    fn refresh(&mut self, source: &dyn ProfileSource, site: SiteId, now: f64, bw: &BwContext) {
+        let sites = &mut self.profile.sites;
+        match sites.binary_search_by_key(&site, |p| p.site) {
+            Ok(i) => {
+                if source.rebuild_site(site, now, bw, &mut sites[i]) {
+                    self.estimates[i] = (sites[i].load_misses_est, sites[i].store_misses_est);
+                } else {
+                    sites.remove(i);
+                    self.estimates.remove(i);
+                }
+            }
+            Err(i) => {
+                let mut p = blank_profile(site);
+                if source.rebuild_site(site, now, bw, &mut p) {
+                    self.estimates.insert(i, (p.load_misses_est, p.store_misses_est));
+                    sites.insert(i, p);
+                }
+            }
+        }
+    }
+
     /// Stacks of all cached sites, for rendering a [`memtrace::PlacementReport`].
     pub fn stacks(&self) -> Vec<(SiteId, CallStack)> {
-        let mut v: Vec<(SiteId, CallStack)> =
-            self.cache.iter().map(|(s, p)| (*s, p.stack.clone())).collect();
-        v.sort_by_key(|(s, _)| *s);
-        v
+        self.profile.sites.iter().map(|p| (p.site, p.stack.clone())).collect()
     }
 
     fn diff(&self, next: &Assignment, now: f64) -> Vec<PlacementRevision> {
@@ -241,6 +292,7 @@ mod tests {
     use super::*;
     use memtrace::{Frame, ModuleId, ObjectId};
     use profiler::ObjectLifetime;
+    use std::collections::HashMap;
 
     /// A hand-driven profile source for unit tests.
     struct FakeSource {
@@ -252,11 +304,23 @@ mod tests {
         fn take_dirty(&mut self) -> Vec<SiteId> {
             std::mem::take(&mut self.dirty)
         }
-        fn site_profile(&self, site: SiteId, _now: f64) -> Option<SiteProfile> {
-            self.profiles.get(&site).cloned()
+        fn bw_context(&self, _now: f64) -> BwContext {
+            BwContext::default()
         }
-        fn bw_state(&self, _now: f64) -> (Vec<(f64, f64)>, f64) {
-            (vec![(0.0, 1e9)], 1e9)
+        fn rebuild_site(
+            &self,
+            site: SiteId,
+            _now: f64,
+            _bw: &BwContext,
+            out: &mut SiteProfile,
+        ) -> bool {
+            match self.profiles.get(&site) {
+                Some(p) => {
+                    out.clone_from(p);
+                    true
+                }
+                None => false,
+            }
         }
         fn app_name(&self) -> &str {
             "fake"
@@ -344,6 +408,35 @@ mod tests {
         assert_eq!(revs.len(), 2, "demotion and promotion");
         assert_eq!(adv.tier_of(SiteId(0)), TierId::PMEM);
         assert_eq!(adv.tier_of(SiteId(1)), TierId::DRAM);
+    }
+
+    #[test]
+    fn hysteresis_boosts_only_the_current_incumbents() {
+        // Two 4 GiB sites fit the budget. With h = 0.5 an incumbent's
+        // estimate counts 1.5×, recomputed every tick from the unboosted
+        // value — including for a clean site that has just lost its slot.
+        let mut src = FakeSource {
+            dirty: vec![SiteId(0), SiteId(1), SiteId(2)],
+            profiles: [(SiteId(0), site(0, 4, 100.0)), (SiteId(1), site(1, 4, 90.0))]
+                .into_iter()
+                .chain([(SiteId(2), site(2, 4, 10.0))])
+                .collect(),
+        };
+        let mut adv = IncrementalAdvisor::new(AdvisorConfig::loads_only(8), Algorithm::Base)
+            .with_hysteresis(0.5);
+        adv.tick(&mut src, 1.0);
+        assert_eq!(adv.assignment().unwrap().sites_in(TierId::DRAM), vec![SiteId(0), SiteId(1)]);
+        // Site 2 heats up and takes site 1's slot (200 > 1.5 × 90).
+        src.profiles.get_mut(&SiteId(2)).unwrap().load_misses_est = 200.0;
+        src.dirty = vec![SiteId(2)];
+        adv.tick(&mut src, 2.0);
+        assert_eq!(adv.assignment().unwrap().sites_in(TierId::DRAM), vec![SiteId(0), SiteId(2)]);
+        // Site 0 cools to 80: boosted to 120 it still beats clean site 1,
+        // which is no longer an incumbent and counts its plain 90.
+        src.profiles.get_mut(&SiteId(0)).unwrap().load_misses_est = 80.0;
+        src.dirty = vec![SiteId(0)];
+        assert!(adv.tick(&mut src, 3.0).is_empty());
+        assert_eq!(adv.assignment().unwrap().sites_in(TierId::DRAM), vec![SiteId(0), SiteId(2)]);
     }
 
     #[test]

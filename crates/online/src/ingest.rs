@@ -11,7 +11,7 @@
 //! convergence is property-tested in `tests/convergence.rs`.
 //!
 //! Sample → object matching is the streaming version of the analyzer's
-//! interval search: a `BTreeMap` keyed by block start address holds the
+//! interval search: a sorted table of block start addresses holds the
 //! *live* heap image, and blocks freed at time `t_f` are kept in a small
 //! grace list until the stream moves past `t_f`, because the analyzer's
 //! liveness test is inclusive (`time <= free_time`). One deliberate
@@ -30,13 +30,13 @@
 
 use crate::config::OnlineConfig;
 use crate::stats::DecayedWindow;
-use memtrace::columns::{EventBatch, SAME_TIER_SPAN};
+use memtrace::columns::{BatchOp, EventBatch, SAME_TIER_SPAN};
 use memtrace::{
     BinaryMap, CallStack, DegradationPolicy, DroppedWindow, ObjectId, Shape, SiteId, TraceError,
     TraceEvent, TraceFile, Validator, Warning, WarningKind,
 };
 use profiler::{ObjectLifetime, ProfileSet, SiteProfile};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Trace metadata the ingestor needs up front — everything in a
@@ -90,10 +90,13 @@ impl StreamMeta {
 }
 
 /// One object's accumulating record (the streaming twin of the analyzer's
-/// internal `Obj`).
+/// internal `Obj`), held in a dense slot. An object id keeps its slot for
+/// the life of the stream; re-allocating the id overwrites the record.
 #[derive(Debug, Clone)]
 pub(crate) struct ObjAcc {
-    pub(crate) site: SiteId,
+    pub(crate) id: ObjectId,
+    /// Slot of the object's site in [`StreamIngestor::sites`].
+    pub(crate) site: u32,
     pub(crate) size: u64,
     pub(crate) address: u64,
     pub(crate) alloc_time: f64,
@@ -104,20 +107,197 @@ pub(crate) struct ObjAcc {
     pub(crate) store_l1d_miss_samples: u64,
 }
 
-/// Per-site streaming state beyond what the object records carry.
-#[derive(Debug, Clone, Default)]
+/// Per-site streaming state beyond what the object records carry, one
+/// dense slot per distinct site of the stream header's stack table.
+#[derive(Debug, Clone)]
 pub(crate) struct SiteAcc {
-    /// Object instances of this site, in arrival order.
-    pub(crate) objects: Vec<ObjectId>,
+    pub(crate) id: SiteId,
+    /// Index of the site's first entry in the header's stack table.
+    pub(crate) stack: usize,
+    /// True once the site has seen an allocation; checkpoints record
+    /// exactly these sites.
+    pub(crate) present: bool,
+    /// True while the site is on [`StreamIngestor::dirty`].
+    pub(crate) dirty: bool,
+    /// Object slots of this site's instances, in arrival order.
+    pub(crate) objects: Vec<u32>,
+    /// True while `objects` is also in ascending object-id order — the
+    /// order a profile lists objects in — so a rebuild need not sort.
+    pub(crate) by_id: bool,
     /// Aged LLC load-miss sample counter.
     pub(crate) load_stat: DecayedWindow,
     /// Aged L1D store-miss sample counter.
     pub(crate) store_stat: DecayedWindow,
+    /// The peak-live sweep over the site's allocations and frees so far.
+    pub(crate) sweep: PeakSweep,
+}
+
+/// The analyzer's peak-live edge sweep, run as the stream delivers the
+/// edges instead of sorting them per rebuild.
+///
+/// The analyzer sorts a site's edges — `(alloc_time, +size)` and
+/// `(free_time, -size)` — by time, then by delta, and takes the largest
+/// running sum. Within one timestamp the sorted deltas fall and then
+/// rise, so that maximum is the largest running sum at the *end* of a
+/// timestamp group (or 0). The stream delivers edges in time order, so
+/// the group ends are known as soon as the clock moves past them; only
+/// the open group's end (`cur`) can still change. Objects still live at
+/// a snapshot close at `duration`: when that is later than every edge,
+/// their frees form one last group whose end is exactly 0, and the peak
+/// is `max(0, peak, cur)`. Otherwise — or when a time is `-0.0` (equal
+/// to `0.0`, yet ordered before it), or the sizes could overflow the
+/// sum — a rebuild falls back to the sorting sweep.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PeakSweep {
+    /// Time of the open group: the latest edge (`-inf` before any).
+    t: f64,
+    /// Running sum after every edge so far.
+    cur: i64,
+    /// Largest running sum at the end of a closed group.
+    peak: i64,
+    /// Bytes allocated so far; below `i64::MAX` no running sum overflows.
+    bytes: u64,
+    /// False once an edge rules the streaming answer out.
+    exact: bool,
+}
+
+impl Default for PeakSweep {
+    fn default() -> Self {
+        PeakSweep { t: f64::NEG_INFINITY, cur: 0, peak: 0, bytes: 0, exact: true }
+    }
+}
+
+impl PeakSweep {
+    fn edge(&mut self, t: f64, size: u64, alloc: bool) {
+        if t != self.t {
+            self.peak = self.peak.max(self.cur);
+            self.t = t;
+        }
+        if alloc {
+            self.bytes = self.bytes.saturating_add(size);
+            self.exact &= self.bytes <= i64::MAX as u64;
+        }
+        self.exact &= t.to_bits() != (-0.0f64).to_bits();
+        if self.exact {
+            let d = size as i64;
+            self.cur += if alloc { d } else { -d };
+        }
+    }
+
+    /// The sweep's answer for a snapshot at `duration`, when exact.
+    fn peak_at(&self, duration: f64) -> Option<u64> {
+        (self.exact && duration > self.t).then(|| self.peak.max(self.cur).max(0) as u64)
+    }
+
+    /// The sweep over a site's current objects, edges in analyzer order —
+    /// the state a stream of exactly those objects leaves behind.
+    pub(crate) fn of(objects: &[ObjAcc], slots: &[u32]) -> PeakSweep {
+        let mut edges: Vec<(f64, i64, u64)> = Vec::with_capacity(slots.len() * 2);
+        for &s in slots {
+            let o = &objects[s as usize];
+            edges.push((o.alloc_time, o.size as i64, o.size));
+            if let Some(f) = o.free_time {
+                edges.push((f, -(o.size as i64), o.size));
+            }
+        }
+        edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut sweep = PeakSweep::default();
+        for (t, d, size) in edges {
+            sweep.edge(t, size, d >= 0);
+        }
+        sweep
+    }
+}
+
+/// The live heap image: blocks sorted by start address, the starts in a
+/// column of their own so the search touches one dense array. A start
+/// address holds at most one block — an allocation at the start of a
+/// live block replaces it, like a map insert.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LiveBlocks {
+    starts: Vec<u64>,
+    /// `(end, object slot)` of each block, parallel to `starts`.
+    blocks: Vec<(u64, u32)>,
+    /// Search memo, as in the analyzer's `IndexCursor`: every address in
+    /// `[lo, hi)` — between two neighbouring live starts — has the same
+    /// upper bound. Cleared whenever a block is added or removed.
+    gap: Option<Gap>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Gap {
+    lo: u64,
+    /// Exclusive; `u64::MAX` stands for "unbounded", so the address
+    /// `u64::MAX` itself always takes the search path.
+    hi: u64,
+    upper: usize,
+}
+
+impl LiveBlocks {
+    /// Number of live blocks.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// `(start, end, object slot)` of every block, by start address.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u64, u32)> + '_ {
+        self.starts.iter().zip(&self.blocks).map(|(&start, &(end, slot))| (start, end, slot))
+    }
+
+    /// Adds a block, replacing any block with the same start.
+    pub(crate) fn insert(&mut self, start: u64, end: u64, slot: u32) {
+        match self.starts.binary_search(&start) {
+            Ok(i) => self.blocks[i] = (end, slot),
+            Err(i) => {
+                self.starts.insert(i, start);
+                self.blocks.insert(i, (end, slot));
+            }
+        }
+        self.gap = None;
+    }
+
+    /// Removes the block at `start` if it still belongs to `slot`.
+    fn unlink(&mut self, start: u64, slot: u32) {
+        if let Ok(i) = self.starts.binary_search(&start) {
+            if self.blocks[i].1 == slot {
+                self.starts.remove(i);
+                self.blocks.remove(i);
+                self.gap = None;
+            }
+        }
+    }
+
+    /// The live block with the largest start ≤ `address` that contains
+    /// it, scanning back no further than [`SAME_TIER_SPAN`]: its
+    /// `(start, object slot)`.
+    #[inline]
+    fn lookup(&mut self, address: u64) -> Option<(u64, u32)> {
+        let upper = match self.gap {
+            Some(g) if g.lo <= address && address < g.hi => g.upper,
+            _ => {
+                let upper = self.starts.partition_point(|&s| s <= address);
+                let lo = if upper == 0 { 0 } else { self.starts[upper - 1] };
+                let hi = self.starts.get(upper).copied().unwrap_or(u64::MAX);
+                self.gap = Some(Gap { lo, hi, upper });
+                upper
+            }
+        };
+        for i in (0..upper).rev() {
+            let start = self.starts[i];
+            if start + SAME_TIER_SPAN <= address {
+                break;
+            }
+            if address < self.blocks[i].0 {
+                return Some((start, self.blocks[i].1));
+            }
+        }
+        None
+    }
 }
 
 /// Phase-binned bandwidth context, computed on demand from the ingestor's
 /// running bins (the streaming equivalent of the analyzer's pass 3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BwContext {
     bins: Vec<f64>,
     /// `(bin_start_seconds, bytes_per_second)`.
@@ -129,8 +309,27 @@ pub struct BwContext {
 impl BwContext {
     /// System bandwidth at a given time.
     pub fn at(&self, t: f64) -> f64 {
-        let i = self.bins.partition_point(|&b| b <= t).saturating_sub(1);
+        self.bw_of_bin(self.bin_of(t))
+    }
+
+    fn bin_of(&self, t: f64) -> usize {
+        self.bins.partition_point(|&b| b <= t).saturating_sub(1)
+    }
+
+    fn bw_of_bin(&self, i: usize) -> f64 {
         self.series.get(i).map(|&(_, bw)| bw).unwrap_or(0.0)
+    }
+
+    /// [`Self::at`] for a run of lookups: keeps the previous answer's
+    /// bin `[bins[i], bins[i + 1])` and only searches outside it.
+    fn at_from(&self, t: f64, bin: &mut usize) -> f64 {
+        let i = *bin;
+        let inside = self.bins.get(i).is_some_and(|&lo| lo <= t)
+            && self.bins.get(i + 1).is_none_or(|&hi| t < hi);
+        if !inside {
+            *bin = self.bin_of(t);
+        }
+        self.bw_of_bin(*bin)
     }
 }
 
@@ -149,18 +348,24 @@ pub struct StreamIngestor {
     /// the lenient policies' drop accounting.
     pub(crate) integrity: Validator,
 
-    // Object store and the streaming address index.
-    pub(crate) objects: HashMap<ObjectId, ObjAcc>,
-    pub(crate) sites: HashMap<SiteId, SiteAcc>,
-    /// Live blocks: start address → (end address, object).
-    pub(crate) live: BTreeMap<u64, (u64, ObjectId)>,
+    /// Object records, one dense slot per object id. The id → slot map
+    /// is consulted on allocations and frees only, never per sample.
+    pub(crate) objects: Vec<ObjAcc>,
+    pub(crate) object_slots: HashMap<ObjectId, u32>,
+    /// Site records, one dense slot per distinct site of the header.
+    pub(crate) sites: Vec<SiteAcc>,
+    pub(crate) site_slots: HashMap<SiteId, u32>,
+    /// Live blocks: start address → (end address, object slot).
+    pub(crate) live: LiveBlocks,
     /// Blocks freed at `free_time` ≥ the current stream time, kept for the
-    /// analyzer's inclusive `time <= free_time` boundary.
-    pub(crate) grace: Vec<(u64, u64, ObjectId, f64)>,
+    /// analyzer's inclusive `time <= free_time` boundary:
+    /// `(start, end, object slot, free_time)`.
+    pub(crate) grace: Vec<(u64, u64, u32, f64)>,
     pub(crate) unmatched_samples: u64,
 
-    /// Sites whose statistics changed since the last `take_dirty`.
-    pub(crate) dirty: HashSet<SiteId>,
+    /// Slots of the sites whose statistics changed since the last
+    /// `take_dirty` (each flagged [`SiteAcc::dirty`], listed once).
+    pub(crate) dirty: Vec<u32>,
 
     // Bandwidth binning (one bin per phase marker, like the analyzer):
     // integer sample counts, converted to bytes/sec on demand by the
@@ -179,17 +384,37 @@ pub struct StreamIngestor {
 impl StreamIngestor {
     /// Creates an ingestor for a stream with the given header.
     pub fn new(meta: StreamMeta, policy: DegradationPolicy, cfg: OnlineConfig) -> Self {
+        let mut sites = Vec::new();
+        let mut site_slots = HashMap::new();
+        for (i, (site, _)) in meta.stacks.iter().enumerate() {
+            site_slots.entry(*site).or_insert_with(|| {
+                sites.push(SiteAcc {
+                    id: *site,
+                    stack: i,
+                    present: false,
+                    dirty: false,
+                    objects: Vec::new(),
+                    by_id: true,
+                    load_stat: DecayedWindow::default(),
+                    store_stat: DecayedWindow::default(),
+                    sweep: PeakSweep::default(),
+                });
+                u32::try_from(sites.len() - 1).expect("fewer than 2^32 sites")
+            });
+        }
         StreamIngestor {
             integrity: Validator::new(&meta.stacks),
             meta,
             cfg,
             policy,
-            objects: HashMap::new(),
-            sites: HashMap::new(),
-            live: BTreeMap::new(),
+            objects: Vec::new(),
+            object_slots: HashMap::new(),
+            sites,
+            site_slots,
+            live: LiveBlocks::default(),
             grace: Vec::new(),
             unmatched_samples: 0,
-            dirty: HashSet::new(),
+            dirty: Vec::new(),
             bins: Vec::new(),
             bin_load: Vec::new(),
             bin_store_miss: Vec::new(),
@@ -231,7 +456,16 @@ impl StreamIngestor {
     /// Sites whose statistics changed since the last call, sorted. The
     /// incremental advisor rebuilds exactly these.
     pub fn take_dirty(&mut self) -> Vec<SiteId> {
-        let mut v: Vec<SiteId> = self.dirty.drain().collect();
+        let sites = &mut self.sites;
+        let mut v: Vec<SiteId> = self
+            .dirty
+            .drain(..)
+            .map(|slot| {
+                let s = &mut sites[slot as usize];
+                s.dirty = false;
+                s.id
+            })
+            .collect();
         v.sort();
         v
     }
@@ -241,35 +475,10 @@ impl StreamIngestor {
     /// [`DegradationPolicy::Strict`] on exactly the malformations
     /// `TraceFile::validate` rejects, with the same message.
     pub fn push(&mut self, e: TraceEvent) -> Result<bool, TraceError> {
-        self.offer(&e)
-    }
-
-    /// Offers a columnar batch in emission order. Equivalent to pushing
-    /// every event individually — batch boundaries never change the
-    /// resulting profile — but the channel and validation overheads are
-    /// paid once per batch instead of once per event. Returns the number
-    /// of accepted events; under `Strict` the first malformation aborts
-    /// the batch mid-way with the same error `push` would raise.
-    pub fn push_batch(&mut self, batch: &EventBatch) -> Result<u64, TraceError> {
-        let mut accepted = 0u64;
-        for &op in &batch.ops {
-            accepted += u64::from(self.offer(&batch.event_of(op))?);
-        }
-        Ok(accepted)
-    }
-
-    fn offer(&mut self, e: &TraceEvent) -> Result<bool, TraceError> {
-        let t = e.time();
-        let before = self.integrity.last_t;
-        if !self.integrity.offer(self.policy, t, Shape::of_event(e))? {
+        if !self.admit(e.time(), Shape::of_event(&e))? {
             return Ok(false);
         }
-        if t > before && !self.grace.is_empty() {
-            // Retire grace entries the analyzer's inclusive boundary can
-            // no longer reach.
-            self.grace.retain(|&(_, _, _, free_time)| free_time >= t);
-        }
-        match *e {
+        match e {
             TraceEvent::Alloc { time, object, site, size, address } => {
                 self.record_alloc(time, object, site, size, address);
             }
@@ -277,70 +486,149 @@ impl StreamIngestor {
             TraceEvent::LoadMissSample { time, address, .. } => {
                 self.record_sample(time, address, SampleKind::LoadMiss);
             }
-            TraceEvent::StoreSample { time, address, l1d_miss, .. } => self.record_sample(
-                time,
-                address,
-                if l1d_miss { SampleKind::StoreL1dMiss } else { SampleKind::StoreHit },
-            ),
-            TraceEvent::PhaseMarker { time, .. } => {
-                self.bins.push(time);
-                let first = self.bins.len() == 1;
-                self.bin_load.push(if first { std::mem::take(&mut self.pending_load) } else { 0 });
-                self.bin_store_miss.push(if first {
-                    std::mem::take(&mut self.pending_store_miss)
-                } else {
-                    0
-                });
+            TraceEvent::StoreSample { time, address, l1d_miss, .. } => {
+                self.record_sample(time, address, SampleKind::store(l1d_miss));
             }
+            TraceEvent::PhaseMarker { time, .. } => self.record_phase(time),
         }
         Ok(true)
     }
 
-    fn record_alloc(&mut self, time: f64, object: ObjectId, site: SiteId, size: u64, address: u64) {
-        // An id re-used after free replaces its previous instance, exactly
-        // like the analyzer's object table; drop the stale index entries so
-        // future samples cannot resolve to the dead record.
-        if let Some(old) = self.objects.remove(&object) {
-            if let Some(&(_, id)) = self.live.get(&old.address) {
-                if id == object {
-                    self.live.remove(&old.address);
-                }
+    /// Offers a columnar batch in emission order. Equivalent to pushing
+    /// every event individually — batch boundaries never change the
+    /// resulting profile — but it reads the batch columns directly instead
+    /// of rebuilding each event. Returns the number of accepted events;
+    /// under `Strict` the first malformation aborts the batch mid-way with
+    /// the same error `push` would raise.
+    pub fn push_batch(&mut self, b: &EventBatch) -> Result<u64, TraceError> {
+        let mut accepted = 0u64;
+        for &op in &b.ops {
+            if !self.admit(b.time_of(op), Shape::of_op(b, op))? {
+                continue;
             }
-            self.grace.retain(|&(_, _, id, _)| id != object);
-            if let Some(acc) = self.sites.get_mut(&old.site) {
-                acc.objects.retain(|&id| id != object);
-                self.dirty.insert(old.site);
+            accepted += 1;
+            match op {
+                BatchOp::Alloc(r) => {
+                    let r = r as usize;
+                    self.record_alloc(
+                        b.alloc_times[r],
+                        b.alloc_objects[r],
+                        b.alloc_sites[r],
+                        b.alloc_sizes[r],
+                        b.alloc_addresses[r],
+                    );
+                }
+                BatchOp::Free(r) => {
+                    self.record_free(b.free_times[r as usize], b.free_objects[r as usize])
+                }
+                BatchOp::Load(r) => {
+                    let r = r as usize;
+                    self.record_sample(b.load_times[r], b.load_addresses[r], SampleKind::LoadMiss);
+                }
+                BatchOp::Store(r) => {
+                    let r = r as usize;
+                    let kind = SampleKind::store(b.store_l1d_miss[r]);
+                    self.record_sample(b.store_times[r], b.store_addresses[r], kind);
+                }
+                BatchOp::Phase(r) => self.record_phase(b.phase_times[r as usize]),
             }
         }
-        self.objects.insert(
-            object,
-            ObjAcc {
-                site,
-                size,
-                address,
-                alloc_time: time,
-                free_time: None,
-                load_samples: 0,
-                store_samples: 0,
-                store_l1d_miss_samples: 0,
-            },
-        );
-        self.live.insert(address, (address + size, object));
-        self.sites.entry(site).or_default().objects.push(object);
-        self.dirty.insert(site);
+        Ok(accepted)
+    }
+
+    /// Runs the integrity rules on the next event; on acceptance, retires
+    /// grace entries the analyzer's inclusive boundary can no longer
+    /// reach.
+    #[inline]
+    fn admit(&mut self, t: f64, shape: Shape) -> Result<bool, TraceError> {
+        let before = self.integrity.last_t;
+        if !self.integrity.offer(self.policy, t, shape)? {
+            return Ok(false);
+        }
+        if t > before && !self.grace.is_empty() {
+            self.grace.retain(|&(_, _, _, free_time)| free_time >= t);
+        }
+        Ok(true)
+    }
+
+    fn mark_dirty(&mut self, slot: u32) {
+        let s = &mut self.sites[slot as usize];
+        if !s.dirty {
+            s.dirty = true;
+            self.dirty.push(slot);
+        }
+    }
+
+    fn record_alloc(&mut self, time: f64, object: ObjectId, site: SiteId, size: u64, address: u64) {
+        let site = *self.site_slots.get(&site).expect("the validator admits only known sites");
+        let acc = ObjAcc {
+            id: object,
+            site,
+            size,
+            address,
+            alloc_time: time,
+            free_time: None,
+            load_samples: 0,
+            store_samples: 0,
+            store_l1d_miss_samples: 0,
+        };
+        let slot = match self.object_slots.get(&object) {
+            Some(&slot) => {
+                // An id re-used after free replaces its previous instance,
+                // exactly like the analyzer's object table; drop the stale
+                // index entries so future samples cannot resolve to the
+                // dead record.
+                let (old_site, old_address) = {
+                    let old = &self.objects[slot as usize];
+                    (old.site, old.address)
+                };
+                self.live.unlink(old_address, slot);
+                self.grace.retain(|&(_, _, s, _)| s != slot);
+                let old = &mut self.sites[old_site as usize];
+                old.objects.retain(|&s| s != slot);
+                // The dropped instance's edges leave the sweep with it.
+                old.sweep = PeakSweep::of(&self.objects, &old.objects);
+                self.mark_dirty(old_site);
+                self.objects[slot as usize] = acc;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.objects.len()).expect("fewer than 2^32 objects");
+                self.objects.push(acc);
+                self.object_slots.insert(object, slot);
+                slot
+            }
+        };
+        self.live.insert(address, address + size, slot);
+        let objects = &self.objects;
+        let s = &mut self.sites[site as usize];
+        s.present = true;
+        s.by_id &= s.objects.last().is_none_or(|&last| objects[last as usize].id < object);
+        s.objects.push(slot);
+        s.sweep.edge(time, size, true);
+        self.mark_dirty(site);
     }
 
     fn record_free(&mut self, time: f64, object: ObjectId) {
-        let Some(o) = self.objects.get_mut(&object) else { return };
+        let Some(&slot) = self.object_slots.get(&object) else { return };
+        let o = &mut self.objects[slot as usize];
         o.free_time = Some(time);
         let (site, start, end) = (o.site, o.address, o.address + o.size);
-        if let Some(&(_, id)) = self.live.get(&start) {
-            if id == object {
-                self.live.remove(&start);
-            }
-        }
-        self.grace.push((start, end, object, time));
-        self.dirty.insert(site);
+        self.sites[site as usize].sweep.edge(time, o.size, false);
+        self.live.unlink(start, slot);
+        self.grace.push((start, end, slot, time));
+        self.mark_dirty(site);
+    }
+
+    fn record_phase(&mut self, time: f64) {
+        self.bins.push(time);
+        let first = self.bins.len() == 1;
+        self.bin_load.push(if first { std::mem::take(&mut self.pending_load) } else { 0 });
+        self.bin_store_miss.push(if first {
+            std::mem::take(&mut self.pending_store_miss)
+        } else {
+            0
+        });
     }
 
     fn record_sample(&mut self, time: f64, address: u64, kind: SampleKind) {
@@ -358,13 +646,13 @@ impl StreamIngestor {
             SampleKind::StoreHit => {}
         }
 
-        let Some(id) = self.match_object(address, time) else {
+        let Some(slot) = self.match_object(address, time) else {
             self.unmatched_samples += 1;
             return;
         };
-        let o = self.objects.get_mut(&id).expect("matched object exists");
+        let o = &mut self.objects[slot as usize];
         let site = o.site;
-        let acc = self.sites.entry(site).or_default();
+        let acc = &mut self.sites[site as usize];
         match kind {
             SampleKind::LoadMiss => {
                 o.load_samples += 1;
@@ -379,24 +667,15 @@ impl StreamIngestor {
                 o.store_samples += 1;
             }
         }
-        self.dirty.insert(site);
+        self.mark_dirty(site);
     }
 
     /// Streaming interval search: the live block with the largest start
     /// ≤ `address` that contains it, or a just-freed block whose inclusive
     /// lifetime still covers `time`.
-    fn match_object(&self, address: u64, time: f64) -> Option<ObjectId> {
-        let mut best: Option<(u64, ObjectId)> = None;
-        for (&start, &(end, id)) in self.live.range(..=address).rev() {
-            if start + SAME_TIER_SPAN <= address {
-                break;
-            }
-            if address < end {
-                best = Some((start, id));
-                break;
-            }
-        }
-        for &(start, end, id, free_time) in &self.grace {
+    fn match_object(&mut self, address: u64, time: f64) -> Option<u32> {
+        let mut best = self.live.lookup(address);
+        for &(start, end, slot, free_time) in &self.grace {
             if start <= address
                 && address < end
                 && time <= free_time
@@ -404,13 +683,17 @@ impl StreamIngestor {
             {
                 // Prefer the larger start; on a tie the younger instance —
                 // the order the analyzer's backward scan visits intervals.
-                let better = best.is_none_or(|(bs, bid)| start > bs || (start == bs && id > bid));
+                let better = best.is_none_or(|(bs, bslot)| {
+                    start > bs
+                        || (start == bs
+                            && self.objects[slot as usize].id > self.objects[bslot as usize].id)
+                });
                 if better {
-                    best = Some((start, id));
+                    best = Some((start, slot));
                 }
             }
         }
-        best.map(|(_, id)| id)
+        best.map(|(_, slot)| slot)
     }
 
     /// The bandwidth series as of `duration` (the analyzer's pass 3,
@@ -432,39 +715,66 @@ impl StreamIngestor {
         BwContext { bins, series, peak }
     }
 
-    /// Builds one site's profile as of `duration` (unfreed objects are
-    /// treated as living to `duration`, like the analyzer). Returns `None`
-    /// for sites with no observed allocations.
-    pub fn site_snapshot(&self, site: SiteId, duration: f64) -> Option<SiteProfile> {
-        let bw = self.bw_context(duration);
-        let stack = self.meta.stacks.iter().find(|(s, _)| *s == site)?.1.clone();
-        self.build_site(site, stack, duration, &bw)
+    /// Rebuilds one site's profile as of `duration` into `out`, reusing
+    /// its allocations. Returns false, leaving `out` untouched, for sites
+    /// with no observed allocations.
+    pub(crate) fn rebuild_site(
+        &self,
+        site: SiteId,
+        duration: f64,
+        bw: &BwContext,
+        out: &mut SiteProfile,
+    ) -> bool {
+        let Some(&slot) = self.site_slots.get(&site) else { return false };
+        let stack = &self.meta.stacks[self.sites[slot as usize].stack].1;
+        self.build_site(slot, stack, duration, bw, out)
     }
 
     fn build_site(
         &self,
-        site: SiteId,
-        stack: CallStack,
+        slot: u32,
+        stack: &CallStack,
         duration: f64,
         bw: &BwContext,
-    ) -> Option<SiteProfile> {
-        let acc = self.sites.get(&site)?;
+        out: &mut SiteProfile,
+    ) -> bool {
+        let acc = &self.sites[slot as usize];
         if acc.objects.is_empty() {
-            return None;
+            return false;
         }
-        let mut ids = acc.objects.clone();
-        ids.sort();
-        let objs: Vec<(&ObjectId, &ObjAcc)> =
-            ids.iter().map(|id| (id, &self.objects[id])).collect();
-        let free_of = |o: &ObjAcc| o.free_time.unwrap_or(duration);
+        let mut bin = 0;
+        let lifetime = |o: &ObjAcc, bin: &mut usize| ObjectLifetime {
+            object: o.id,
+            size: o.size,
+            alloc_time: o.alloc_time,
+            free_time: o.free_time.unwrap_or(duration),
+            load_samples: o.load_samples,
+            store_samples: o.store_samples,
+            store_l1d_miss_samples: o.store_l1d_miss_samples,
+            bw_at_alloc: bw.at_from(o.alloc_time, bin),
+        };
+        out.objects.clear();
+        if acc.by_id {
+            out.objects
+                .extend(acc.objects.iter().map(|&s| lifetime(&self.objects[s as usize], &mut bin)));
+        } else {
+            let mut order: Vec<&ObjAcc> =
+                acc.objects.iter().map(|&s| &self.objects[s as usize]).collect();
+            order.sort_by_key(|o| o.id);
+            out.objects.extend(order.into_iter().map(|o| lifetime(o, &mut bin)));
+        }
 
+        // Every aggregate below is the analyzer's expression over the
+        // objects in id order, so the floating-point sums match it bit for
+        // bit.
+        let objs = &out.objects;
         let alloc_count = objs.len() as u64;
-        let max_size = objs.iter().map(|(_, o)| o.size).max().unwrap_or(0);
-        let total_bytes: u64 = objs.iter().map(|(_, o)| o.size).sum();
-        let peak_live_bytes = peak_live(&objs, duration);
-        let load_samples: u64 = objs.iter().map(|(_, o)| o.load_samples).sum();
-        let store_miss_samples: u64 = objs.iter().map(|(_, o)| o.store_l1d_miss_samples).sum();
-        let store_samples: u64 = objs.iter().map(|(_, o)| o.store_samples).sum();
+        let max_size = objs.iter().map(|o| o.size).max().unwrap_or(0);
+        let total_bytes: u64 = objs.iter().map(|o| o.size).sum();
+        let peak_live_bytes = acc.sweep.peak_at(duration).unwrap_or_else(|| peak_live(objs));
+        let load_samples: u64 = objs.iter().map(|o| o.load_samples).sum();
+        let store_miss_samples: u64 = objs.iter().map(|o| o.store_l1d_miss_samples).sum();
+        let store_samples: u64 = objs.iter().map(|o| o.store_samples).sum();
         // With aging disabled the aged value IS the raw total, so the batch
         // formula below reproduces the analyzer bit-for-bit; with a window
         // or decay configured the estimate tracks recent activity instead.
@@ -479,46 +789,32 @@ impl StreamIngestor {
         } else {
             store_miss_samples as f64 * self.meta.store_sample_period
         };
-        let first_alloc = objs.iter().map(|(_, o)| o.alloc_time).fold(f64::INFINITY, f64::min);
-        let last_free = objs.iter().map(|(_, o)| free_of(o)).fold(0.0, f64::max);
-        let total_lifetime: f64 =
-            objs.iter().map(|(_, o)| (free_of(o) - o.alloc_time).max(0.0)).sum();
+        let first_alloc = objs.iter().map(|o| o.alloc_time).fold(f64::INFINITY, f64::min);
+        let last_free = objs.iter().map(|o| o.free_time).fold(0.0, f64::max);
+        let total_lifetime: f64 = objs.iter().map(|o| (o.free_time - o.alloc_time).max(0.0)).sum();
         let bw_at_alloc =
-            objs.iter().map(|(_, o)| bw.at(o.alloc_time)).sum::<f64>() / alloc_count.max(1) as f64;
+            objs.iter().map(|o| o.bw_at_alloc).sum::<f64>() / alloc_count.max(1) as f64;
         let avg_bw = if total_lifetime > 0.0 {
             (load_misses_est + store_misses_est) * 64.0 / total_lifetime
         } else {
             0.0
         };
-        let object_lifetimes = objs
-            .iter()
-            .map(|(id, o)| ObjectLifetime {
-                object: **id,
-                size: o.size,
-                alloc_time: o.alloc_time,
-                free_time: free_of(o),
-                load_samples: o.load_samples,
-                store_samples: o.store_samples,
-                store_l1d_miss_samples: o.store_l1d_miss_samples,
-                bw_at_alloc: bw.at(o.alloc_time),
-            })
-            .collect();
-        Some(SiteProfile {
-            site,
-            stack,
-            alloc_count,
-            max_size,
-            total_bytes,
-            peak_live_bytes,
-            load_misses_est,
-            store_misses_est,
-            has_stores: store_samples > 0,
-            first_alloc,
-            last_free,
-            bw_at_alloc,
-            avg_bw,
-            objects: object_lifetimes,
-        })
+        out.site = acc.id;
+        if out.stack != *stack {
+            out.stack = stack.clone();
+        }
+        out.alloc_count = alloc_count;
+        out.max_size = max_size;
+        out.total_bytes = total_bytes;
+        out.peak_live_bytes = peak_live_bytes;
+        out.load_misses_est = load_misses_est;
+        out.store_misses_est = store_misses_est;
+        out.has_stores = store_samples > 0;
+        out.first_alloc = first_alloc;
+        out.last_free = last_free;
+        out.bw_at_alloc = bw_at_alloc;
+        out.avg_bw = avg_bw;
+        true
     }
 
     /// A full profile of everything ingested so far, as of `duration` —
@@ -527,7 +823,8 @@ impl StreamIngestor {
         let bw = self.bw_context(duration);
         let mut sites = Vec::new();
         for (site, stack) in self.meta.stacks.iter() {
-            if let Some(p) = self.build_site(*site, stack.clone(), duration, &bw) {
+            let mut p = crate::incremental::blank_profile(*site);
+            if self.build_site(self.site_slots[site], stack, duration, &bw, &mut p) {
                 sites.push(p);
             }
         }
@@ -586,13 +883,23 @@ enum SampleKind {
     StoreHit,
 }
 
+impl SampleKind {
+    fn store(l1d_miss: bool) -> SampleKind {
+        if l1d_miss {
+            SampleKind::StoreL1dMiss
+        } else {
+            SampleKind::StoreHit
+        }
+    }
+}
+
 /// Peak simultaneously-live bytes among one site's objects — the
-/// analyzer's edge sweep, with unfreed objects closed at `duration`.
-fn peak_live(objs: &[(&ObjectId, &ObjAcc)], duration: f64) -> u64 {
+/// analyzer's edge sweep.
+fn peak_live(objs: &[ObjectLifetime]) -> u64 {
     let mut edges: Vec<(f64, i64)> = Vec::with_capacity(objs.len() * 2);
-    for (_, o) in objs {
+    for o in objs {
         edges.push((o.alloc_time, o.size as i64));
-        edges.push((o.free_time.unwrap_or(duration), -(o.size as i64)));
+        edges.push((o.free_time, -(o.size as i64)));
     }
     edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut cur = 0i64;

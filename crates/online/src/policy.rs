@@ -25,6 +25,7 @@
 
 use crate::config::OnlineConfig;
 use crate::incremental::{IncrementalAdvisor, PlacementRevision, ProfileSource};
+use crate::ingest::BwContext;
 use crate::stats::DecayedWindow;
 use advisor::{AdvisorConfig, Algorithm};
 use memsim::{AllocContext, Migration, PhaseObservation, PlacementPolicy};
@@ -62,11 +63,17 @@ impl ProfileSource for PhaseSource {
         v
     }
 
-    fn site_profile(&self, site: SiteId, now: f64) -> Option<SiteProfile> {
-        let s = self.sites.get(&site)?;
+    fn bw_context(&self, _now: f64) -> BwContext {
+        // The engine's observation carries no bandwidth series; the miss
+        // density the knapsack ranks by does not need one.
+        BwContext::default()
+    }
+
+    fn rebuild_site(&self, site: SiteId, now: f64, _bw: &BwContext, out: &mut SiteProfile) -> bool {
+        let Some(s) = self.sites.get(&site) else { return false };
         let misses = s.heat.value(&self.cfg, now);
         let lifetime = (now - s.first_alloc).max(0.0);
-        Some(SiteProfile {
+        *out = SiteProfile {
             site,
             stack: s.stack.clone(),
             alloc_count: s.alloc_count,
@@ -81,13 +88,8 @@ impl ProfileSource for PhaseSource {
             bw_at_alloc: 0.0,
             avg_bw: if lifetime > 0.0 { misses * 64.0 / lifetime } else { 0.0 },
             objects: Vec::new(),
-        })
-    }
-
-    fn bw_state(&self, _now: f64) -> (Vec<(f64, f64)>, f64) {
-        // The engine's observation carries no bandwidth series; the miss
-        // density the knapsack ranks by does not need one.
-        (Vec::new(), 0.0)
+        };
+        true
     }
 
     fn app_name(&self) -> &str {

@@ -29,7 +29,7 @@ pub use analyzer::{
     analyze_stream, analyze_stream_with_jobs, analyze_with_jobs, bandwidth_series,
     profile_or_empty,
 };
-pub use profile::{ObjectLifetime, ProfileSet, SiteProfile};
+pub use profile::{ObjectLifetime, ProfileSet, SiteIndex, SiteProfile};
 pub use sampler::{
     profile_run, profile_run_cached, profile_run_cached_columnar, synthesize_columns,
     synthesize_columns_with_jobs, synthesize_trace, synthesize_trace_with_jobs, ProfilerConfig,

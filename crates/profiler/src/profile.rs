@@ -116,6 +116,17 @@ impl ProfileSet {
         self.sites.iter().find(|s| s.site == site)
     }
 
+    /// An index of [`Self::sites`] by site, for callers that resolve
+    /// many sites: built once, it answers what [`Self::site`] answers in
+    /// O(log sites).
+    pub fn site_index(&self) -> SiteIndex<'_> {
+        let mut by_site: Vec<(SiteId, usize)> =
+            self.sites.iter().enumerate().map(|(i, s)| (s.site, i)).collect();
+        // Stable: a repeated site keeps its first entry first.
+        by_site.sort_by_key(|&(s, _)| s);
+        SiteIndex { profile: self, by_site }
+    }
+
     /// Total estimated load misses across sites.
     pub fn total_load_misses(&self) -> f64 {
         self.sites.iter().map(|s| s.load_misses_est).sum()
@@ -131,6 +142,24 @@ impl ProfileSet {
             last = bw;
         }
         last
+    }
+}
+
+/// [`ProfileSet::site`] over a sorted index; see [`ProfileSet::site_index`].
+#[derive(Debug)]
+pub struct SiteIndex<'a> {
+    profile: &'a ProfileSet,
+    by_site: Vec<(SiteId, usize)>,
+}
+
+impl<'a> SiteIndex<'a> {
+    /// The profile [`ProfileSet::site`] returns for `site`.
+    pub fn get(&self, site: SiteId) -> Option<&'a SiteProfile> {
+        let i = self.by_site.partition_point(|&(s, _)| s < site);
+        match self.by_site.get(i) {
+            Some(&(s, at)) if s == site => Some(&self.profile.sites[at]),
+            _ => None,
+        }
     }
 }
 
@@ -208,5 +237,33 @@ mod tests {
         assert_eq!(p.bw_at(0.5), 1e9);
         assert_eq!(p.bw_at(1.5), 5e9);
         assert_eq!(p.bw_at(9.0), 2e9);
+    }
+
+    #[test]
+    fn site_index_answers_like_site() {
+        // Unsorted, with a repeated site: `site` returns the first entry.
+        let ids = [7u32, 2, 9, 2, 4];
+        let sites = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| SiteProfile {
+                site: SiteId(id),
+                alloc_count: i as u64,
+                ..site_profile()
+            })
+            .collect();
+        let p = ProfileSet {
+            app_name: "t".into(),
+            duration: 1.0,
+            sites,
+            bw_series: vec![],
+            peak_bw: 0.0,
+            binmap: BinaryMap::default(),
+        };
+        let index = p.site_index();
+        for id in 0..12 {
+            assert_eq!(index.get(SiteId(id)), p.site(SiteId(id)), "site {id}");
+        }
+        assert_eq!(index.get(SiteId(2)).unwrap().alloc_count, 1);
     }
 }

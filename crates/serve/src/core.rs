@@ -125,8 +125,11 @@ pub enum Outbound {
     Error(String),
 }
 
+// Batches are most of the work items; boxing them would only add an
+// allocation per batch.
+#[allow(clippy::large_enum_variant)]
 enum Work {
-    Ingest(Vec<TraceEvent>),
+    Ingest(EventBatch),
     Tick { now: f64, t0: Instant },
     Finish,
 }
@@ -143,13 +146,13 @@ enum Engine {
 }
 
 impl Engine {
-    fn ingest(&mut self, events: Vec<TraceEvent>) -> Result<(), TraceError> {
+    fn ingest(&mut self, events: EventBatch) -> Result<(), TraceError> {
         match self {
             Engine::Plain { ingestor, .. } => {
-                ingestor.push_batch(&EventBatch::from_events(&events))?;
+                ingestor.push_batch(&events)?;
                 Ok(())
             }
-            Engine::Durable { engine } => engine.ingest(events),
+            Engine::Durable { engine } => engine.ingest_batch(events),
         }
     }
 
@@ -600,6 +603,12 @@ impl TenantClient {
 
     /// Queues an event batch; sheds after the admission deadline.
     pub fn ingest(&self, events: Vec<TraceEvent>) -> Result<Admitted, ServeError> {
+        self.ingest_batch(EventBatch::from_events(&events))
+    }
+
+    /// Queues a columnar event batch (what an Events frame decodes to);
+    /// sheds after the admission deadline.
+    pub fn ingest_batch(&self, events: EventBatch) -> Result<Admitted, ServeError> {
         if events.is_empty() {
             return Ok(Admitted::Accepted);
         }
@@ -756,7 +765,8 @@ mod tests {
             // Single-core schedulers can drain everything; force the case
             // by filling the inbox while holding the engine lock.
             let _guard = t.state.engine.lock().unwrap();
-            while t.state.inbox_tx.try_send(Work::Ingest(feed(1))).is_ok() {}
+            let one = EventBatch::from_events(&feed(1));
+            while t.state.inbox_tx.try_send(Work::Ingest(one.clone())).is_ok() {}
             assert_eq!(t.ingest(feed(1)).unwrap(), Admitted::Shed);
             shed = 1;
         }

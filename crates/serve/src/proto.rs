@@ -33,7 +33,7 @@
 
 use ecohmem_online::PlacementRevision;
 use memtrace::binfmt::{self, get_varint, put_varint};
-use memtrace::{SiteId, TierId, TraceError, TraceEvent, TraceFile};
+use memtrace::{EventBatch, SiteId, TierId, TraceError, TraceEvent, TraceFile};
 use std::io::{Read, Write};
 
 use crate::ServeError;
@@ -84,6 +84,9 @@ impl Mode {
 }
 
 /// One protocol message. See the module docs for the conversation.
+// Events frames are most of the traffic, so boxing the batch would only
+// add an allocation per frame.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client → server: open a tenant session.
@@ -103,8 +106,9 @@ pub enum Frame {
         /// Server-assigned tenant id (diagnostics only).
         tenant_id: u64,
     },
-    /// Client → server: a batch of trace events.
-    Events(Vec<TraceEvent>),
+    /// Client → server: a batch of trace events, decoded straight into
+    /// columns.
+    Events(EventBatch),
     /// Client → server: advance the advisor epoch clock.
     Tick {
         /// Stream time in seconds, same clock as event timestamps.
@@ -254,14 +258,14 @@ pub fn decode_header(bytes: &[u8]) -> Result<TraceFile, ServeError> {
     Ok(trace)
 }
 
-fn encode_events(events: &[TraceEvent], mode: Mode, out: &mut Vec<u8>) {
+fn encode_events(events: &EventBatch, mode: Mode, out: &mut Vec<u8>) {
     out.push(mode.to_byte());
     match mode {
         Mode::Bin => binfmt::write_frame(events, out),
         Mode::Jsonl => {
             let mut text = String::new();
-            for e in events {
-                text.push_str(&memtrace::event_to_json(e).to_string_compact());
+            for e in events.iter_events() {
+                text.push_str(&memtrace::event_to_json(&e).to_string_compact());
                 text.push('\n');
             }
             out.extend_from_slice(text.as_bytes());
@@ -269,7 +273,7 @@ fn encode_events(events: &[TraceEvent], mode: Mode, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_events(body: &[u8]) -> Result<Vec<TraceEvent>, ServeError> {
+fn decode_events(body: &[u8]) -> Result<EventBatch, ServeError> {
     let Some((&mode_byte, rest)) = body.split_first() else {
         return Err(ServeError::Protocol("empty Events body".into()));
     };
@@ -288,13 +292,13 @@ fn decode_events(body: &[u8]) -> Result<Vec<TraceEvent>, ServeError> {
         Mode::Jsonl => {
             let text = std::str::from_utf8(rest)
                 .map_err(|e| ServeError::Protocol(format!("invalid utf-8 in jsonl body: {e}")))?;
-            let mut events = Vec::new();
+            let mut events = EventBatch::default();
             for line in text.lines().filter(|l| !l.trim().is_empty()) {
                 let v = ecohmem_obs::Json::parse(line)
                     .map_err(|e| ServeError::Protocol(format!("bad jsonl event: {e:?}")))?;
                 let e = memtrace::event_from_json(&v)
                     .map_err(|e| ServeError::Protocol(format!("bad jsonl event: {e:?}")))?;
-                events.push(e);
+                events.push(&e);
             }
             Ok(events)
         }
@@ -362,7 +366,7 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 /// Serializes an Events frame in an explicit [`Mode`].
 pub fn encode_events_frame(events: &[TraceEvent], mode: Mode) -> Vec<u8> {
     let mut body = Vec::new();
-    encode_events(events, mode, &mut body);
+    encode_events(&EventBatch::from_events(events), mode, &mut body);
     let mut out = Vec::with_capacity(5 + body.len());
     out.extend_from_slice(&(1 + body.len() as u32).to_le_bytes());
     out.push(TAG_EVENTS);
@@ -645,7 +649,7 @@ mod tests {
             header: hdr,
         });
         roundtrip(Frame::HelloAck { tenant_id: 42 });
-        roundtrip(Frame::Events(events()));
+        roundtrip(Frame::Events(EventBatch::from_events(&events())));
         roundtrip(Frame::Tick { now: 0.75 });
         roundtrip(Frame::Shutdown);
         roundtrip(Frame::Revisions(vec![PlacementRevision {
@@ -665,7 +669,7 @@ mod tests {
         let bytes = encode_events_frame(&events(), Mode::Jsonl);
         let mut cur = std::io::Cursor::new(bytes);
         let back = read_frame_from(&mut cur).unwrap().unwrap();
-        assert_eq!(back, Frame::Events(events()));
+        assert_eq!(back, Frame::Events(EventBatch::from_events(&events())));
     }
 
     #[test]
@@ -702,7 +706,7 @@ mod tests {
                 mode: Mode::Bin,
                 header: encode_header(&header()).unwrap(),
             },
-            Frame::Events(events()),
+            Frame::Events(EventBatch::from_events(&events())),
             Frame::Tick { now: 1.5 },
             Frame::Shed { dropped: 3 },
             Frame::Shutdown,
@@ -738,16 +742,15 @@ mod tests {
 
     #[test]
     fn frame_reader_chunked_random_splits_round_trip() {
-        let frames: Vec<Frame> =
-            (0..64)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        Frame::Tick { now: i as f64 }
-                    } else {
-                        Frame::Events(events())
-                    }
-                })
-                .collect();
+        let frames: Vec<Frame> = (0..64)
+            .map(|i| {
+                if i % 3 == 0 {
+                    Frame::Tick { now: i as f64 }
+                } else {
+                    Frame::Events(EventBatch::from_events(&events()))
+                }
+            })
+            .collect();
         let mut wire = Vec::new();
         for f in &frames {
             wire.extend_from_slice(&encode(f));

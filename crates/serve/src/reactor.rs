@@ -498,7 +498,7 @@ impl Shard {
             }
             (Phase::Streaming, Frame::Events(events)) => {
                 let failed = match &conn.client {
-                    Some(client) => client.ingest(events).is_err(),
+                    Some(client) => client.ingest_batch(events).is_err(),
                     None => true,
                 };
                 if failed {
