@@ -1,26 +1,15 @@
-//! The pinned fleet scenario shared by the `fleet_sweep` bench, the
-//! `perf_smoke` fleet gate, and the golden snapshot test: one definition,
-//! so the frozen `BENCH_fleet.json` baseline and the fresh runs it gates
-//! can never drift apart silently.
+//! The fleet scenario perfbench's `fleet` component simulates (2 × 2 in
+//! untraced runs, 16 × 4 in traced ones): rotated mixed colocations on
+//! the paper's PMem-6 node with seeded arrival churn. `tests/fleet.rs`
+//! pins the 16-node × 4-tenant instance at churn seed `0xEC0` for every
+//! scheduler in `tests/golden/fleet_sweep16x4.txt`.
 
 use memsim::fleet::{ChurnConfig, FleetConfig, SchedulerPolicy};
 use memsim::{MachineConfig, TenantSpec};
 use workloads::colocations;
 
-/// Nodes in the default sweep scenario.
-pub const DEFAULT_NODES: u32 = 16;
-/// Co-resident tenants per node.
-pub const DEFAULT_PER_NODE: usize = 4;
-/// Churn seed; override with `ECOHMEM_FLEET_SEED` in the seed-matrix CI
-/// job (the baseline equality gate only applies at the default seed).
-pub const DEFAULT_SEED: u64 = 0xEC0;
 /// Arrivals spread over this many seconds of simulated time.
 pub const DEFAULT_SPREAD_S: f64 = 5.0;
-
-/// Churn seed from `ECOHMEM_FLEET_SEED`, defaulting to [`DEFAULT_SEED`].
-pub fn seed_from_env() -> u64 {
-    std::env::var("ECOHMEM_FLEET_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_SEED)
-}
 
 /// Builds the scenario: `nodes` × `per_node` rotated mixed
 /// minife/lulesh/hpcg/phaseshift colocations on the paper's PMem-6 node,
@@ -37,19 +26,14 @@ pub fn scenario(
     (cfg, colocations::mixed_colocations(nodes, per_node))
 }
 
-/// The default 16-node × 4-tenant sweep cell for `scheduler`.
-pub fn default_scenario(scheduler: SchedulerPolicy) -> (FleetConfig, Vec<TenantSpec>) {
-    scenario(DEFAULT_NODES, DEFAULT_PER_NODE, scheduler, seed_from_env())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_scenario_validates() {
-        let (cfg, tenants) = default_scenario(SchedulerPolicy::PaperGreedy);
+    fn scenario_validates() {
+        let (cfg, tenants) = scenario(16, 4, SchedulerPolicy::PaperGreedy, 0xEC0);
         cfg.validate().unwrap();
-        assert_eq!(tenants.len(), DEFAULT_NODES as usize * DEFAULT_PER_NODE);
+        assert_eq!(tenants.len(), 16 * 4);
     }
 }

@@ -6,7 +6,8 @@
 //! * **Worker count.** `Runner::from_env` reads `--jobs N` (or `--jobs=N`)
 //!   from the command line, falling back to the `ECOHMEM_JOBS` environment
 //!   variable and then to the machine's available parallelism (see
-//!   [`memsim::jobs_from_env`]).
+//!   [`memsim::jobs_from_env`]). A malformed `--jobs` or `--metrics-out`
+//!   exits with status 2, like the `ecohmem-*` tools.
 //! * **Parallel mapping.** [`Runner::map`] spreads independent experiment
 //!   cells over [`memsim::parallel_map`]'s work-stealing scoped-thread pool.
 //!   Results come back in submission order, so tables rendered from them
@@ -23,7 +24,6 @@
 //! `ecohmem_core::run_pipeline`) shares those simulations with every other
 //! job in the process, across threads.
 
-use ecohmem_obs::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -48,10 +48,13 @@ impl Runner {
     /// `ECOHMEM_JOBS`, then the available parallelism. `--metrics-out PATH`
     /// (or `--metrics-out=PATH`) additionally turns observability on and
     /// makes [`Runner::report`] write the run's `RunMetrics` document there.
+    /// A `--jobs` value that does not parse, or either flag without a
+    /// value, is a usage error: the process exits with status 2.
     pub fn from_env(label: &str) -> Self {
-        let jobs = jobs_from_args(std::env::args().skip(1)).unwrap_or_else(memsim::jobs_from_env);
+        let jobs = or_usage_exit(label, jobs_from_args(std::env::args().skip(1)))
+            .unwrap_or_else(memsim::jobs_from_env);
         let runner = Self::with_jobs(label, jobs);
-        match metrics_out_from_args(std::env::args().skip(1)) {
+        match or_usage_exit(label, flag_value(std::env::args().skip(1), "metrics-out")) {
             Some(path) => runner.with_metrics_out(path),
             None => runner,
         }
@@ -121,9 +124,7 @@ impl Runner {
     /// the last `map`; stdout stays clean for table output.
     ///
     /// When `--metrics-out` was given, also writes the `RunMetrics` JSON
-    /// document there, and when `ECOHMEM_BENCH_OUT` names an aggregate
-    /// file, merges this run's document into it under the runner's label
-    /// (so a sequence of bench bins builds up one `BENCH_pipeline.json`).
+    /// document there.
     pub fn report(&self) {
         let wall = self.started.elapsed().as_secs_f64();
         let busy = self.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9;
@@ -140,74 +141,63 @@ impl Runner {
             busy,
             speedup,
         );
-        let doc = ecohmem_obs::run_metrics(&self.label, wall);
         if let Some(path) = &self.metrics_out {
+            let doc = ecohmem_obs::run_metrics(&self.label, wall);
             if let Err(e) = std::fs::write(path, doc.to_string_pretty() + "\n") {
                 eprintln!("[runner] {}: cannot write {path}: {e}", self.label);
             }
         }
-        if let Ok(agg) = std::env::var("ECOHMEM_BENCH_OUT") {
-            if !agg.is_empty() {
-                if let Err(e) = merge_into_aggregate(&agg, &self.label, doc) {
-                    eprintln!("[runner] {}: cannot update {agg}: {e}", self.label);
-                }
-            }
-        }
     }
 }
 
-/// Merges one run's `RunMetrics` document into the aggregate JSON file at
-/// `path`, keyed by the runner label (replacing an earlier entry with the
-/// same label). The aggregate is a plain object so post-processing stays a
-/// one-liner in any language.
-fn merge_into_aggregate(path: &str, label: &str, doc: Json) -> std::io::Result<()> {
-    let mut root = match std::fs::read_to_string(path) {
-        Ok(text) => Json::parse(&text).unwrap_or(Json::Null),
-        Err(_) => Json::Null,
-    };
-    if !matches!(root, Json::Obj(_)) {
-        root = Json::obj(vec![("schema", Json::str("ecohmem.bench_aggregate/1"))]);
-    }
-    if let Json::Obj(pairs) = &mut root {
-        match pairs.iter_mut().find(|(k, _)| k == label) {
-            Some(slot) => slot.1 = doc,
-            None => pairs.push((label.to_string(), doc)),
-        }
-    }
-    std::fs::write(path, root.to_string_pretty() + "\n")
+/// Unwraps a parsed flag or exits with status 2, naming the bin, the flag
+/// and the value the way the `ecohmem-*` tools do.
+fn or_usage_exit<T>(label: &str, parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("{label}: {msg}");
+        std::process::exit(2)
+    })
 }
 
-/// Extracts `--jobs N` / `--jobs=N` from an argument stream. Returns `None`
-/// when absent or malformed (the caller falls back to the environment).
-fn jobs_from_args<I: Iterator<Item = String>>(mut args: I) -> Option<usize> {
+/// The value of `--NAME V` / `--NAME=V` in an argument stream: `Ok(None)`
+/// when the flag is absent, an error when it is present without a value
+/// (end of arguments, an empty `--NAME=`, or another `--flag` next).
+fn flag_value<I: Iterator<Item = String>>(args: I, name: &str) -> Result<Option<String>, String> {
+    let (bare, eq) = (format!("--{name}"), format!("--{name}="));
+    let mut args = args.peekable();
     while let Some(a) = args.next() {
-        if a == "--jobs" {
-            return args.next().and_then(|v| v.parse::<usize>().ok()).map(|n| n.max(1));
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse::<usize>().ok().map(|n| n.max(1));
-        }
+        let value = if a == bare {
+            args.next_if(|v| !v.starts_with("--"))
+        } else if let Some(v) = a.strip_prefix(&eq) {
+            Some(v.to_string())
+        } else {
+            continue;
+        };
+        return match value.filter(|v| !v.is_empty()) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("missing value for --{name}")),
+        };
     }
-    None
+    Ok(None)
 }
 
-/// Extracts `--metrics-out PATH` / `--metrics-out=PATH` from an argument
-/// stream. Returns `None` when absent or missing its value.
-fn metrics_out_from_args<I: Iterator<Item = String>>(mut args: I) -> Option<String> {
-    while let Some(a) = args.next() {
-        if a == "--metrics-out" {
-            return args.next().filter(|v| !v.is_empty());
-        }
-        if let Some(v) = a.strip_prefix("--metrics-out=") {
-            return Some(v.to_string()).filter(|v| !v.is_empty());
-        }
-    }
-    None
+/// Extracts `--jobs N` / `--jobs=N` (clamped to ≥ 1) from an argument
+/// stream. `Ok(None)` when absent; an error naming the value when it does
+/// not parse.
+fn jobs_from_args<I: Iterator<Item = String>>(args: I) -> Result<Option<usize>, String> {
+    flag_value(args, "jobs")?
+        .map(|v| {
+            v.parse::<usize>()
+                .map(|n| n.max(1))
+                .map_err(|_| format!("invalid value `{v}` for --jobs"))
+        })
+        .transpose()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecohmem_obs::Json;
 
     fn argv(items: &[&str]) -> impl Iterator<Item = String> {
         items.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
@@ -215,54 +205,49 @@ mod tests {
 
     #[test]
     fn jobs_flag_parses_both_spellings() {
-        assert_eq!(jobs_from_args(argv(&["--jobs", "4"])), Some(4));
-        assert_eq!(jobs_from_args(argv(&["--fast", "--jobs=7"])), Some(7));
-        assert_eq!(jobs_from_args(argv(&["--jobs", "0"])), Some(1));
-        assert_eq!(jobs_from_args(argv(&["--jobs", "soup"])), None);
-        assert_eq!(jobs_from_args(argv(&["--fast"])), None);
+        assert_eq!(jobs_from_args(argv(&["--jobs", "4"])), Ok(Some(4)));
+        assert_eq!(jobs_from_args(argv(&["--fast", "--jobs=7"])), Ok(Some(7)));
+        assert_eq!(jobs_from_args(argv(&["--jobs", "0"])), Ok(Some(1)));
+        assert_eq!(
+            jobs_from_args(argv(&["--jobs", "soup"])),
+            Err("invalid value `soup` for --jobs".into())
+        );
+        assert_eq!(jobs_from_args(argv(&["--jobs"])), Err("missing value for --jobs".into()));
+        assert_eq!(jobs_from_args(argv(&["--fast"])), Ok(None));
     }
 
     #[test]
     fn metrics_out_flag_parses_both_spellings() {
         assert_eq!(
-            metrics_out_from_args(argv(&["--metrics-out", "m.json"])),
-            Some("m.json".into())
+            flag_value(argv(&["--metrics-out", "m.json"]), "metrics-out"),
+            Ok(Some("m.json".into()))
         );
         assert_eq!(
-            metrics_out_from_args(argv(&["--metrics-out=x/y.json"])),
-            Some("x/y.json".into())
+            flag_value(argv(&["--metrics-out=x/y.json"]), "metrics-out"),
+            Ok(Some("x/y.json".into()))
         );
-        assert_eq!(metrics_out_from_args(argv(&["--metrics-out"])), None);
-        assert_eq!(metrics_out_from_args(argv(&["--metrics-out="])), None);
-        assert_eq!(metrics_out_from_args(argv(&["--jobs", "4"])), None);
+        let missing = Err("missing value for --metrics-out".to_string());
+        assert_eq!(flag_value(argv(&["--metrics-out"]), "metrics-out"), missing);
+        assert_eq!(flag_value(argv(&["--metrics-out="]), "metrics-out"), missing);
+        assert_eq!(flag_value(argv(&["--metrics-out", "--jobs", "4"]), "metrics-out"), missing);
+        assert_eq!(flag_value(argv(&["--jobs", "4"]), "metrics-out"), Ok(None));
     }
 
     #[test]
-    fn report_writes_metrics_document_and_aggregate() {
+    fn report_writes_metrics_document() {
         let dir = std::env::temp_dir().join(format!("ecohmem-runner-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let metrics = dir.join("metrics.json");
-        let agg = dir.join("agg.json");
 
         let r = Runner::with_jobs("emit-test", 2)
             .with_metrics_out(metrics.to_string_lossy().into_owned());
         ecohmem_obs::count("runner.emit.test", 3);
-        std::env::set_var("ECOHMEM_BENCH_OUT", &agg);
         r.report();
-        // A second runner must merge, not clobber, the aggregate.
-        Runner::with_jobs("emit-test-2", 1)
-            .with_metrics_out(metrics.to_string_lossy().into_owned())
-            .report();
-        std::env::remove_var("ECOHMEM_BENCH_OUT");
 
         let doc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some("ecohmem.run_metrics/1"));
         let counters = doc.get("metrics").unwrap().get("counters").unwrap();
         assert!(counters.get("runner.emit.test").and_then(Json::as_u64) >= Some(3));
-
-        let agg_doc = Json::parse(&std::fs::read_to_string(&agg).unwrap()).unwrap();
-        assert!(agg_doc.get("emit-test").is_some(), "first label present");
-        assert!(agg_doc.get("emit-test-2").is_some(), "second label merged in");
         std::fs::remove_dir_all(&dir).ok();
     }
 

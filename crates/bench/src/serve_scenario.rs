@@ -1,100 +1,23 @@
-//! Shared synthetic-tenant scenario for the serve daemon: trace shapes,
-//! the deterministic feed plan, the isolated reference runs, and the
-//! TCP blast fleet — used by `serve_load` (the benchmark) and
-//! `perf_smoke` (the CI regression gate) so both measure the exact same
-//! workload.
+//! The scripted serve-daemon session perfbench's `serve` workload drives:
+//! the deterministic feed plan, the isolated single-stream run a served
+//! tenant must reproduce byte-for-byte, and the plan pre-encoded as wire
+//! frames.
 
 use advisor::{AdvisorConfig, Algorithm};
 use ecohmem_online::{
     IncrementalAdvisor, OnlineConfig, PlacementRevision, StreamIngestor, StreamMeta,
 };
-use ecohmem_serve::blast::{self, BlastTenant};
-use ecohmem_serve::core::ServeConfig;
 use ecohmem_serve::proto::{self, Frame as WireFrame};
-use ecohmem_serve::{Mode, Server, ServerConfig};
-use memtrace::{
-    BinaryMap, CallStack, DegradationPolicy, EventBatch, Frame, FuncId, ModuleId, ObjectId, SiteId,
-    TraceEvent, TraceFile,
-};
+use ecohmem_serve::Mode;
+use memtrace::{DegradationPolicy, EventBatch, TraceEvent, TraceFile};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Distinct hot-set geometries; one tenant per shape doubles as a
-/// divergence probe checked byte-for-byte against an isolated run.
-pub const SHAPES: usize = 4;
-/// Allocation sites per synthetic trace.
-pub const SITES: usize = 16;
-/// Load-miss samples per synthetic trace.
-pub const SAMPLES: usize = 2048;
 /// DRAM budget handed to every tenant's advisor.
 pub const DRAM_GIB: u64 = 12;
 /// Events per ingest batch in the feed plan.
 pub const BATCH: usize = 256;
 /// A tick lands after every `TICK_STRIDE` batches.
 pub const TICK_STRIDE: usize = 4;
-const MIB: u64 = 1 << 20;
-
-/// Deterministic synthetic trace; the four shapes exercise different
-/// hot-set geometries so co-tenant engines never walk in lockstep.
-pub fn synth_trace(shape: usize) -> TraceFile {
-    let stacks: Vec<(SiteId, CallStack)> = (0..SITES)
-        .map(|i| {
-            (
-                SiteId(i as u32),
-                CallStack::new(vec![Frame::new(ModuleId(0), 0x100 + 0x10 * i as u64)]),
-            )
-        })
-        .collect();
-    let base = |site: usize| ((site as u64) + 1) << 33;
-    let size = |site: usize| (1 + ((site + shape) % 4) as u64) * 512 * MIB;
-    let mut events = Vec::new();
-    for i in 0..SITES {
-        events.push(TraceEvent::Alloc {
-            time: 0.001 * i as f64,
-            object: ObjectId(i as u64 + 1),
-            site: SiteId(i as u32),
-            size: size(i),
-            address: base(i),
-        });
-    }
-    for k in 0..SAMPLES {
-        let site = match shape {
-            0 => k % 4,
-            1 => 12 + k % 4,
-            2 => (k / 128) % SITES, // hot set rotates: a phase-shifter
-            _ => {
-                if k % 3 == 0 {
-                    k % SITES
-                } else {
-                    k % 2
-                }
-            }
-        };
-        events.push(TraceEvent::LoadMissSample {
-            time: 0.1 + 3.8 * (k as f64) / SAMPLES as f64,
-            address: base(site) + 64 * ((k % 100) as u64),
-            latency_cycles: 300.0,
-            function: FuncId(0),
-        });
-    }
-    TraceFile {
-        app_name: format!("synth{shape}"),
-        seed: shape as u64,
-        ranks: 1,
-        sampling_hz: 1000.0,
-        load_sample_period: 100.0,
-        store_sample_period: 200.0,
-        duration: 4.0,
-        stacks,
-        binmap: BinaryMap::default(),
-        events,
-    }
-}
-
-/// All [`SHAPES`] traces.
-pub fn shape_traces() -> Vec<TraceFile> {
-    (0..SHAPES).map(synth_trace).collect()
-}
 
 /// One step of the scripted session.
 pub enum Op {
@@ -136,22 +59,9 @@ pub fn isolated_run(trace: &TraceFile) -> Vec<PlacementRevision> {
     revisions
 }
 
-/// Encoded isolated revision logs, one per shape — what the divergence
-/// probes compare against.
-pub fn reference_logs(traces: &[TraceFile]) -> Vec<Vec<u8>> {
-    traces
-        .iter()
-        .map(|t| {
-            let mut bytes = Vec::new();
-            proto::encode_revisions(&isolated_run(t), &mut bytes);
-            bytes
-        })
-        .collect()
-}
-
-/// Pre-encoded post-handshake byte stream for one shape: the feed plan
-/// as Events/Tick frames, terminated by Shutdown. Shared across all
-/// same-shape tenants via `Arc` — the driver never re-encodes.
+/// Pre-encoded post-handshake byte stream for one trace: the feed plan
+/// as Events/Tick frames, terminated by Shutdown. Shared via `Arc` across
+/// all tenants streaming the same trace — the driver never re-encodes.
 pub fn blast_body(trace: &TraceFile) -> Arc<Vec<u8>> {
     let mut body = Vec::new();
     for op in feed_plan(trace) {
@@ -164,113 +74,4 @@ pub fn blast_body(trace: &TraceFile) -> Arc<Vec<u8>> {
     }
     proto::encode_into(&WireFrame::Shutdown, &mut body);
     Arc::new(body)
-}
-
-/// What a TCP fleet run observed. `divergent` counts per-shape probe
-/// logs that differ from the isolated reference.
-pub struct TcpFleetResult {
-    /// Sessions that reached Bye.
-    pub completed: usize,
-    /// Sessions that ended any other way.
-    pub failed: usize,
-    /// Up to 8 failure descriptions.
-    pub errors: Vec<String>,
-    /// Probe logs differing from the isolated reference.
-    pub divergent: usize,
-    /// Total events streamed by completed sessions.
-    pub events: u64,
-    /// Revision frames received across all sessions.
-    pub revision_frames: u64,
-    /// Shed items reported across all sessions.
-    pub shed: u64,
-    /// Concurrency window the blast ran with.
-    pub window: usize,
-    /// First connect to last close.
-    pub elapsed: Duration,
-}
-
-impl TcpFleetResult {
-    /// Sustained event throughput over the whole run.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Boots a reactor daemon bound to loopback, blasts `tenants` scripted
-/// sessions at it from one driver thread, and checks the per-shape
-/// probes against `reference` ([`reference_logs`]).
-pub fn run_tcp_fleet(
-    tenants: usize,
-    workers: usize,
-    io_threads: usize,
-    window_override: Option<usize>,
-    traces: &[TraceFile],
-    reference: &[Vec<u8>],
-) -> TcpFleetResult {
-    let server = Server::bind(ServerConfig {
-        listen: "127.0.0.1:0".into(),
-        once: Some(tenants),
-        io_threads,
-        idle_timeout: Duration::from_secs(120),
-        serve: ServeConfig {
-            workers,
-            max_tenants: tenants + 8,
-            inbox_capacity: 64,
-            admission_timeout: Duration::from_secs(10),
-            dram_gib: DRAM_GIB,
-            ..ServeConfig::default()
-        },
-    })
-    .expect("bind blast server");
-    let addr = server.local_addr().expect("server addr").to_string();
-    let daemon = std::thread::spawn(move || server.run().expect("server run"));
-
-    let bodies: Vec<Arc<Vec<u8>>> = traces.iter().map(|t| blast_body(t)).collect();
-    let plan: Vec<BlastTenant> = (0..tenants)
-        .map(|t| {
-            let shape = t % SHAPES;
-            BlastTenant {
-                name: format!("tenant-{t}"),
-                hello: blast::hello_bytes(&format!("tenant-{t}"), Mode::Bin, &traces[shape])
-                    .expect("encode hello"),
-                body: Arc::clone(&bodies[shape]),
-                collect: t < SHAPES,
-            }
-        })
-        .collect();
-    // Each live session pins two fds in this process (client + server
-    // end of the loopback pair); leave headroom for the daemon itself.
-    // Capped at 1024: wider windows stop adding throughput once the
-    // core is saturated and only grow live buffer footprint.
-    let window = window_override.unwrap_or_else(|| {
-        (ecohmem_serve::sys::nofile_limit().saturating_sub(512) / 2).clamp(64, 1024)
-    });
-
-    let out = blast::run_blast(&addr, plan, window).expect("blast run");
-    let _stats = daemon.join().expect("daemon join");
-
-    let divergent = (0..SHAPES)
-        .filter(|shape| {
-            let name = format!("tenant-{shape}");
-            match out.revisions.get(&name) {
-                Some(revs) => {
-                    let mut bytes = Vec::new();
-                    proto::encode_revisions(revs, &mut bytes);
-                    bytes != reference[*shape]
-                }
-                None => true,
-            }
-        })
-        .count();
-    TcpFleetResult {
-        completed: out.completed,
-        failed: out.failed,
-        errors: out.errors,
-        divergent,
-        events: traces[0].events.len() as u64 * out.completed as u64,
-        revision_frames: out.revision_frames,
-        shed: out.shed,
-        window,
-        elapsed: out.elapsed,
-    }
 }

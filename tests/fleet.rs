@@ -325,3 +325,37 @@ fn golden_fleet_colo4_snapshot() {
     assert!(r.peak_pressure() > 1.0, "4 mixed tenants must overcommit 16 GiB DRAM");
     assert_matches_golden("fleet_colo4.json", &(r.to_json().to_string_pretty() + "\n"));
 }
+
+/// The 16-node × 4-tenant mixed colocation under every scheduler: one
+/// line per policy with the deterministic totals (makespan and peak
+/// pressure as exact f64 bits), line-diff clean against
+/// `tests/golden/fleet_sweep16x4.txt`. This is the scenario behind the
+/// README's scheduler comparison. Always at the default seed, like
+/// [`golden_fleet_colo4_snapshot`].
+#[test]
+fn golden_fleet_sweep16x4_snapshot() {
+    let mut lines = String::new();
+    for policy in SchedulerPolicy::all() {
+        let mut cfg = FleetConfig::new(MachineConfig::optane_pmem6(), 16, policy);
+        cfg.quantum_bytes = 1 << 30;
+        cfg.churn = ChurnConfig { seed: DEFAULT_SEED, arrival_spread_s: 5.0 };
+        let tenants = colocations::mixed_colocations(16, 4);
+        let r = fleet::simulate_with(&RunCache::new(), &cfg, &tenants, 4).unwrap();
+        assert_eq!(r.completed_tenants(), 64, "{}: every tenant completes", policy.name());
+        lines.push_str(&format!(
+            "{} makespan_s={} makespan_bits={:#018x} epochs={} decisions={} storms={} \
+             storm_bytes={} peak_pressure={} peak_pressure_bits={:#018x} completed={}\n",
+            policy.name(),
+            r.makespan(),
+            r.makespan().to_bits(),
+            r.total_epochs(),
+            r.scheduler_decisions(),
+            r.total_storms(),
+            r.total_storm_bytes(),
+            r.peak_pressure(),
+            r.peak_pressure().to_bits(),
+            r.completed_tenants(),
+        ));
+    }
+    assert_matches_golden("fleet_sweep16x4.txt", &lines);
+}

@@ -6,7 +6,9 @@
 //!
 //! * frames fragmented arbitrarily on the wire decode identically to
 //!   whole frames (TCP dribble);
-//! * a 500-connection storm completes with zero divergence;
+//! * connection storms (500 sessions at once; 1000 through a 64-wide
+//!   rolling window; 10,000 as an `--ignored` release run) complete with
+//!   zero divergence;
 //! * daemon thread count is `io_threads + workers + const`, independent
 //!   of connection count;
 //! * a slow-loris peer (length prefix, then silence) is idle-closed and
@@ -42,8 +44,8 @@ const SAMPLES: usize = 512;
 const BATCH: usize = 128;
 const MIB: u64 = 1 << 20;
 
-/// Small deterministic trace (same generator family as `serve_load`,
-/// sized for test time, not throughput).
+/// Small deterministic trace: four hot-set shapes over a few sites,
+/// sized for test time, not throughput.
 fn synth_trace(shape: usize) -> TraceFile {
     let stacks: Vec<(SiteId, CallStack)> = (0..SITES)
         .map(|i| {
@@ -173,12 +175,21 @@ fn boot_server(
     once: usize,
     idle_timeout: Duration,
 ) -> (String, std::thread::JoinHandle<ServerStats>) {
+    boot_server_with(io_threads, once, idle_timeout, no_shed_config(workers, once + 8))
+}
+
+fn boot_server_with(
+    io_threads: usize,
+    once: usize,
+    idle_timeout: Duration,
+    serve: ServeConfig,
+) -> (String, std::thread::JoinHandle<ServerStats>) {
     let server = Server::bind(ServerConfig {
         listen: "127.0.0.1:0".into(),
         once: Some(once),
         io_threads,
         idle_timeout,
-        serve: no_shed_config(workers, once + 8),
+        serve,
     })
     .unwrap();
     let addr = server.local_addr().unwrap().to_string();
@@ -229,17 +240,18 @@ fn collect_raw(mut sock: TcpStream) -> (Vec<PlacementRevision>, bool) {
     }
 }
 
-/// 500 sessions thrown at the daemon as fast as one thread can open
-/// them: every session completes, probes stay byte-identical.
-#[test]
-fn connect_storm_500_sessions_zero_divergence() {
+/// Throws `sessions` sessions at the daemon from one driver thread, with
+/// at most `window` connections open at once and per-tenant inboxes of
+/// `inbox_capacity` items: every session completes, and each per-shape
+/// probe log stays byte-identical to its isolated run.
+fn connect_storm(sessions: usize, window: usize, inbox_capacity: usize) {
     let traces: Vec<TraceFile> = (0..SHAPES).map(synth_trace).collect();
     let reference: Vec<Vec<u8>> = traces.iter().map(|t| revision_bytes(&isolated_run(t))).collect();
-    const STORM: usize = 500;
-    let (addr, daemon) = boot_server(2, 2, STORM, Duration::from_secs(120));
+    let serve = ServeConfig { inbox_capacity, ..no_shed_config(2, sessions + 8) };
+    let (addr, daemon) = boot_server_with(2, sessions, Duration::from_secs(120), serve);
 
     let bodies: Vec<Arc<Vec<u8>>> = traces.iter().map(|t| Arc::new(session_body(t))).collect();
-    let plan: Vec<BlastTenant> = (0..STORM)
+    let plan: Vec<BlastTenant> = (0..sessions)
         .map(|t| {
             let shape = t % SHAPES;
             BlastTenant {
@@ -251,10 +263,10 @@ fn connect_storm_500_sessions_zero_divergence() {
             }
         })
         .collect();
-    let out = blast::run_blast(&addr, plan, STORM).unwrap();
+    let out = blast::run_blast(&addr, plan, window).unwrap();
 
     assert_eq!(out.failed, 0, "failed sessions: {:?}", out.errors);
-    assert_eq!(out.completed, STORM);
+    assert_eq!(out.completed, sessions);
     for (shape, want) in reference.iter().enumerate().take(SHAPES) {
         let probe = out.revisions.get(&format!("storm-{shape}")).expect("probe log retained");
         assert_eq!(
@@ -264,7 +276,32 @@ fn connect_storm_500_sessions_zero_divergence() {
         );
     }
     let stats = daemon.join().unwrap();
-    assert_eq!(stats.sessions, STORM);
+    assert_eq!(stats.sessions, sessions);
+}
+
+/// 500 sessions all open at once (window = sessions, deep inboxes).
+#[test]
+fn connect_storm_500_sessions_zero_divergence() {
+    connect_storm(500, 500, 4096);
+}
+
+/// 1000 sessions through a 64-connection rolling window, so sessions
+/// retire and new ones connect mid-run (the 500-session storm opens all
+/// at once), into the daemon's default 64-item inboxes.
+#[test]
+fn connect_storm_1000_sessions_rolling_window_zero_divergence() {
+    connect_storm(1000, 64, 64);
+}
+
+/// 10,000 tenants over TCP. Each live session pins two fds in this
+/// process (client and server end), so the window is sized from the fd
+/// limit with headroom for the daemon, capped at 1024. Run it in release:
+/// `cargo test --release --test serve_reactor -- --ignored`.
+#[test]
+#[ignore = "10k-session storm; run with --release -- --ignored"]
+fn connect_storm_10k_sessions_zero_divergence() {
+    let window = (ecohmem_serve::sys::nofile_limit().saturating_sub(512) / 2).clamp(64, 1024);
+    connect_storm(10_000, window, 64);
 }
 
 #[cfg(target_os = "linux")]
