@@ -9,7 +9,7 @@
 use bench::{Runner, Table};
 use memsim::{ExecMode, FixedTier, MachineConfig};
 use memtrace::TierId;
-use profiler::{analyze_columnar_with_jobs, synthesize_columns_with_jobs, ProfilerConfig};
+use profiler::{analyze_with_jobs, synthesize_trace_with_jobs, ProfilerConfig};
 use std::time::Instant;
 
 const SCALE: f64 = 10.0;
@@ -42,11 +42,10 @@ fn main() {
         memsim::run(&app, &machine, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM));
     let cfg = ProfilerConfig::default();
 
-    let (synth_s, trace) = time(|| synthesize_columns_with_jobs(&app, &result, &cfg, jobs));
+    let (synth_s, trace) = time(|| synthesize_trace_with_jobs(&app, &result, &cfg, jobs));
     eprintln!("trace: {} events at {SCALE}x scale, jobs={jobs}", trace.len());
 
-    let (analyze_s, profile) =
-        time(|| analyze_columnar_with_jobs(&trace, jobs).expect("valid trace"));
+    let (analyze_s, profile) = time(|| analyze_with_jobs(&trace, jobs).expect("valid trace"));
     assert!(!profile.sites.is_empty(), "analysis produced no sites");
 
     let mut t = Table::new(&["stage", "ms", "M events/s"]);

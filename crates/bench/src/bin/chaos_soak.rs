@@ -24,8 +24,8 @@ use ecohmem_online::{
     Supervisor, SupervisorConfig,
 };
 use memtrace::{
-    BinaryMap, BinaryMapBuilder, CallStack, DegradationPolicy, Frame, FuncId, ModuleId, ObjectId,
-    ProcessFaultKind, SiteId, TraceEvent, TraceFile,
+    BinaryMap, BinaryMapBuilder, CallStack, DegradationPolicy, EventBatch, Frame, FuncId, ModuleId,
+    ObjectId, ProcessFaultKind, SiteId, TraceEvent, TraceFile,
 };
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -93,7 +93,7 @@ fn fixture_trace(seed: u64) -> TraceFile {
             .map(|i| (SiteId(i), CallStack::new(vec![Frame::new(ModuleId(0), 64 * u64::from(i))])))
             .collect(),
         binmap: image(),
-        events,
+        events: EventBatch::from_events(&events),
     }
 }
 
@@ -119,7 +119,8 @@ fn open(
 /// Feeds ops `[from, to)` of the fixed plan: batches of 16 with a tick
 /// every 4 batches. Returns the op count.
 fn feed(engine: &mut DurableEngine, trace: &TraceFile, from: usize, to: usize) -> usize {
-    let chunks: Vec<&[TraceEvent]> = trace.events.chunks(16).collect();
+    let events = trace.events.to_events();
+    let chunks: Vec<&[TraceEvent]> = events.chunks(16).collect();
     let mut op = 0;
     for (i, chunk) in chunks.iter().enumerate() {
         if op >= to {
@@ -140,7 +141,7 @@ fn feed(engine: &mut DurableEngine, trace: &TraceFile, from: usize, to: usize) -
 }
 
 fn plan_len(trace: &TraceFile) -> usize {
-    let chunks = trace.events.chunks(16).count();
+    let chunks = trace.len().div_ceil(16);
     chunks + chunks / 4
 }
 
@@ -315,7 +316,7 @@ fn scenario_stalled_consumer(trace: &TraceFile, _rng: &mut u64) -> Outcome {
     );
     s.inject_stall(Duration::from_millis(200)).expect("stall injected");
     let mut shed = 0u64;
-    for chunk in trace.events.chunks(16).take(16) {
+    for chunk in trace.events.to_events().chunks(16).take(16) {
         match s.offer(chunk.to_vec()) {
             Ok(Admission::Admitted) => {}
             Ok(Admission::Shed) => shed += 1,
@@ -353,8 +354,9 @@ fn scenario_clock_skew(trace: &TraceFile, rng: &mut u64) -> Outcome {
     let n_ev = skewed.events.len();
     for _ in 0..5 {
         let i = 1 + (splitmix(rng) as usize) % (n_ev - 1);
-        let earlier = skewed.events[i - 1].time() - 2.0;
-        skewed.events[i].set_time(earlier);
+        let (prev, op) = (skewed.events.ops[i - 1], skewed.events.ops[i]);
+        let earlier = skewed.events.time_of(prev) - 2.0;
+        skewed.events.set_time(op, earlier);
     }
     let reference = reference(&skewed, DegradationPolicy::BestEffort);
     let n = plan_len(&skewed);
@@ -388,7 +390,8 @@ fn scenario_panic_storm(trace: &TraceFile, _rng: &mut u64) -> Outcome {
         sup,
         |_| {},
     );
-    let chunks: Vec<&[TraceEvent]> = trace.events.chunks(16).collect();
+    let events = trace.events.to_events();
+    let chunks: Vec<&[TraceEvent]> = events.chunks(16).collect();
     let storm_every = (chunks.len() / 4).max(1);
     let mut op = 0;
     for (i, chunk) in chunks.iter().enumerate() {
@@ -446,7 +449,7 @@ fn scenario_restart_budget(trace: &TraceFile, _rng: &mut u64) -> Outcome {
         sup,
         |_| {},
     );
-    s.offer(trace.events[..16.min(trace.events.len())].to_vec()).expect("offer");
+    s.offer(trace.events.slice_ops(0..16.min(trace.len())).to_events()).expect("offer");
     s.inject_panic("one").expect("inject");
     s.inject_panic("two").expect("inject");
     let failed = s.finish().is_err();

@@ -30,11 +30,13 @@ pub enum Op {
 /// The deterministic batch/tick schedule every driver follows.
 pub fn feed_plan(trace: &TraceFile) -> Vec<Op> {
     let mut ops = Vec::new();
-    let chunks: Vec<&[TraceEvent]> = trace.events.chunks(BATCH).collect();
-    for (i, chunk) in chunks.iter().enumerate() {
-        ops.push(Op::Batch(chunk.to_vec()));
+    let b = &trace.events;
+    for (i, rows) in b.ops.chunks(BATCH).enumerate() {
+        let chunk: Vec<TraceEvent> = rows.iter().map(|&op| b.event_of(op)).collect();
+        let last = chunk.last().unwrap().time();
+        ops.push(Op::Batch(chunk));
         if (i + 1) % TICK_STRIDE == 0 {
-            ops.push(Op::Tick(chunk.last().unwrap().time()));
+            ops.push(Op::Tick(last));
         }
     }
     ops.push(Op::Tick(trace.duration));

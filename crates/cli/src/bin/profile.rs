@@ -8,12 +8,11 @@
 //!
 //! `--binary` writes the v2 bucketed binary format (decodable per
 //! time-bucket via `memtrace::TraceBuf`); without it the JSON encoding is
-//! used. Either way the trace stays columnar through synthesis — the
-//! event vector is only materialized for the JSON writer.
+//! used.
 
 use cli::{machine_by_name, ok_or_die, usage_error, Args, MetricsOut};
 use memsim::{ExecMode, FixedTier};
-use profiler::{synthesize_columns, ProfilerConfig};
+use profiler::{synthesize_trace, ProfilerConfig};
 
 const USAGE: &str = "ecohmem-profile <app> [--machine pmem6|pmem2|hbm] [--rate HZ] \
                      [--seed N] [--out FILE] [--binary] [--metrics-out FILE]";
@@ -43,15 +42,12 @@ fn main() {
     );
     let backing = machine.largest_tier();
     let result = memsim::run(&app, &machine, ExecMode::MemoryMode, &mut FixedTier::new(backing));
-    let trace = synthesize_columns(&app, &result, &cfg);
+    let trace = synthesize_trace(&app, &result, &cfg);
     if args.has("binary") {
         let f = ok_or_die("ecohmem-profile", std::fs::File::create(&out));
-        ok_or_die(
-            "ecohmem-profile",
-            memtrace::write_columnar_v2(&trace, std::io::BufWriter::new(f)),
-        );
+        ok_or_die("ecohmem-profile", memtrace::write_trace_v2(&trace, std::io::BufWriter::new(f)));
     } else {
-        ok_or_die("ecohmem-profile", trace.to_trace_file().save(&out));
+        ok_or_die("ecohmem-profile", trace.save(&out));
     }
     eprintln!(
         "wrote {out}: {} allocation events, {} samples, {:.1}s profiled run",

@@ -206,7 +206,7 @@ fn run_durable(
     };
 
     let events: Vec<memtrace::TraceEvent> =
-        trace.events.iter().skip(resume_skip as usize).cloned().collect();
+        trace.events.iter_events().skip(resume_skip as usize).collect();
     let mut shed_batches = 0u64;
     let stride = (events.len() / 8).max(1);
     let mut fed = 0usize;

@@ -31,7 +31,7 @@ const USAGE: &str = "ecohmem-serve [--listen ADDR] [--io-threads N] [--workers N
 fn main() {
     let args = Args::from_env();
     let metrics = MetricsOut::from_args("ecohmem-serve", &args);
-    if args.positional.first().is_some() {
+    if !args.positional.is_empty() {
         cli::usage_error("ecohmem-serve", "unexpected positional argument", USAGE);
     }
 

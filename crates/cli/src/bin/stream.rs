@@ -92,7 +92,8 @@ fn main() {
         "ecohmem-stream",
         StreamClient::connect_retry(addr, tenant, mode, &trace, Duration::from_secs(10)),
     );
-    let chunks: Vec<&[memtrace::TraceEvent]> = trace.events.chunks(batch).collect();
+    let events = trace.events.to_events();
+    let chunks: Vec<&[memtrace::TraceEvent]> = events.chunks(batch).collect();
     for (i, chunk) in chunks.iter().enumerate() {
         ok_or_die("ecohmem-stream", client.send_events(chunk));
         if (i + 1) % tick_stride == 0 {

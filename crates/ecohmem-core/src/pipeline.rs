@@ -4,12 +4,10 @@ use advisor::{Advisor, AdvisorConfig, Algorithm, BwThresholds, Classification};
 use flexmalloc::{FlexMalloc, MatchStats};
 use memsim::{run, AppModel, ExecMode, MachineConfig, RunResult};
 use memtrace::{
-    ColumnarTrace, FaultSpec, FaultTarget, PlacementReport, StackFormat, TraceError, Warning,
+    FaultSpec, FaultTarget, PlacementReport, StackFormat, TraceError, TraceFile, Warning,
     WarningKind,
 };
-use profiler::{
-    analyze_columnar, profile_or_empty, profile_run_cached_columnar, ProfileSet, ProfilerConfig,
-};
+use profiler::{analyze, profile_or_empty, profile_run_cached, ProfileSet, ProfilerConfig};
 
 // The policy is shared with the streaming ingestor (`ecohmem-online`), so
 // it lives with the warning vocabulary in `memtrace`; re-exported here to
@@ -66,10 +64,8 @@ impl PipelineConfig {
 /// The artifacts and results of one pipeline run.
 #[derive(Debug)]
 pub struct PipelineOutcome {
-    /// The profiling trace (what Extrae wrote), in the columnar form the
-    /// analyzer consumed; [`ColumnarTrace::to_trace_file`] gives the AoS
-    /// view.
-    pub trace: ColumnarTrace,
+    /// The profiling trace (what Extrae wrote), as the analyzer consumed it.
+    pub trace: TraceFile,
     /// The analyzed profile (what Paramedir extracted).
     pub profile: ProfileSet,
     /// The Advisor's placement report.
@@ -119,19 +115,17 @@ pub fn run_pipeline(app: &AppModel, cfg: &PipelineConfig) -> Result<PipelineOutc
     let backing = cfg.machine.largest_tier();
     let (mut trace, _profiling_run) = {
         let _span = ecohmem_obs::span("pipeline.profile");
-        profile_run_cached_columnar(app, &cfg.machine, ExecMode::MemoryMode, backing, &cfg.profiler)
+        profile_run_cached(app, &cfg.machine, ExecMode::MemoryMode, backing, &cfg.profiler)
     };
     for f in cfg.faults.iter().filter(|f| f.kind.target() == FaultTarget::Trace) {
-        warnings.extend(f.apply_to_columnar(&mut trace));
+        warnings.extend(f.apply_to_trace(&mut trace));
     }
 
     // 2. Analyze (Paramedir). Strict fails on the first malformed event;
     // the lenient policies sanitize the trace and analyze the remainder.
-    // Either way the trace stays columnar from the profiler into the
-    // analyzer and on into the outcome.
     let analyze_span = ecohmem_obs::span("pipeline.analyze");
     let profile = match cfg.policy {
-        DegradationPolicy::Strict => analyze_columnar(&trace)?,
+        DegradationPolicy::Strict => analyze(&trace)?,
         policy => {
             let events_before = trace.len();
             let (sanitize_warnings, window) = trace.sanitize_verbose();
@@ -158,12 +152,8 @@ pub fn run_pipeline(app: &AppModel, cfg: &PipelineConfig) -> Result<PipelineOutc
             // Sanitizing is idempotent (a second pass repairs nothing,
             // tested per fault kind), so the sanitized trace goes straight
             // to the analyzer.
-            let (profile, failed) = profile_or_empty(
-                analyze_columnar(&trace),
-                &trace.app_name,
-                trace.duration,
-                &trace.binmap,
-            );
+            let (profile, failed) =
+                profile_or_empty(analyze(&trace), &trace.app_name, trace.duration, &trace.binmap);
             warnings.extend(failed);
             profile
         }

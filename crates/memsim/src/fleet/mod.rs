@@ -804,7 +804,7 @@ pub(crate) mod tests {
         assert_eq!(duo.completed_tenants(), 2);
         assert!(duo.makespan() > solo.makespan());
         let e = &duo.nodes[0].epochs[0];
-        assert_eq!(e.grants.iter().sum::<u64>() <= cfg.machine.tier(TierId::DRAM).capacity, true);
+        assert!(e.grants.iter().sum::<u64>() <= cfg.machine.tier(TierId::DRAM).capacity);
         assert_eq!(e.residents, vec!["a1".to_string(), "b1".to_string()]);
     }
 

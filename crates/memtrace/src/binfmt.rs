@@ -27,7 +27,6 @@
 //!   and buckets decode independently (in parallel upstream).
 
 use crate::columns::{BatchOp, EventBatch};
-use crate::ctrace::ColumnarTrace;
 use crate::error::TraceError;
 use crate::events::TraceEvent;
 use crate::ids::{FuncId, ObjectId, SiteId};
@@ -224,22 +223,21 @@ pub fn write_trace<W: Write>(trace: &TraceFile, mut w: W) -> Result<(), TraceErr
     out.extend_from_slice(&VERSION_V1.to_le_bytes());
 
     // Header: everything but the events, as length-prefixed JSON (small).
-    let header = TraceFile { events: Vec::new(), ..trace.clone() };
-    let header_json = header.to_json()?;
+    let header_json = trace.header().to_json()?;
     put_varint(&mut out, header_json.len() as u64);
     out.extend_from_slice(header_json.as_bytes());
 
     // Events: tagged records with delta-coded µs timestamps.
     put_varint(&mut out, trace.events.len() as u64);
     let mut last_us = 0u64;
-    for (i, e) in trace.events.iter().enumerate() {
+    for (i, e) in trace.events.iter_events().enumerate() {
         let t_us = micros(e.time());
         if t_us < last_us {
             return Err(order_error(i, e.time()));
         }
         let delta = t_us - last_us;
         last_us = t_us;
-        encode_record(&mut out, e, delta);
+        encode_record(&mut out, &e, delta);
     }
     w.write_all(&out)?;
     Ok(())
@@ -250,31 +248,17 @@ pub fn write_trace<W: Write>(trace: &TraceFile, mut w: W) -> Result<(), TraceErr
 /// `TraceFile::sanitize`) before encoding, so the write cannot fail on
 /// ordering and the round trip is order-faithful for what survives.
 pub fn write_trace_lenient<W: Write>(trace: &TraceFile, w: W) -> Result<(), TraceError> {
-    let mut sorted = trace.clone();
-    sorted.events.retain(|e| e.time().is_finite());
-    sorted.events.sort_by(|a, b| a.time().total_cmp(&b.time()));
-    write_trace(&sorted, w)
+    let mut events = trace.events.to_events();
+    events.retain(|e| e.time().is_finite());
+    events.sort_by(|a, b| a.time().total_cmp(&b.time()));
+    write_trace(&TraceFile { events: EventBatch::from_events(&events), ..trace.header() }, w)
 }
 
 /// Serializes a trace to the v2 (bucketed) binary format. Same strict
 /// ordering contract as [`write_trace`].
-pub fn write_trace_v2<W: Write>(trace: &TraceFile, w: W) -> Result<(), TraceError> {
-    let header = TraceFile { events: Vec::new(), ..trace.clone() };
-    write_v2(&header.to_json()?, trace.events.len(), trace.events.iter().cloned(), w)
-}
-
-/// Serializes a columnar trace to the v2 binary format without
-/// materializing the event vector.
-pub fn write_columnar_v2<W: Write>(trace: &ColumnarTrace, w: W) -> Result<(), TraceError> {
-    write_v2(&trace.header_file().to_json()?, trace.events.len(), trace.events.iter_events(), w)
-}
-
-fn write_v2<W: Write>(
-    header_json: &str,
-    n_events: usize,
-    events: impl Iterator<Item = TraceEvent>,
-    mut w: W,
-) -> Result<(), TraceError> {
+pub fn write_trace_v2<W: Write>(trace: &TraceFile, mut w: W) -> Result<(), TraceError> {
+    let header_json = trace.header().to_json()?;
+    let n_events = trace.events.len();
     // Bucket payloads, encoded first so the index can carry byte lengths.
     // Delta coding restarts at each bucket's base timestamp, which is what
     // lets a reader decode any bucket without touching the ones before it.
@@ -285,7 +269,7 @@ fn write_v2<W: Write>(
     let mut base_us = 0u64;
     let mut last_us = 0u64;
     let mut prev_us = 0u64;
-    for (i, e) in events.enumerate() {
+    for (i, e) in trace.events.iter_events().enumerate() {
         let t_us = micros(e.time());
         if t_us < prev_us {
             return Err(order_error(i, e.time()));
@@ -375,12 +359,17 @@ fn read_trace_v1(data: &[u8]) -> Result<TraceFile, TraceError> {
             "trace claims {n_events} events in a short buffer"
         )));
     }
-    let mut events = Vec::with_capacity(n_events);
+    trace.events.ops.reserve(n_events);
     let mut last_us = 0u64;
     for _ in 0..n_events {
-        events.push(decode_record(data, &mut pos, &mut last_us)?);
+        trace.events.push(&decode_record(data, &mut pos, &mut last_us)?);
     }
-    trace.events = events;
+    if pos != data.len() {
+        return Err(TraceError::Malformed(format!(
+            "event stream ends at byte {pos}, file has {}",
+            data.len()
+        )));
+    }
     Ok(trace)
 }
 
@@ -544,28 +533,14 @@ impl TraceBuf {
         Ok(batch)
     }
 
-    /// Decodes every bucket, in order, into one columnar trace.
-    pub fn to_columnar(&self) -> Result<ColumnarTrace, TraceError> {
-        let mut events =
-            EventBatch { ops: Vec::with_capacity(self.n_events), ..Default::default() };
-        for i in 0..self.buckets.len() {
-            events.append(&self.bucket(i)?);
-        }
-        Ok(ColumnarTrace::with_events(&self.header, events))
-    }
-
-    /// Decodes the whole file into the classic AoS trace.
+    /// Decodes every bucket, in order, into one trace.
     pub fn to_trace_file(&self) -> Result<TraceFile, TraceError> {
-        let mut events = Vec::with_capacity(self.n_events);
-        for m in &self.buckets {
-            let data = &self.data[m.off..m.off + m.len];
-            let mut pos = 0usize;
-            let mut last_us = m.base_us;
-            for _ in 0..m.count {
-                events.push(decode_record(data, &mut pos, &mut last_us)?);
-            }
+        let mut trace = self.header.clone();
+        trace.events.ops.reserve(self.n_events);
+        for i in 0..self.buckets.len() {
+            trace.events.append(&self.bucket(i)?);
         }
-        Ok(TraceFile { events, ..self.header.clone() })
+        Ok(trace)
     }
 }
 
@@ -737,6 +712,10 @@ mod tests {
     use crate::ids::ModuleId;
 
     fn sample_trace() -> TraceFile {
+        trace_of(&sample_events())
+    }
+
+    fn trace_of(events: &[TraceEvent]) -> TraceFile {
         TraceFile {
             app_name: "bin".into(),
             seed: 9,
@@ -747,36 +726,40 @@ mod tests {
             duration: 3.0,
             stacks: vec![(SiteId(0), CallStack::new(vec![Frame::new(ModuleId(0), 0x40)]))],
             binmap: BinaryMap::default(),
-            events: vec![
-                TraceEvent::PhaseMarker { time: 0.0, phase: 0 },
-                TraceEvent::Alloc {
-                    time: 0.25,
-                    object: ObjectId(1),
-                    site: SiteId(0),
-                    size: 1 << 20,
-                    address: 1 << 44,
-                },
-                TraceEvent::LoadMissSample {
-                    time: 0.5,
-                    address: (1 << 44) + 128,
-                    latency_cycles: 412.0,
-                    function: FuncId(3),
-                },
-                TraceEvent::StoreSample {
-                    time: 1.0,
-                    address: (1 << 44) + 256,
-                    l1d_miss: true,
-                    function: FuncId(3),
-                },
-                TraceEvent::StoreSample {
-                    time: 1.5,
-                    address: (1 << 44) + 320,
-                    l1d_miss: false,
-                    function: FuncId(3),
-                },
-                TraceEvent::Free { time: 2.5, object: ObjectId(1) },
-            ],
+            events: EventBatch::from_events(events),
         }
+    }
+
+    fn sample_events() -> Vec<TraceEvent> {
+        vec![
+            TraceEvent::PhaseMarker { time: 0.0, phase: 0 },
+            TraceEvent::Alloc {
+                time: 0.25,
+                object: ObjectId(1),
+                site: SiteId(0),
+                size: 1 << 20,
+                address: 1 << 44,
+            },
+            TraceEvent::LoadMissSample {
+                time: 0.5,
+                address: (1 << 44) + 128,
+                latency_cycles: 412.0,
+                function: FuncId(3),
+            },
+            TraceEvent::StoreSample {
+                time: 1.0,
+                address: (1 << 44) + 256,
+                l1d_miss: true,
+                function: FuncId(3),
+            },
+            TraceEvent::StoreSample {
+                time: 1.5,
+                address: (1 << 44) + 320,
+                l1d_miss: false,
+                function: FuncId(3),
+            },
+            TraceEvent::Free { time: 2.5, object: ObjectId(1) },
+        ]
     }
 
     #[test]
@@ -787,12 +770,13 @@ mod tests {
         let back = read_trace(&buf[..]).unwrap();
         assert_eq!(back.app_name, t.app_name);
         assert_eq!(back.events.len(), t.events.len());
-        for (a, b) in t.events.iter().zip(&back.events) {
+        let (sent, got) = (t.events.to_events(), back.events.to_events());
+        for (a, b) in sent.iter().zip(&got) {
             assert!((a.time() - b.time()).abs() < 1e-6, "µs fidelity");
         }
         back.validate().unwrap();
         // Event payloads survive exactly.
-        match (&t.events[1], &back.events[1]) {
+        match (&sent[1], &got[1]) {
             (
                 TraceEvent::Alloc { object: a, size: sa, address: aa, .. },
                 TraceEvent::Alloc { object: b, size: sb, address: ab, .. },
@@ -810,7 +794,7 @@ mod tests {
         // Build a trace with many samples and compare encodings.
         let mut t = sample_trace();
         for i in 0..20_000u64 {
-            t.events.push(TraceEvent::LoadMissSample {
+            t.events.push(&TraceEvent::LoadMissSample {
                 time: 2.5 + i as f64 * 1e-5,
                 address: (1 << 44) + i * 64,
                 latency_cycles: 300.0,
@@ -891,9 +875,8 @@ mod tests {
 
     #[test]
     fn frames_reject_truncation_and_junk() {
-        let events = sample_trace().events;
         let mut buf = Vec::new();
-        write_frame(&EventBatch::from_events(&events), &mut buf);
+        write_frame(&sample_trace().events, &mut buf);
         for cut in [0, 1, buf.len() / 2, buf.len() - 1] {
             let mut pos = 0;
             assert!(read_frame(&buf[..cut], &mut pos).is_err(), "cut at {cut}");
@@ -945,10 +928,8 @@ mod tests {
 
     /// A v1 trace file holding a single hand-encoded `tag` record.
     fn v1_with(tag: u8, fields: &[u64]) -> Vec<u8> {
-        let mut t = sample_trace();
-        t.events.clear();
         let mut buf = Vec::new();
-        write_trace(&t, &mut buf).unwrap();
+        write_trace(&sample_trace().header(), &mut buf).unwrap();
         assert_eq!(buf.pop(), Some(0), "the empty trace ends with its zero event count");
         put_varint(&mut buf, 1);
         buf.push(tag);
@@ -988,8 +969,9 @@ mod tests {
 
     #[test]
     fn strict_write_rejects_unsorted_input() {
-        let mut t = sample_trace();
-        t.events.swap(2, 4); // store@1.5 now precedes load@0.5
+        let mut events = sample_events();
+        events.swap(2, 4); // store@1.5 now precedes load@0.5
+        let t = trace_of(&events);
         let err = write_trace(&t, &mut Vec::new()).unwrap_err().to_string();
         assert!(err.contains("time-sorted"), "unexpected error: {err}");
         let err = write_trace_v2(&t, &mut Vec::new()).unwrap_err().to_string();
@@ -998,22 +980,22 @@ mod tests {
 
     #[test]
     fn lenient_write_sorts_and_drops_non_finite() {
-        let mut t = sample_trace();
-        t.events.swap(2, 4);
-        t.events.push(TraceEvent::PhaseMarker { time: f64::NAN, phase: 1 });
+        let mut events = sample_events();
+        events.swap(2, 4);
+        events.push(TraceEvent::PhaseMarker { time: f64::NAN, phase: 1 });
+        let t = trace_of(&events);
         let mut buf = Vec::new();
         write_trace_lenient(&t, &mut buf).unwrap();
         let back = read_trace(&buf[..]).unwrap();
         assert_eq!(back.events.len(), sample_trace().events.len());
-        let times: Vec<f64> = back.events.iter().map(|e| e.time()).collect();
+        let times: Vec<f64> = back.events.iter_events().map(|e| e.time()).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "not sorted: {times:?}");
     }
 
     #[test]
     fn frames_reject_a_hostile_count_just_under_the_buffer_length() {
-        let events = sample_trace().events;
         let mut buf = Vec::new();
-        write_frame(&EventBatch::from_events(&events), &mut buf);
+        write_frame(&sample_trace().events, &mut buf);
         // Overwrite the count varint with one claiming nearly as many
         // events as there are bytes — the 2-bytes-per-event floor must
         // reject it before any allocation happens.
@@ -1050,11 +1032,10 @@ mod tests {
     #[test]
     fn poisoned_header_lengths_are_rejected_in_both_versions() {
         let t = sample_trace();
-        let writers: [fn(&TraceFile, &mut Vec<u8>) -> Result<(), TraceError>; 2] =
-            [|t, out| write_trace(t, out), |t, out| write_trace_v2(t, out)];
-        for write in writers {
-            let mut buf = Vec::new();
-            write(&t, &mut buf).unwrap();
+        let (mut v1, mut v2) = (Vec::new(), Vec::new());
+        write_trace(&t, &mut v1).unwrap();
+        write_trace_v2(&t, &mut v2).unwrap();
+        for buf in [v1, v2] {
             // Rewrite the header-length varint to a multi-GB claim; the
             // reader must reject it on the declared value alone.
             let mut corrupt = buf[..12].to_vec();
@@ -1076,7 +1057,7 @@ mod tests {
     fn big_trace(n: usize) -> TraceFile {
         let mut t = sample_trace();
         for i in 0..n as u64 {
-            t.events.push(TraceEvent::LoadMissSample {
+            t.events.push(&TraceEvent::LoadMissSample {
                 time: 2.5 + i as f64 * 1e-5,
                 address: (1 << 44) + i * 64,
                 latency_cycles: 250.0 + (i % 7) as f64,
@@ -1095,16 +1076,6 @@ mod tests {
         let mut v2 = Vec::new();
         write_trace_v2(&t, &mut v2).unwrap();
         assert_eq!(read_trace(&v2[..]).unwrap(), read_trace(&v1[..]).unwrap());
-    }
-
-    #[test]
-    fn columnar_v2_writes_the_same_bytes() {
-        let t = big_trace(9_000);
-        let mut from_aos = Vec::new();
-        write_trace_v2(&t, &mut from_aos).unwrap();
-        let mut from_cols = Vec::new();
-        write_columnar_v2(&crate::ColumnarTrace::from_trace_file(&t), &mut from_cols).unwrap();
-        assert_eq!(from_aos, from_cols);
     }
 
     #[test]
@@ -1127,9 +1098,7 @@ mod tests {
         for i in 0..buf.bucket_count() {
             concat.append(&buf.bucket(i).unwrap());
         }
-        let full = buf.to_trace_file().unwrap();
-        assert_eq!(concat.to_events(), full.events);
-        assert_eq!(buf.to_columnar().unwrap().into_trace_file(), full);
+        assert_eq!(concat, buf.to_trace_file().unwrap().events);
     }
 
     #[test]
@@ -1201,13 +1170,58 @@ mod tests {
 
     #[test]
     fn v2_handles_the_empty_trace() {
-        let mut t = sample_trace();
-        t.events.clear();
         let mut v2 = Vec::new();
-        write_trace_v2(&t, &mut v2).unwrap();
+        write_trace_v2(&sample_trace().header(), &mut v2).unwrap();
         let buf = TraceBuf::from_bytes(v2).unwrap();
         assert_eq!(buf.event_count(), 0);
         assert_eq!(buf.bucket_count(), 0);
         assert!(buf.to_trace_file().unwrap().events.is_empty());
+    }
+
+    #[test]
+    fn v1_rejects_trailing_bytes() {
+        let mut buf = Vec::new();
+        write_trace(&sample_trace(), &mut buf).unwrap();
+        let len = buf.len();
+        buf.extend_from_slice(b"garbage");
+        let err = read_trace(&buf[..]).unwrap_err().to_string();
+        assert!(err.contains(&format!("ends at byte {len}, file has {}", len + 7)), "{err}");
+    }
+
+    #[test]
+    fn every_v2_reader_rejects_a_bucket_with_an_undecoded_tail() {
+        // One byte appended to the last bucket's payload, with that
+        // bucket's indexed length raised to cover it: the index still
+        // tiles the file, but the bucket's events end one byte short.
+        let t = big_trace(20_000);
+        let mut v2 = Vec::new();
+        write_trace_v2(&t, &mut v2).unwrap();
+        let mut pos = 12usize;
+        pos += get_varint(&v2, &mut pos).unwrap() as usize;
+        get_varint(&v2, &mut pos).unwrap();
+        let n_buckets = get_varint(&v2, &mut pos).unwrap();
+        for _ in 1..n_buckets {
+            for _ in 0..3 {
+                get_varint(&v2, &mut pos).unwrap();
+            }
+        }
+        get_varint(&v2, &mut pos).unwrap();
+        let (len_at, mut len_end) = (pos, pos);
+        let len = get_varint(&v2, &mut len_end).unwrap();
+        let mut longer = Vec::new();
+        put_varint(&mut longer, len + 1);
+        v2.splice(len_at..len_end, longer);
+        v2.push(0);
+
+        let buf = TraceBuf::from_bytes(v2.clone()).expect("the index itself is consistent");
+        let last = buf.bucket_count() - 1;
+        let want = format!("bucket {last} decoded {len} of {} payload bytes", len + 1);
+        for err in [
+            buf.bucket(last).unwrap_err(),
+            buf.to_trace_file().unwrap_err(),
+            read_trace(&v2[..]).unwrap_err(),
+        ] {
+            assert_eq!(err.to_string(), format!("malformed trace: {want}"));
+        }
     }
 }

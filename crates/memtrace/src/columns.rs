@@ -1,13 +1,16 @@
-//! Columnar (structure-of-arrays) views of a trace — the analyzer's hot
-//! path representation.
+//! Columnar (structure-of-arrays) storage and views of a trace.
 //!
-//! A [`crate::TraceFile`] stores its events as one `Vec<TraceEvent>`: a
-//! 48-byte enum per event, with every consumer pattern-matching its way
-//! past the four kinds it does not care about. That layout is faithful to
-//! the on-disk format but hostile to the per-sample work the analyzer
-//! does half a million times per trace. This module provides the
-//! transposed view:
+//! A [`TraceEvent`] is a 48-byte enum, and a consumer that walks a
+//! `Vec<TraceEvent>` pattern-matches its way past the four kinds it does
+//! not care about — hostile to the per-sample work the analyzer does half
+//! a million times per trace. So a [`crate::TraceFile`] stores its events
+//! as one [`EventBatch`], and this module provides the views built on it:
 //!
+//! * [`EventBatch`] — one column per field per event kind plus an
+//!   arrival-ordered op stream. It is the event store of every trace, the
+//!   unit the online path streams, and the form the v2 binary trace's
+//!   buckets decode into. `TraceEvent` survives as its lossless AoS view
+//!   ([`EventBatch::iter_events`], [`EventBatch::to_events`]).
 //! * [`TraceColumns`] — one flat column per field per event kind
 //!   (timestamps, addresses, store-miss flags, …), built from an
 //!   [`EventBatch`] by [`TraceColumns::from_batch`] with one walk over
@@ -18,9 +21,6 @@
 //! * [`ObjectIndex`] — the address-interval index with the liveness
 //!   window *inlined* into each entry: one binary search plus a short
 //!   backward scan attributes a sample with zero hash lookups.
-//! * [`EventBatch`] — the streaming counterpart: a columnar batch of
-//!   events that preserves arrival order, so the online ingestor can
-//!   accept events in bulk without touching the enum per field.
 //!
 //! Consumers shard the columns into fixed-size chunks and scan them in
 //! parallel (see `profiler::analyzer`); everything here is plain data
@@ -406,14 +406,19 @@ impl BatchOp {
 
 /// A columnar batch of trace events that preserves arrival order.
 ///
-/// This is the unit the online path streams: the producer transposes a
-/// chunk of events once with [`EventBatch::from_events`], and the
-/// ingestor replays [`EventBatch::ops`] against the per-kind columns —
-/// consuming plain scalars instead of matching a 48-byte enum per field.
+/// This is the event store of a [`crate::TraceFile`] and the unit the
+/// online path streams: consumers replay [`EventBatch::ops`] against the
+/// per-kind columns — plain scalars instead of a 48-byte enum per field.
 /// The columns are lossless — [`EventBatch::event_of`] reconstructs every
-/// event exactly — so the batch is also the storage format of a
-/// [`crate::ColumnarTrace`] and of the v2 binary trace's decoded buckets.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// event exactly.
+///
+/// Equality is event-sequence equality: two batches are equal when they
+/// hold the same events in the same order, whatever row each event sits
+/// at. The synthesizer and the fault injectors leave rows in an order
+/// other than op order, so a derived, column-by-column comparison would
+/// tell apart batches that [`EventBatch::from_events`] of the same
+/// events cannot.
+#[derive(Debug, Clone, Default)]
 pub struct EventBatch {
     /// Arrival-ordered operation stream.
     pub ops: Vec<BatchOp>,
@@ -725,6 +730,12 @@ impl EventBatch {
     }
 }
 
+impl PartialEq for EventBatch {
+    fn eq(&self, other: &EventBatch) -> bool {
+        self.len() == other.len() && self.iter_events().eq(other.iter_events())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,7 +745,7 @@ mod tests {
     use crate::trace::TraceFile;
 
     fn columns(t: &TraceFile) -> TraceColumns {
-        TraceColumns::from_batch(t.duration, &t.stacks, &EventBatch::from_events(&t.events))
+        TraceColumns::from_batch(t.duration, &t.stacks, &t.events)
     }
 
     fn trace_with(events: Vec<TraceEvent>) -> TraceFile {
@@ -750,7 +761,7 @@ mod tests {
                 .map(|i| (SiteId(i), CallStack::new(vec![Frame::new(ModuleId(0), u64::from(i))])))
                 .collect(),
             binmap: BinaryMap::default(),
-            events,
+            events: EventBatch::from_events(&events),
         }
     }
 
@@ -993,5 +1004,126 @@ mod tests {
         b.set_time(b.ops[0], 2.0);
         assert!(b.time_of(b.ops[1]).is_nan());
         assert_eq!(b.time_of(b.ops[0]), 2.0);
+    }
+
+    /// One event of every kind, with lossy-looking field values.
+    fn every_kind() -> Vec<TraceEvent> {
+        vec![
+            TraceEvent::PhaseMarker { time: 0.0, phase: 0 },
+            alloc(0.5, 1, 0, 4096, 0x1000),
+            TraceEvent::LoadMissSample {
+                time: 1.0,
+                address: 0x1100,
+                latency_cycles: 321.5,
+                function: FuncId(2),
+            },
+            TraceEvent::StoreSample {
+                time: 1.5,
+                address: 0x1200,
+                l1d_miss: true,
+                function: FuncId(2),
+            },
+            TraceEvent::Free { time: 4.0, object: ObjectId(1) },
+        ]
+    }
+
+    #[test]
+    fn batch_event_reconstruction_is_exact() {
+        let events = every_kind();
+        let b = EventBatch::from_events(&events);
+        assert_eq!(b.to_events(), events);
+        assert_eq!(b.iter_events().collect::<Vec<_>>(), events);
+        // Lossless fields survive (latency + function were dropped by the
+        // pre-v2 batch layout).
+        assert_eq!(b.load_latencies, vec![321.5]);
+        assert_eq!(b.load_functions, vec![FuncId(2)]);
+        assert_eq!(b.store_functions, vec![FuncId(2)]);
+    }
+
+    #[test]
+    fn append_rebases_rows() {
+        let events = every_kind();
+        let whole = EventBatch::from_events(&events);
+        let mut acc = EventBatch::from_events(&events[..2]);
+        acc.append(&EventBatch::from_events(&events[2..]));
+        assert_eq!(acc.ops, whole.ops);
+        assert_eq!(acc, whole);
+    }
+
+    #[test]
+    fn slice_ops_round_trips_in_chunks() {
+        let whole = EventBatch::from_events(&every_kind());
+        let mut acc = EventBatch::default();
+        for lo in (0..whole.len()).step_by(2) {
+            let hi = (lo + 2).min(whole.len());
+            acc.append(&whole.slice_ops(lo..hi));
+        }
+        assert_eq!(acc.ops, whole.ops);
+        assert_eq!(acc, whole);
+    }
+
+    #[test]
+    fn equality_is_event_sequence_equality() {
+        // Emit per object, the way the synthesizer does (each object's
+        // alloc, samples and free in turn), then order the ops by time:
+        // rows stay in emission order, not op order.
+        let mut synthesized = EventBatch::default();
+        synthesized.push_phase(0.0, 0);
+        for obj in 0..4u64 {
+            let (t0, base) = (obj as f64 * 0.25, 0x1000 * (obj + 1));
+            synthesized.push_alloc(t0, ObjectId(obj), SiteId(obj as u32 % 3), 256, base);
+            synthesized.push_load(2.5 - t0, base + 64, 300.0, FuncId(1));
+            synthesized.push_store(t0 + 0.75, base + 128, obj % 2 == 0, FuncId(1));
+            synthesized.push_free(t0 + 3.0, ObjectId(obj));
+        }
+        let times: Vec<f64> = synthesized.ops.iter().map(|&op| synthesized.time_of(op)).collect();
+        let mut order: Vec<usize> = (0..times.len()).collect();
+        order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
+        synthesized.ops = order.iter().map(|&i| synthesized.ops[i]).collect();
+        let rebuilt = EventBatch::from_events(&synthesized.to_events());
+        assert_ne!(rebuilt.load_times, synthesized.load_times, "rows differ in layout");
+        assert_eq!(rebuilt, synthesized);
+
+        // The fault injector puts its frees in front of the op stream but
+        // at the end of the free rows.
+        let mut damaged = trace_with(synthesized.to_events());
+        let spec = crate::FaultSpec::with_seed(crate::FaultKind::FreeBeforeAlloc, 0.5, 7);
+        assert!(!spec.apply_to_trace(&mut damaged).is_empty());
+        let rebuilt = EventBatch::from_events(&damaged.events.to_events());
+        assert_ne!(rebuilt.free_objects, damaged.events.free_objects, "rows differ in layout");
+        assert_eq!(rebuilt, damaged.events);
+
+        // One differing non-time field in any kind breaks equality.
+        let base = every_kind();
+        let whole = EventBatch::from_events(&base);
+        for i in 0..base.len() {
+            let mut changed = base.clone();
+            changed[i] = match changed[i].clone() {
+                TraceEvent::PhaseMarker { time, phase } => {
+                    TraceEvent::PhaseMarker { time, phase: phase + 1 }
+                }
+                TraceEvent::Alloc { time, object, site, size, address } => {
+                    TraceEvent::Alloc { time, object, site, size: size + 1, address }
+                }
+                TraceEvent::LoadMissSample { time, address, latency_cycles, function } => {
+                    TraceEvent::LoadMissSample {
+                        time,
+                        address,
+                        latency_cycles,
+                        function: FuncId(function.0 + 1),
+                    }
+                }
+                TraceEvent::StoreSample { time, address, l1d_miss, function } => {
+                    TraceEvent::StoreSample { time, address, l1d_miss: !l1d_miss, function }
+                }
+                TraceEvent::Free { time, object } => {
+                    TraceEvent::Free { time, object: ObjectId(object.0 + 1) }
+                }
+            };
+            assert_ne!(EventBatch::from_events(&changed), whole, "event {i}");
+        }
+        let mut shorter = base.clone();
+        shorter.pop();
+        assert_ne!(EventBatch::from_events(&shorter), whole);
     }
 }

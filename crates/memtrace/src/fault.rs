@@ -16,7 +16,6 @@
 
 use crate::callstack::{CallStack, Frame};
 use crate::columns::BatchOp;
-use crate::ctrace::ColumnarTrace;
 use crate::ids::{ModuleId, ObjectId};
 use crate::report::{PlacementReport, ReportStack};
 use crate::trace::TraceFile;
@@ -205,20 +204,9 @@ impl FaultSpec {
 
     /// Injects a trace-targeted fault. Severity 0 (or a report-targeted
     /// kind) is a no-op; the warnings are nonempty exactly when the trace
-    /// was mutated. Converts to columns, runs
-    /// [`Self::apply_to_columnar`] and converts back.
+    /// was mutated. The injector draws its random numbers event by event
+    /// in trace order.
     pub fn apply_to_trace(&self, trace: &mut TraceFile) -> Vec<Warning> {
-        let mut columnar = ColumnarTrace::from_trace_file(trace);
-        let warnings = self.apply_to_columnar(&mut columnar);
-        *trace = columnar.into_trace_file();
-        warnings
-    }
-
-    /// Injects a trace-targeted fault into a columnar trace. Severity 0
-    /// (or a report-targeted kind) is a no-op; the warnings are nonempty
-    /// exactly when the trace was mutated. The injector draws its random
-    /// numbers event by event in trace order.
-    pub fn apply_to_columnar(&self, trace: &mut ColumnarTrace) -> Vec<Warning> {
         if self.kind.target() != FaultTarget::Trace || self.severity <= 0.0 {
             return Vec::new();
         }
@@ -379,6 +367,7 @@ mod tests {
     use super::*;
     use crate::binmap::BinaryMapBuilder;
     use crate::callstack::StackFormat;
+    use crate::columns::EventBatch;
     use crate::events::TraceEvent;
     use crate::ids::{SiteId, TierId};
     use crate::report::ReportEntry;
@@ -399,7 +388,7 @@ mod tests {
                 (SiteId(1), CallStack::new(vec![Frame::new(ModuleId(0), 0x80)])),
             ],
             binmap: b.build(),
-            events: vec![
+            events: EventBatch::from_events(&[
                 TraceEvent::Alloc {
                     time: 0.0,
                     object: ObjectId(1),
@@ -428,7 +417,7 @@ mod tests {
                 },
                 TraceEvent::Free { time: 2.0, object: ObjectId(1) },
                 TraceEvent::Free { time: 3.0, object: ObjectId(2) },
-            ],
+            ]),
         }
     }
 

@@ -14,6 +14,7 @@
 
 use crate::binmap::{BinaryMap, LineEntry, ModuleInfo};
 use crate::callstack::{CallStack, CodeLocation, Frame, HumanStack, StackFormat};
+use crate::columns::EventBatch;
 use crate::events::TraceEvent;
 use crate::ids::{FuncId, ModuleId, ObjectId, SiteId, TierId};
 use crate::report::{PlacementReport, ReportEntry, ReportStack};
@@ -295,7 +296,7 @@ pub(crate) fn trace_to_json(t: &TraceFile) -> Json {
         ("binmap", binmap_to_json(&t.binmap)),
         // `events` stays the last field: truncation repair depends on a
         // torn write losing only trailing events.
-        ("events", Json::Arr(t.events.iter().map(event_to_json).collect())),
+        ("events", Json::Arr(t.events.iter_events().map(|e| event_to_json(&e)).collect())),
     ])
 }
 
@@ -318,7 +319,7 @@ pub(crate) fn trace_from_json(v: &Json) -> Result<TraceFile, JsonError> {
         Some(p) => p.as_f64().ok_or_else(|| schema(format!("field `{k}` is not a number"))),
         None => Ok(1.0),
     };
-    Ok(TraceFile {
+    let mut trace = TraceFile {
         app_name: str_field(v, "app_name")?.to_string(),
         seed: u64_field(v, "seed")?,
         ranks: u32::try_from(ranks).map_err(|_| schema("ranks out of range"))?,
@@ -328,11 +329,12 @@ pub(crate) fn trace_from_json(v: &Json) -> Result<TraceFile, JsonError> {
         duration: f64_field(v, "duration")?,
         stacks,
         binmap: binmap_from_json(field(v, "binmap")?)?,
-        events: arr_field(v, "events")?
-            .iter()
-            .map(event_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
+        events: EventBatch::default(),
+    };
+    for e in arr_field(v, "events")? {
+        trace.events.push(&event_from_json(e)?);
+    }
+    Ok(trace)
 }
 
 fn format_to_json(f: StackFormat) -> Json {

@@ -18,7 +18,6 @@ pub mod binfmt;
 pub mod binmap;
 pub mod callstack;
 pub mod columns;
-pub mod ctrace;
 pub mod error;
 pub mod events;
 pub mod fault;
@@ -30,13 +29,10 @@ pub mod textfmt;
 pub mod trace;
 pub mod warn;
 
-pub use binfmt::{
-    read_trace, write_columnar_v2, write_trace, write_trace_lenient, write_trace_v2, TraceBuf,
-};
+pub use binfmt::{read_trace, write_trace, write_trace_lenient, write_trace_v2, TraceBuf};
 pub use binmap::{BinaryMap, BinaryMapBuilder, LoadMap, ModuleInfo};
 pub use callstack::{CallStack, CodeLocation, Frame, HumanStack, StackFormat};
 pub use columns::{EventBatch, ObjectIndex, TraceColumns, SAME_TIER_SPAN};
-pub use ctrace::ColumnarTrace;
 pub use error::TraceError;
 pub use events::TraceEvent;
 pub use fault::{FaultKind, FaultSpec, FaultTarget, ProcessFaultKind};

@@ -2,9 +2,9 @@
 //! report must survive every supported encoding.
 
 use memtrace::{
-    read_trace, write_trace, BinaryMap, BinaryMapBuilder, CallStack, FaultKind, FaultSpec, Frame,
-    FuncId, ModuleId, ObjectId, PlacementReport, ReportEntry, ReportStack, SiteId, StackFormat,
-    TierId, TraceEvent, TraceFile,
+    read_trace, write_trace, BinaryMap, BinaryMapBuilder, CallStack, EventBatch, FaultKind,
+    FaultSpec, Frame, FuncId, ModuleId, ObjectId, PlacementReport, ReportEntry, ReportStack,
+    SiteId, StackFormat, TierId, TraceEvent, TraceFile,
 };
 use proptest::prelude::*;
 
@@ -86,7 +86,7 @@ fn trace_with(events: Vec<TraceEvent>) -> TraceFile {
             })
             .collect(),
         binmap: image(),
-        events,
+        events: EventBatch::from_events(&events),
     }
 }
 
@@ -104,7 +104,7 @@ fn check_survives_both_encodings(events: Vec<TraceEvent>) {
     let back = read_trace(&bin[..]).unwrap();
     back.validate().unwrap();
     assert_eq!(back.events.len(), t.events.len());
-    for (a, b) in t.events.iter().zip(&back.events) {
+    for (a, b) in t.events.iter_events().zip(back.events.iter_events()) {
         assert!((a.time() - b.time()).abs() < 2e-6);
     }
 }

@@ -25,7 +25,7 @@ use crate::durability::queue::{self, Sender};
 use crate::error::IngestError;
 use crate::ingest::{StreamIngestor, StreamMeta};
 use memtrace::columns::EventBatch;
-use memtrace::{ColumnarTrace, DegradationPolicy, TraceError, TraceEvent, TraceFile, Warning};
+use memtrace::{DegradationPolicy, TraceError, TraceEvent, TraceFile, Warning};
 use profiler::ProfileSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -113,24 +113,14 @@ impl StreamSession {
 
 /// Streams a whole trace file through a bounded-channel session — the
 /// drop-in streaming replacement for `profiler::analyze` (strict) and
-/// `profiler::analyze_lenient` (with a lenient policy).
+/// `profiler::analyze_lenient` (with a lenient policy). Batches are
+/// sliced straight off the trace's [`EventBatch`].
 pub fn stream_profile(
     trace: &TraceFile,
     policy: DegradationPolicy,
     cfg: OnlineConfig,
 ) -> Result<(ProfileSet, Vec<Warning>), TraceError> {
-    stream_profile_columnar(&ColumnarTrace::from_trace_file(trace), policy, cfg)
-}
-
-/// [`stream_profile`] over the profiler's native columnar output: batches
-/// are sliced straight off the trace's [`EventBatch`] — no
-/// `Vec<TraceEvent>` is built on the producer side either.
-pub fn stream_profile_columnar(
-    trace: &ColumnarTrace,
-    policy: DegradationPolicy,
-    cfg: OnlineConfig,
-) -> Result<(ProfileSet, Vec<Warning>), TraceError> {
-    let session = StreamSession::spawn(StreamMeta::of_columnar(trace), policy, cfg);
+    let session = StreamSession::spawn(StreamMeta::of(trace), policy, cfg);
     let n = trace.len();
     let mut lo = 0;
     while lo < n {
@@ -159,7 +149,7 @@ mod tests {
             duration: 2.0,
             stacks: vec![(SiteId(0), CallStack::new(vec![Frame::new(ModuleId(0), 0x10)]))],
             binmap: BinaryMap::default(),
-            events,
+            events: EventBatch::from_events(&events),
         }
     }
 
@@ -214,25 +204,13 @@ mod tests {
             DegradationPolicy::Strict,
             OnlineConfig::default(),
         );
-        for e in &trace.events {
-            session.send(e.clone()).unwrap();
+        for e in trace.events.iter_events() {
+            session.send(e).unwrap();
         }
         let (one_by_one, _) = session.finish(trace.duration).unwrap();
         let (chunked, _) =
             stream_profile(&trace, DegradationPolicy::Strict, OnlineConfig::default()).unwrap();
         assert_eq!(one_by_one, chunked);
-    }
-
-    #[test]
-    fn columnar_streaming_matches_aos_streaming() {
-        let trace = toy_trace(valid_events());
-        let columnar = memtrace::ColumnarTrace::from_trace_file(&trace);
-        let (aos, _) =
-            stream_profile(&trace, DegradationPolicy::Strict, OnlineConfig::default()).unwrap();
-        let (cols, _) =
-            stream_profile_columnar(&columnar, DegradationPolicy::Strict, OnlineConfig::default())
-                .unwrap();
-        assert_eq!(aos, cols);
     }
 
     #[test]

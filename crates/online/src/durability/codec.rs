@@ -225,15 +225,13 @@ pub fn encode_ingestor(ing: &StreamIngestor, out: &mut Vec<u8>) {
     // re-pinned bit-exactly after it (JSON may round them).
     let header = TraceFile {
         app_name: ing.meta.app_name.clone(),
-        seed: 0,
         ranks: 1,
         sampling_hz: ing.meta.sampling_hz,
         load_sample_period: ing.meta.load_sample_period,
         store_sample_period: ing.meta.store_sample_period,
-        duration: 0.0,
         stacks: (*ing.meta.stacks).clone(),
         binmap: (*ing.meta.binmap).clone(),
-        events: Vec::new(),
+        ..TraceFile::default()
     };
     put_str(out, &header.to_json().expect("stream header serializes"));
     put_f64(out, ing.meta.sampling_hz);

@@ -75,18 +75,6 @@ impl StreamMeta {
             binmap: Arc::new(trace.binmap.clone()),
         }
     }
-
-    /// Extracts the header of a columnar trace.
-    pub fn of_columnar(trace: &memtrace::ColumnarTrace) -> StreamMeta {
-        StreamMeta {
-            app_name: trace.app_name.clone(),
-            sampling_hz: trace.sampling_hz,
-            load_sample_period: trace.load_sample_period,
-            store_sample_period: trace.store_sample_period,
-            stacks: Arc::new(trace.stacks.clone()),
-            binmap: Arc::new(trace.binmap.clone()),
-        }
-    }
 }
 
 /// One object's accumulating record (the streaming twin of the analyzer's
@@ -1023,7 +1011,7 @@ mod tests {
             duration: 2.0,
             stacks: (*meta().stacks).clone(),
             binmap: BinaryMap::default(),
-            events,
+            events: EventBatch::from_events(&events),
         };
         assert_eq!(err, trace.validate().unwrap_err().to_string());
     }

@@ -41,7 +41,7 @@ pub mod ingest;
 pub mod policy;
 pub mod stats;
 
-pub use channel::{stream_profile, stream_profile_columnar, StreamSession};
+pub use channel::{stream_profile, StreamSession};
 pub use config::OnlineConfig;
 pub use durability::{
     Admission, DurabilityConfig, DurableEngine, PlacementView, RecoveryReport, Supervisor,

@@ -140,7 +140,7 @@ fn edge_case_trace() -> TraceFile {
             })
             .collect(),
         binmap: BinaryMap::default(),
-        events: edge_case_events(),
+        events: EventBatch::from_events(&edge_case_events()),
     }
 }
 
@@ -173,10 +173,10 @@ fn run(
     let mut ing = StreamIngestor::new(StreamMeta::of(trace), policy, cfg);
     let mut adv = advisor(cfg.hysteresis);
     let (mut revisions, mut error) = (Vec::new(), None);
-    let (mut at, mut k) = (0, 0);
-    while at < trace.events.len() && error.is_none() {
-        let n = sizes[k % sizes.len()].min(trace.events.len() - at);
-        let chunk = &trace.events[at..at + n];
+    let (events, mut at, mut k) = (trace.events.to_events(), 0, 0);
+    while at < events.len() && error.is_none() {
+        let n = sizes[k % sizes.len()].min(events.len() - at);
+        let chunk = &events[at..at + n];
         let fed: Result<(), TraceError> = if columnar {
             ing.push_batch(&EventBatch::from_events(chunk)).map(|_| ())
         } else {
@@ -265,14 +265,15 @@ fn rebuilds_checked_against_analyzer(trace: &TraceFile, policy: DegradationPolic
     let cfg = OnlineConfig::default();
     // Which events the validator accepts does not depend on the batching.
     let mut probe = StreamIngestor::new(StreamMeta::of(trace), policy, cfg);
+    let events = trace.events.to_events();
     let accepted: Vec<bool> =
-        trace.events.iter().map(|e| probe.push(e.clone()).unwrap_or(false)).collect();
+        events.iter().map(|e| probe.push(e.clone()).unwrap_or(false)).collect();
 
     let mut ing = StreamIngestor::new(StreamMeta::of(trace), policy, cfg);
     let mut adv = advisor(cfg.hysteresis);
     let (mut prefix, mut ids) = (Vec::new(), HashSet::new());
     let mut rebuilt = 0;
-    for (k, chunk) in trace.events.chunks(BATCH).enumerate() {
+    for (k, chunk) in events.chunks(BATCH).enumerate() {
         if ing.push_batch(&EventBatch::from_events(chunk)).is_err() {
             break;
         }
@@ -291,9 +292,9 @@ fn rebuilds_checked_against_analyzer(trace: &TraceFile, policy: DegradationPolic
             continue;
         }
         let reference = profiler::analyze(&TraceFile {
-            events: prefix.clone(),
+            events: EventBatch::from_events(&prefix),
             duration: now,
-            ..trace.clone()
+            ..trace.header()
         })
         .expect("accepted events form a valid trace");
         let mut checked = Checked { ing: &mut ing, reference: &reference, rebuilt: Cell::new(0) };
@@ -344,7 +345,7 @@ fn columnar_push_batch_matches_per_event_push_on_the_edge_cases() {
         DegradationPolicy::BestEffort,
         OnlineConfig::default(),
     );
-    ing.push_batch(&EventBatch::from_events(&trace.events)).unwrap();
+    ing.push_batch(&trace.events).unwrap();
     let p = ing.snapshot(trace.duration);
     let samples = |site: u32, id: u64| {
         let s = p.site(SiteId(site)).unwrap();
@@ -365,22 +366,22 @@ fn columnar_push_batch_matches_per_event_push_on_the_edge_cases() {
 #[test]
 fn every_prefix_snapshots_like_the_analyzer() {
     let full = edge_case_trace();
-    let reuse = full
-        .events
+    let events = full.events.to_events();
+    let reuse = events
         .iter()
         .position(
             |e| matches!(e, TraceEvent::Alloc { object: ObjectId(2), time, .. } if *time > 0.5),
         )
         .expect("the stream re-uses id 2");
     for k in 1..=reuse {
-        let duration = full.events[k - 1].time();
-        let prefix = TraceFile { events: full.events[..k].to_vec(), duration, ..full.clone() };
+        let duration = events[k - 1].time();
+        let prefix = TraceFile { events: full.events.slice_ops(0..k), duration, ..full.header() };
         let mut ing = StreamIngestor::new(
             StreamMeta::of(&prefix),
             DegradationPolicy::Strict,
             OnlineConfig::default(),
         );
-        ing.push_batch(&EventBatch::from_events(&prefix.events)).unwrap();
+        ing.push_batch(&prefix.events).unwrap();
         assert_eq!(ing.snapshot(duration), profiler::analyze(&prefix).unwrap(), "prefix of {k}");
     }
 }
@@ -411,7 +412,7 @@ fn a_checkpoint_from_the_previous_encoder_restores_and_continues() {
     let cfg = OnlineConfig { hysteresis: 0.5, ..OnlineConfig::default() };
     let mut fresh = StreamIngestor::new(StreamMeta::of(&trace), DegradationPolicy::BestEffort, cfg);
     let mut fresh_adv = advisor(cfg.hysteresis);
-    fresh.push_batch(&EventBatch::from_events(&trace.events[..FIXTURE_EVENTS])).unwrap();
+    fresh.push_batch(&trace.events.slice_ops(0..FIXTURE_EVENTS)).unwrap();
     fresh_adv.tick(&mut fresh, FIXTURE_TICK);
     let mut now = Vec::new();
     encode_ingestor(&fresh, &mut now);
@@ -419,7 +420,7 @@ fn a_checkpoint_from_the_previous_encoder_restores_and_continues() {
     assert_eq!(now, fixture, "the current encoder writes the same checkpoint");
 
     // The restored engine continues exactly like the uninterrupted one.
-    let rest = EventBatch::from_events(&trace.events[FIXTURE_EVENTS..]);
+    let rest = trace.events.slice_ops(FIXTURE_EVENTS..trace.len());
     ing.push_batch(&rest).unwrap();
     fresh.push_batch(&rest).unwrap();
     assert_eq!(adv.tick(&mut ing, trace.duration), fresh_adv.tick(&mut fresh, trace.duration));

@@ -14,8 +14,8 @@ use ecohmem_online::{
     stream_profile, DegradationPolicy, IncrementalAdvisor, OnlineConfig, StreamIngestor, StreamMeta,
 };
 use memtrace::{
-    BinaryMap, BinaryMapBuilder, CallStack, Frame, FuncId, ModuleId, ObjectId, SiteId, TraceEvent,
-    TraceFile,
+    BinaryMap, BinaryMapBuilder, CallStack, EventBatch, Frame, FuncId, ModuleId, ObjectId, SiteId,
+    TraceEvent, TraceFile,
 };
 use profiler::analyze;
 use proptest::prelude::*;
@@ -103,7 +103,7 @@ fn trace_with(events: Vec<TraceEvent>) -> TraceFile {
             .map(|i| (SiteId(i), CallStack::new(vec![Frame::new(ModuleId(0), 64 * u64::from(i))])))
             .collect(),
         binmap: image(),
-        events,
+        events: EventBatch::from_events(&events),
     }
 }
 
@@ -166,8 +166,8 @@ proptest! {
             OnlineConfig::default(),
         );
         let mut adv = IncrementalAdvisor::new(a_cfg.clone(), advisor::Algorithm::Base);
-        for (i, e) in trace.events.iter().enumerate() {
-            ing.push(e.clone()).unwrap();
+        for (i, e) in trace.events.iter_events().enumerate() {
+            ing.push(e).unwrap();
             if (i + 1) % every == 0 {
                 let now = ing.now().max(0.0);
                 adv.tick(&mut ing, now);
@@ -219,8 +219,8 @@ fn streaming_matches_batch_on_a_profiled_workload() {
         DegradationPolicy::Strict,
         OnlineConfig::default(),
     );
-    for e in &trace.events {
-        ing.push(e.clone()).unwrap();
+    for e in trace.events.iter_events() {
+        ing.push(e).unwrap();
     }
     let mut adv = IncrementalAdvisor::new(cfg.clone(), advisor::Algorithm::BandwidthAware);
     adv.tick(&mut ing, trace.duration);

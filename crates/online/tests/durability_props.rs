@@ -12,8 +12,8 @@
 use advisor::{AdvisorConfig, Algorithm};
 use ecohmem_online::{DurabilityConfig, DurableEngine, OnlineConfig, StreamMeta};
 use memtrace::{
-    BinaryMap, BinaryMapBuilder, CallStack, DegradationPolicy, FaultKind, FaultSpec, FaultTarget,
-    Frame, FuncId, ModuleId, ObjectId, SiteId, TraceEvent, TraceFile,
+    BinaryMap, BinaryMapBuilder, CallStack, DegradationPolicy, EventBatch, FaultKind, FaultSpec,
+    FaultTarget, Frame, FuncId, ModuleId, ObjectId, SiteId, TraceEvent, TraceFile,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -110,7 +110,7 @@ fn trace_with(events: Vec<TraceEvent>) -> TraceFile {
             .map(|i| (SiteId(i), CallStack::new(vec![Frame::new(ModuleId(0), 64 * u64::from(i))])))
             .collect(),
         binmap: image(),
-        events,
+        events: EventBatch::from_events(&events),
     }
 }
 
@@ -149,7 +149,8 @@ fn drive(
     checkpoint_every: u64,
     crash_at: Option<usize>,
 ) -> (Vec<ecohmem_online::PlacementRevision>, profiler::ProfileSet, usize) {
-    let chunks: Vec<&[TraceEvent]> = trace.events.chunks(8).collect();
+    let events = trace.events.to_events();
+    let chunks: Vec<&[TraceEvent]> = events.chunks(8).collect();
     let mut engine = open(dir, trace, policy, checkpoint_every);
     let mut fed = 0;
     for (i, chunk) in chunks.iter().enumerate() {
@@ -183,7 +184,7 @@ proptest! {
         checkpoint_every in 0u64..16, // 0 = checkpoint only on close
     ) {
         let trace = trace_with(events);
-        let chunk_count = trace.events.chunks(8).count();
+        let chunk_count = trace.len().div_ceil(8);
         if chunk_count == 0 {
             continue; // an all-no-op stream generated no events
         }
@@ -256,7 +257,7 @@ fn journal_replay_is_deterministic_under_every_fault_kind() {
                 drive(&base, &trace, DegradationPolicy::BestEffort, 4, None);
             std::fs::remove_dir_all(&base).unwrap();
 
-            let chunk_count = trace.events.chunks(8).count().max(1);
+            let chunk_count = trace.len().div_ceil(8).max(1);
             for crash_at in [0, chunk_count / 2, chunk_count - 1] {
                 let dir = tmpdir("fault-crash");
                 let (revs, profile, warn) =

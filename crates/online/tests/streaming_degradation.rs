@@ -10,9 +10,7 @@
 
 use ecohmem_online::{stream_profile, DegradationPolicy, OnlineConfig, StreamIngestor, StreamMeta};
 use memsim::{ExecMode, FixedTier, MachineConfig};
-use memtrace::{
-    ColumnarTrace, FaultKind, FaultSpec, FaultTarget, TierId, TraceEvent, TraceFile, WarningKind,
-};
+use memtrace::{FaultKind, FaultSpec, FaultTarget, TierId, TraceEvent, TraceFile, WarningKind};
 use profiler::{analyze, analyze_lenient};
 
 fn profiled_trace() -> TraceFile {
@@ -75,8 +73,10 @@ fn policies_order_by_permissiveness_on_a_damaged_stream() {
     // predecessor (the out-of-order signature CorruptTimestamps leaves).
     let mut trace = profiled_trace();
     assert!(trace.events.len() > 12);
-    let earlier = trace.events[9].time() - 1.0;
-    trace.events[10].set_time(earlier);
+    let ops = &trace.events.ops;
+    let (ninth, tenth) = (ops[9], ops[10]);
+    let earlier = trace.events.time_of(ninth) - 1.0;
+    trace.events.set_time(tenth, earlier);
 
     let strict_err =
         stream_profile(&trace, DegradationPolicy::Strict, OnlineConfig::default()).unwrap_err();
@@ -116,8 +116,9 @@ fn dropped_events_are_counted_in_the_warnings() {
 #[test]
 fn warn_refuses_a_stream_with_nothing_usable() {
     let mut trace = profiled_trace();
-    for e in &mut trace.events {
-        e.set_time(f64::NAN); // total clock failure: every event unusable
+    for i in 0..trace.events.len() {
+        let op = trace.events.ops[i];
+        trace.events.set_time(op, f64::NAN); // total clock failure: every event unusable
     }
 
     let err = stream_profile(&trace, DegradationPolicy::Warn, OnlineConfig::default())
@@ -137,11 +138,11 @@ fn warn_refuses_a_stream_with_nothing_usable() {
 fn truncated_streams_salvage_the_prefix() {
     let mut trace = profiled_trace();
     let keep = trace.events.len() / 3;
-    trace.events.truncate(keep);
+    trace.events = trace.events.slice_ops(0..keep);
     // Also simulate mid-record loss: a free for an object whose alloc was
     // cut off by the truncation.
-    let t = trace.events.last().map(|e| e.time()).unwrap_or(0.0);
-    trace.events.push(TraceEvent::Free { time: t, object: memtrace::ObjectId(u64::MAX) });
+    let t = trace.events.iter_events().last().map_or(0.0, |e| e.time());
+    trace.events.push(&TraceEvent::Free { time: t, object: memtrace::ObjectId(u64::MAX) });
 
     let (batch, _) = analyze_lenient(&trace);
     let (streamed, warnings) =
@@ -153,7 +154,7 @@ fn truncated_streams_salvage_the_prefix() {
 
 /// The streaming/batch contract, event rule by event rule: for every
 /// trace fault at light, heavy and full severity under three seeds, a
-/// `Strict` ingestor fails with exactly `ColumnarTrace::validate`'s error
+/// `Strict` ingestor fails with exactly `TraceFile::validate`'s error
 /// (or both accept), and the lenient ingestors drop exactly what
 /// `sanitize_verbose` drops — same kinds, counts, first indices and
 /// dropped window.
@@ -164,11 +165,11 @@ fn streaming_applies_the_batch_integrity_rules_under_every_fault() {
         for severity in [0.05, 0.5, 1.0] {
             for seed in [11u64, 12, 13] {
                 let what = format!("{kind}@{severity} seed {seed}");
-                let mut damaged = ColumnarTrace::from_trace_file(&clean);
-                FaultSpec::with_seed(kind, severity, seed).apply_to_columnar(&mut damaged);
+                let mut damaged = clean.clone();
+                FaultSpec::with_seed(kind, severity, seed).apply_to_trace(&mut damaged);
                 let feed = |policy| {
                     let mut ing = StreamIngestor::new(
-                        StreamMeta::of_columnar(&damaged),
+                        StreamMeta::of(&damaged),
                         policy,
                         OnlineConfig::default(),
                     );

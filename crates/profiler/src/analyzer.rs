@@ -7,8 +7,8 @@
 //! mapping from the allocation events and interval-searches each sample —
 //! the same object-matching job Paramedir performs (§IV-A).
 //!
-//! The analysis is columnar: the trace's [`EventBatch`] is transposed
-//! once into [`memtrace::columns::TraceColumns`] (by
+//! The analysis is columnar: the trace's [`memtrace::EventBatch`] is
+//! transposed once into [`memtrace::columns::TraceColumns`] (by
 //! `TraceColumns::from_batch`, the only column builder), an
 //! [`memtrace::columns::ObjectIndex`] whose entries inline the liveness
 //! window gives zero hash lookups per sample, and sample attribution is
@@ -16,11 +16,11 @@
 //! sharded into fixed-size chunks and run through
 //! [`memsim::parallel_map`]. Every shard accumulates integer sample
 //! *counts*; the merge is a sum of `u64`s, so the result is bit-identical
-//! for any worker count. An AoS [`TraceFile`] is converted with
-//! [`ColumnarTrace::from_trace_file`] and takes the same path.
+//! for any worker count.
 //!
-//! The original event-at-a-time walk survives only as the test oracle
-//! [`analyze_legacy`]. The differential suites
+//! The original event-at-a-time walk over the AoS view
+//! ([`memtrace::EventBatch::iter_events`]) survives only as the test
+//! oracle [`analyze_legacy`]. The differential suites
 //! (`tests/columnar_differential.rs` and the workspace-level
 //! `tests/columnar.rs`) prove the two produce identical [`ProfileSet`]s —
 //! on the golden workloads, on arbitrary generated traces, and on
@@ -28,10 +28,8 @@
 
 use crate::profile::{ObjectLifetime, ProfileSet, SiteProfile};
 use memtrace::binfmt::TraceBuf;
-use memtrace::columns::{EventBatch, ObjectIndex, TraceColumns};
-use memtrace::{
-    BinaryMap, CallStack, ColumnarTrace, ObjectId, SiteId, TraceError, TraceEvent, TraceFile,
-};
+use memtrace::columns::{ObjectIndex, TraceColumns};
+use memtrace::{BinaryMap, CallStack, ObjectId, SiteId, TraceError, TraceEvent, TraceFile};
 use memtrace::{Warning, WarningKind};
 use std::collections::HashMap;
 
@@ -46,8 +44,8 @@ const SAMPLE_SHARD: usize = 1 << 15;
 
 /// Analyzes a trace into per-site profiles. Fails on malformed traces.
 ///
-/// Converts the trace to columns and runs the columnar engine with the
-/// worker count from [`memsim::jobs_from_env`].
+/// Runs the columnar engine with the worker count from
+/// [`memsim::jobs_from_env`].
 pub fn analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
     analyze_with_jobs(trace, memsim::jobs_from_env())
 }
@@ -57,27 +55,6 @@ pub fn analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
 /// does.
 pub fn analyze_with_jobs(trace: &TraceFile, jobs: usize) -> Result<ProfileSet, TraceError> {
     let _span = ecohmem_obs::span("analyzer.analyze");
-    analyze_validated(&ColumnarTrace::from_trace_file(trace), jobs)
-}
-
-/// [`analyze`] over a [`ColumnarTrace`]: the profiler's native output
-/// feeds the columnar engine directly — no `Vec<TraceEvent>` is ever
-/// built.
-pub fn analyze_columnar(trace: &ColumnarTrace) -> Result<ProfileSet, TraceError> {
-    analyze_columnar_with_jobs(trace, memsim::jobs_from_env())
-}
-
-/// [`analyze_columnar`] with an explicit worker count.
-pub fn analyze_columnar_with_jobs(
-    trace: &ColumnarTrace,
-    jobs: usize,
-) -> Result<ProfileSet, TraceError> {
-    let _span = ecohmem_obs::span("analyzer.analyze");
-    analyze_validated(trace, jobs)
-}
-
-/// Validates, transposes and analyzes: the one production analysis path.
-fn analyze_validated(trace: &ColumnarTrace, jobs: usize) -> Result<ProfileSet, TraceError> {
     trace.validate()?;
     let cols = {
         let _span = ecohmem_obs::span("analyzer.columns.build");
@@ -86,9 +63,16 @@ fn analyze_validated(trace: &ColumnarTrace, jobs: usize) -> Result<ProfileSet, T
     Ok(analyze_cols(trace, &cols, jobs))
 }
 
+/// [`analyze`] under its old name: a forward kept for perfbench, which
+/// still calls it. ROADMAP item 1 deletes it.
+#[doc(hidden)]
+pub fn analyze_columnar(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
+    analyze(trace)
+}
+
 /// Analyzes a v2 binary trace straight from its [`TraceBuf`]: buckets
 /// decode lazily (in parallel for `jobs > 1`) into one columnar batch,
-/// which then takes the same path as [`analyze_columnar`] — recorded
+/// which then takes the same path as [`analyze`] — recorded
 /// traces feed the analyzer without an upfront whole-file
 /// parse-into-`Vec<TraceEvent>` pass.
 pub fn analyze_stream(buf: &TraceBuf) -> Result<ProfileSet, TraceError> {
@@ -98,22 +82,22 @@ pub fn analyze_stream(buf: &TraceBuf) -> Result<ProfileSet, TraceError> {
 /// [`analyze_stream`] with an explicit worker count for bucket decoding
 /// and the sharded scans.
 pub fn analyze_stream_with_jobs(buf: &TraceBuf, jobs: usize) -> Result<ProfileSet, TraceError> {
-    let events = {
+    let trace = {
         let _span = ecohmem_obs::span("analyzer.stream.decode");
         let decoded =
             memsim::parallel_map((0..buf.bucket_count()).collect(), jobs, |i| buf.bucket(i));
-        let mut events =
-            EventBatch { ops: Vec::with_capacity(buf.event_count()), ..Default::default() };
+        let mut trace = buf.header().clone();
+        trace.events.ops.reserve(buf.event_count());
         for bucket in decoded {
-            events.append(&bucket?);
+            trace.events.append(&bucket?);
         }
-        events
+        trace
     };
-    analyze_columnar_with_jobs(&ColumnarTrace::with_events(buf.header(), events), jobs)
+    analyze_with_jobs(&trace, jobs)
 }
 
-/// The scalar reference analyzer: event-at-a-time over the AoS event
-/// vector. Kept only as the oracle the differential tests compare the
+/// The scalar reference analyzer: event-at-a-time over the trace's AoS
+/// view. Kept only as the oracle the differential tests compare the
 /// columnar engine against.
 #[doc(hidden)]
 pub fn analyze_legacy(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
@@ -121,18 +105,18 @@ pub fn analyze_legacy(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
     scalar_analyze(trace)
 }
 
-/// Lenient analysis: sanitizes a columnar copy of the trace — dropping
+/// Lenient analysis: sanitizes a copy of the trace — dropping
 /// the events strict validation would reject — and analyzes the
 /// remainder. Never fails: if analysis is still impossible the result is
 /// an empty profile (which places everything in the fallback tier
 /// downstream) plus a warning saying so. The warning list is nonempty
 /// exactly when the trace needed repair or could not be analyzed.
 pub fn analyze_lenient(trace: &TraceFile) -> (ProfileSet, Vec<Warning>) {
-    let mut clean = ColumnarTrace::from_trace_file(trace);
+    let mut clean = trace.clone();
     let (mut warnings, _) = clean.sanitize_verbose();
     ecohmem_obs::count("analyzer.lenient.repairs", warnings.len() as u64);
     let (profile, failed) =
-        profile_or_empty(analyze_columnar(&clean), &trace.app_name, clean.duration, &trace.binmap);
+        profile_or_empty(analyze(&clean), &trace.app_name, clean.duration, &trace.binmap);
     warnings.extend(failed);
     (profile, warnings)
 }
@@ -363,7 +347,7 @@ fn scan_shard(cols: &TraceColumns, index: &ObjectIndex, bins: &[f64], task: Shar
 
 /// The columnar analysis core. The trace is already validated and
 /// transposed.
-fn analyze_cols(trace: &ColumnarTrace, cols: &TraceColumns, jobs: usize) -> ProfileSet {
+fn analyze_cols(trace: &TraceFile, cols: &TraceColumns, jobs: usize) -> ProfileSet {
     ecohmem_obs::count("analyzer.columns.objects", cols.objects.len() as u64);
     ecohmem_obs::count("analyzer.columns.load_samples", cols.load_times.len() as u64);
     ecohmem_obs::count("analyzer.columns.store_samples", cols.store_times.len() as u64);
@@ -487,31 +471,31 @@ fn scalar_analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
     // after free replaces its record, last instance wins).
     let mut objs: Vec<Obj> = Vec::new();
     let mut by_id: HashMap<ObjectId, u32> = HashMap::new();
-    for e in &trace.events {
+    for e in trace.events.iter_events() {
         match e {
             TraceEvent::Alloc { time, object, site, size, address } => {
                 let rec = Obj {
-                    id: *object,
-                    site: *site,
-                    size: *size,
-                    address: *address,
-                    alloc_time: *time,
+                    id: object,
+                    site,
+                    size,
+                    address,
+                    alloc_time: time,
                     free_time: trace.duration,
                     load_samples: 0,
                     store_samples: 0,
                     store_l1d_miss_samples: 0,
                 };
-                match by_id.get(object) {
+                match by_id.get(&object) {
                     Some(&i) => objs[i as usize] = rec,
                     None => {
-                        by_id.insert(*object, objs.len() as u32);
+                        by_id.insert(object, objs.len() as u32);
                         objs.push(rec);
                     }
                 }
             }
             TraceEvent::Free { time, object } => {
-                if let Some(&i) = by_id.get(object) {
-                    objs[i as usize].free_time = *time;
+                if let Some(&i) = by_id.get(&object) {
+                    objs[i as usize].free_time = time;
                 }
             }
             _ => {}
@@ -549,22 +533,20 @@ fn scalar_analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
 
     // Pass 2: attribute samples.
     let mut unmatched_samples = 0u64;
-    for e in &trace.events {
+    for e in trace.events.iter_events() {
         match e {
-            TraceEvent::LoadMissSample { time, address, .. } => match find(*address, *time) {
+            TraceEvent::LoadMissSample { time, address, .. } => match find(address, time) {
                 Some(i) => objs[i as usize].load_samples += 1,
                 None => unmatched_samples += 1,
             },
-            TraceEvent::StoreSample { time, address, l1d_miss, .. } => {
-                match find(*address, *time) {
-                    Some(i) => {
-                        let o = &mut objs[i as usize];
-                        o.store_samples += 1;
-                        o.store_l1d_miss_samples += u64::from(*l1d_miss);
-                    }
-                    None => unmatched_samples += 1,
+            TraceEvent::StoreSample { time, address, l1d_miss, .. } => match find(address, time) {
+                Some(i) => {
+                    let o = &mut objs[i as usize];
+                    o.store_samples += 1;
+                    o.store_l1d_miss_samples += u64::from(l1d_miss);
                 }
-            }
+                None => unmatched_samples += 1,
+            },
             _ => {}
         }
     }
@@ -576,20 +558,20 @@ fn scalar_analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
     let bins = sorted_bins(
         trace
             .events
-            .iter()
+            .iter_events()
             .filter_map(|e| match e {
-                TraceEvent::PhaseMarker { time, .. } => Some(*time),
+                TraceEvent::PhaseMarker { time, .. } => Some(time),
                 _ => None,
             })
             .collect(),
     );
     let mut bin_load = vec![0u64; bins.len()];
     let mut bin_store_miss = vec![0u64; bins.len()];
-    for e in &trace.events {
+    for e in trace.events.iter_events() {
         match e {
-            TraceEvent::LoadMissSample { time, .. } => bin_load[bin_of(&bins, *time)] += 1,
+            TraceEvent::LoadMissSample { time, .. } => bin_load[bin_of(&bins, time)] += 1,
             TraceEvent::StoreSample { time, l1d_miss: true, .. } => {
-                bin_store_miss[bin_of(&bins, *time)] += 1;
+                bin_store_miss[bin_of(&bins, time)] += 1;
             }
             _ => {}
         }
@@ -790,7 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_and_stream_entry_points_agree_with_aos() {
+    fn stream_entry_point_agrees_with_analyze() {
         let app = workloads::minife::model();
         let mach = MachineConfig::optane_pmem6();
         let cfg = ProfilerConfig::default();
@@ -800,27 +782,24 @@ mod tests {
             ExecMode::MemoryMode,
             &mut FixedTier::new(memtrace::TierId::PMEM),
         );
-        let columnar = crate::sampler::synthesize_columns_with_jobs(&app, &result, &cfg, 2);
-        let aos = columnar.to_trace_file();
-
-        let from_aos = analyze_with_jobs(&aos, 2).unwrap();
-        let from_cols = analyze_columnar_with_jobs(&columnar, 2).unwrap();
-        assert_eq!(from_aos, from_cols);
+        let trace = crate::sampler::synthesize_trace_with_jobs(&app, &result, &cfg, 2);
+        let from_trace = analyze_with_jobs(&trace, 2).unwrap();
 
         let mut bin = Vec::new();
-        memtrace::binfmt::write_columnar_v2(&columnar, &mut bin).unwrap();
+        memtrace::binfmt::write_trace_v2(&trace, &mut bin).unwrap();
         let buf = TraceBuf::from_bytes(bin).unwrap();
         let from_stream = analyze_stream_with_jobs(&buf, 2).unwrap();
         // µs quantization makes the stream path *nearly* identical; pin
         // the structure exactly and the estimates byte-for-byte (counts
         // are integers scaled by the shared periods).
-        assert_eq!(from_aos.sites.len(), from_stream.sites.len());
-        for (a, s) in from_aos.sites.iter().zip(&from_stream.sites) {
+        assert_eq!(from_trace.sites.len(), from_stream.sites.len());
+        for (a, s) in from_trace.sites.iter().zip(&from_stream.sites) {
             assert_eq!(a.site, s.site);
             assert_eq!(a.alloc_count, s.alloc_count);
             assert_eq!(a.total_bytes, s.total_bytes);
         }
-        // And the quantized AoS read agrees exactly with the stream path.
+        // And the quantized whole-file read agrees exactly with the stream
+        // path.
         let quantized = buf.to_trace_file().unwrap();
         assert_eq!(analyze_with_jobs(&quantized, 2).unwrap(), from_stream);
     }

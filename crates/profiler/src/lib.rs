@@ -25,13 +25,12 @@ pub mod sampler;
 pub mod timeline;
 
 pub use analyzer::{
-    analyze, analyze_columnar, analyze_columnar_with_jobs, analyze_legacy, analyze_lenient,
-    analyze_stream, analyze_stream_with_jobs, analyze_with_jobs, bandwidth_series,
-    profile_or_empty,
+    analyze, analyze_columnar, analyze_legacy, analyze_lenient, analyze_stream,
+    analyze_stream_with_jobs, analyze_with_jobs, bandwidth_series, profile_or_empty,
 };
 pub use profile::{ObjectLifetime, ProfileSet, SiteIndex, SiteProfile};
 pub use sampler::{
-    profile_run, profile_run_cached, profile_run_cached_columnar, synthesize_columns,
-    synthesize_columns_with_jobs, synthesize_trace, synthesize_trace_with_jobs, ProfilerConfig,
+    profile_run, profile_run_cached, synthesize_columns, synthesize_trace,
+    synthesize_trace_with_jobs, ProfilerConfig,
 };
 pub use timeline::{timeline, to_csv, TimelineRow};

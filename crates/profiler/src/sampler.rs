@@ -31,9 +31,7 @@
 use memsim::RunResult;
 use memsim::{AppModel, ExecMode, MachineConfig, ObjectRecord, PhaseStats, PlacementPolicy};
 use memtrace::columns::BatchOp;
-use memtrace::{
-    ColumnarTrace, EventBatch, FuncId, ObjectId, SiteId, TierId, TraceEvent, TraceFile,
-};
+use memtrace::{EventBatch, FuncId, ObjectId, SiteId, TierId, TraceEvent, TraceFile};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -82,21 +80,6 @@ pub fn profile_run_cached(
 ) -> (TraceFile, Arc<RunResult>) {
     let result = memsim::global_cache().run_fixed(app, machine, mode, tier, None);
     let trace = synthesize_trace(app, &result, cfg);
-    (trace, result)
-}
-
-/// [`profile_run_cached`] that stays columnar: the trace never passes
-/// through `Vec<TraceEvent>`. This is the pipeline's profiling stage —
-/// the analyzer consumes the [`ColumnarTrace`] directly.
-pub fn profile_run_cached_columnar(
-    app: &AppModel,
-    machine: &MachineConfig,
-    mode: ExecMode,
-    tier: TierId,
-    cfg: &ProfilerConfig,
-) -> (ColumnarTrace, Arc<RunResult>) {
-    let result = memsim::global_cache().run_fixed(app, machine, mode, tier, None);
-    let trace = synthesize_columns(app, &result, cfg);
     (trace, result)
 }
 
@@ -544,23 +527,26 @@ fn budget(app: &AppModel, result: &RunResult, cfg: &ProfilerConfig) -> Budget {
     }
 }
 
-/// Builds the columnar trace from an engine result.
-pub fn synthesize_columns(
-    app: &AppModel,
-    result: &RunResult,
-    cfg: &ProfilerConfig,
-) -> ColumnarTrace {
-    synthesize_columns_with_jobs(app, result, cfg, memsim::jobs_from_env())
+/// Builds the trace from an engine result.
+pub fn synthesize_trace(app: &AppModel, result: &RunResult, cfg: &ProfilerConfig) -> TraceFile {
+    synthesize_trace_with_jobs(app, result, cfg, memsim::jobs_from_env())
 }
 
-/// [`synthesize_columns`] with an explicit worker count. The trace does
+/// [`synthesize_trace`] under its old name: a forward kept for perfbench,
+/// which still calls it. ROADMAP item 1 deletes it.
+#[doc(hidden)]
+pub fn synthesize_columns(app: &AppModel, result: &RunResult, cfg: &ProfilerConfig) -> TraceFile {
+    synthesize_trace(app, result, cfg)
+}
+
+/// [`synthesize_trace`] with an explicit worker count. The trace does
 /// not depend on `jobs` (unit-tested); only wall-clock does.
-pub fn synthesize_columns_with_jobs(
+pub fn synthesize_trace_with_jobs(
     app: &AppModel,
     result: &RunResult,
     cfg: &ProfilerConfig,
     jobs: usize,
-) -> ColumnarTrace {
+) -> TraceFile {
     let _span = ecohmem_obs::span("profiler.synthesize");
     // The chunked path pays a fold pass that only parallelism repays; with
     // fewer cores than requested jobs it is strictly overhead, and the
@@ -620,7 +606,7 @@ pub fn synthesize_columns_with_jobs(
     ecohmem_obs::count("profiler.samples.store", n_stores);
     ecohmem_obs::count("profiler.allocs.recorded", result.objects.len() as u64);
 
-    ColumnarTrace {
+    TraceFile {
         app_name: app.name.clone(),
         seed: cfg.seed,
         ranks: app.ranks,
@@ -632,27 +618,6 @@ pub fn synthesize_columns_with_jobs(
         binmap: app.binmap.clone(),
         events,
     }
-}
-
-/// Builds the trace from an engine result.
-pub fn synthesize_trace(app: &AppModel, result: &RunResult, cfg: &ProfilerConfig) -> TraceFile {
-    synthesize_trace_with_jobs(app, result, cfg, memsim::jobs_from_env())
-}
-
-/// [`synthesize_trace`] with an explicit worker count: the columnar
-/// generator plus an AoS materialization pass. Callers that can consume
-/// [`ColumnarTrace`] directly (the pipeline, the analyzer, the streaming
-/// ingestor) should use [`synthesize_columns_with_jobs`] and skip the
-/// materialization.
-pub fn synthesize_trace_with_jobs(
-    app: &AppModel,
-    result: &RunResult,
-    cfg: &ProfilerConfig,
-    jobs: usize,
-) -> TraceFile {
-    let columns = synthesize_columns_with_jobs(app, result, cfg, jobs);
-    let _span = ecohmem_obs::span("profiler.materialize");
-    columns.into_trace_file()
 }
 
 /// The AoS generator kept as the differential-testing oracle for the
@@ -727,7 +692,7 @@ pub mod reference {
             duration: result.total_time,
             stacks: app.sites.clone(),
             binmap: app.binmap.clone(),
-            events,
+            events: EventBatch::from_events(&events),
         }
     }
 }
@@ -779,15 +744,12 @@ mod tests {
         let cfg = ProfilerConfig { sampling_hz: 100.0, seed: 11 };
         let result =
             memsim::run(&app, &mach, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM));
-        let serial = synthesize_columns_with_jobs(&app, &result, &cfg, 1);
+        let serial = synthesize_trace_with_jobs(&app, &result, &cfg, 1);
         for jobs in [1, 4] {
-            // The columnar batches themselves agree, not just the AoS view.
-            assert_eq!(synthesize_columns_with_jobs(&app, &result, &cfg, jobs), serial, "{jobs}");
-            assert_eq!(
-                synthesize_trace_with_jobs(&app, &result, &cfg, jobs),
-                serial.to_trace_file(),
-                "jobs={jobs}"
-            );
+            let trace = synthesize_trace_with_jobs(&app, &result, &cfg, jobs);
+            // The column layout agrees too, not just the event sequence.
+            assert_eq!(trace.events.ops, serial.events.ops, "jobs={jobs}");
+            assert_eq!(trace, serial, "jobs={jobs}");
         }
     }
 
@@ -835,15 +797,15 @@ mod tests {
         let t = trace_for(3);
         // Collect object address ranges.
         let mut ranges = Vec::new();
-        for e in &t.events {
+        for e in t.events.iter_events() {
             if let TraceEvent::Alloc { address, size, .. } = e {
-                ranges.push((*address, *address + *size));
+                ranges.push((address, address + size));
             }
         }
-        for e in &t.events {
+        for e in t.events.iter_events() {
             if let TraceEvent::LoadMissSample { address, .. } = e {
                 assert!(
-                    ranges.iter().any(|&(lo, hi)| *address >= lo && *address < hi),
+                    ranges.iter().any(|&(lo, hi)| address >= lo && address < hi),
                     "sample address {address:#x} outside every object"
                 );
             }
@@ -855,13 +817,13 @@ mod tests {
         let t = trace_for(9);
         // Reconstruct each object's lifetime from its alloc/free events.
         let mut life: HashMap<u64, (f64, f64)> = HashMap::new();
-        for e in &t.events {
+        for e in t.events.iter_events() {
             match e {
                 TraceEvent::Alloc { time, object, .. } => {
-                    life.entry(object.0).or_insert((*time, f64::INFINITY)).0 = *time;
+                    life.entry(object.0).or_insert((time, f64::INFINITY)).0 = time;
                 }
                 TraceEvent::Free { time, object } => {
-                    life.entry(object.0).or_insert((0.0, *time)).1 = *time;
+                    life.entry(object.0).or_insert((0.0, time)).1 = time;
                 }
                 _ => {}
             }
@@ -869,16 +831,16 @@ mod tests {
         // Map each sample back to the (unique, non-overlapping) object
         // whose address interval contains it.
         let mut ranges: Vec<(u64, u64, u64)> = Vec::new();
-        for e in &t.events {
+        for e in t.events.iter_events() {
             if let TraceEvent::Alloc { address, size, object, .. } = e {
-                ranges.push((*address, *address + *size, object.0));
+                ranges.push((address, address + size, object.0));
             }
         }
         let mut checked = 0usize;
-        for e in &t.events {
+        for e in t.events.iter_events() {
             let (time, address) = match e {
-                TraceEvent::LoadMissSample { time, address, .. } => (*time, *address),
-                TraceEvent::StoreSample { time, address, .. } => (*time, *address),
+                TraceEvent::LoadMissSample { time, address, .. } => (time, address),
+                TraceEvent::StoreSample { time, address, .. } => (time, address),
                 _ => continue,
             };
             assert!(time <= t.duration, "sample at {time} past run end {}", t.duration);

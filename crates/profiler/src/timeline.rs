@@ -34,10 +34,10 @@ pub struct TimelineRow {
 /// is rebuilt from the allocation events, as the analyzer does).
 pub fn timeline(trace: &TraceFile) -> Result<Vec<TimelineRow>, TraceError> {
     trace.validate()?;
+    let events = trace.events.to_events();
 
     // Phase windows from the markers.
-    let mut marks: Vec<(u32, f64)> = trace
-        .events
+    let mut marks: Vec<(u32, f64)> = events
         .iter()
         .filter_map(|e| match e {
             TraceEvent::PhaseMarker { time, phase } => Some((*phase, *time)),
@@ -53,20 +53,19 @@ pub fn timeline(trace: &TraceFile) -> Result<Vec<TimelineRow>, TraceError> {
     // site, t_alloc, t_free).
     let mut obj_size: HashMap<u64, u64> = HashMap::new();
     let mut obj_addr: HashMap<u64, u64> = HashMap::new();
-    for e in &trace.events {
+    for e in &events {
         if let TraceEvent::Alloc { object, address, size, .. } = e {
             obj_size.insert(object.0, *size);
             obj_addr.insert(object.0, *address);
         }
     }
     let mut free_time: HashMap<u64, f64> = HashMap::new();
-    for e in &trace.events {
+    for e in &events {
         if let TraceEvent::Free { time, object } = e {
             free_time.insert(object.0, *time);
         }
     }
-    let mut addr_index: Vec<(u64, u64, SiteId, f64, f64)> = trace
-        .events
+    let mut addr_index: Vec<(u64, u64, SiteId, f64, f64)> = events
         .iter()
         .filter_map(|e| match e {
             TraceEvent::Alloc { time, site, size, address, object } => Some((
@@ -111,7 +110,7 @@ pub fn timeline(trace: &TraceFile) -> Result<Vec<TimelineRow>, TraceError> {
     let mut live: i64 = 0;
     let mut live_at: Vec<i64> = vec![0; rows.len()];
     let mut last_bin = 0usize;
-    for e in &trace.events {
+    for e in &events {
         match e {
             TraceEvent::LoadMissSample { time, address, .. } => {
                 let b = bin_of(*time);
@@ -201,9 +200,7 @@ mod tests {
     fn one_row_per_phase_in_time_order() {
         let trace = trace_and_profile();
         let rows = timeline(&trace).unwrap();
-        let phases =
-            trace.events.iter().filter(|e| matches!(e, TraceEvent::PhaseMarker { .. })).count();
-        assert_eq!(rows.len(), phases);
+        assert_eq!(rows.len(), trace.events.phase_times.len());
         for w in rows.windows(2) {
             assert!(w[0].end <= w[1].start + 1e-9);
         }

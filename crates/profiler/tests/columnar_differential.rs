@@ -11,12 +11,11 @@
 
 use memtrace::fault::{FaultKind, FaultSpec, FaultTarget};
 use memtrace::{
-    BinaryMap, BinaryMapBuilder, CallStack, Frame, FuncId, ModuleId, ObjectId, SiteId, TierId,
-    TraceEvent, TraceFile,
+    BinaryMap, BinaryMapBuilder, CallStack, EventBatch, Frame, FuncId, ModuleId, ObjectId, SiteId,
+    TierId, TraceEvent, TraceFile,
 };
 use profiler::{
-    analyze_columnar_with_jobs, analyze_legacy, analyze_with_jobs, profile_run,
-    synthesize_columns_with_jobs, ProfilerConfig,
+    analyze_legacy, analyze_with_jobs, profile_run, synthesize_trace_with_jobs, ProfilerConfig,
 };
 use proptest::prelude::*;
 
@@ -103,7 +102,7 @@ fn trace_with(events: Vec<TraceEvent>) -> TraceFile {
             .map(|i| (SiteId(i), CallStack::new(vec![Frame::new(ModuleId(0), 64 * u64::from(i))])))
             .collect(),
         binmap: image(),
-        events,
+        events: EventBatch::from_events(&events),
     }
 }
 
@@ -171,10 +170,10 @@ proptest! {
     }
 }
 
-/// The pipeline's own path — synthesized columns straight into the
+/// The pipeline's own path — a synthesized trace straight into the
 /// columnar analyzer, whose sample columns keep emission order rather
-/// than time order — equals the scalar analyzer on the materialized trace
-/// for every shipped workload, serial and sharded.
+/// than time order — equals the scalar analyzer walking the same trace's
+/// events for every shipped workload, serial and sharded.
 #[test]
 fn synthesized_columns_analyze_like_the_legacy_path() {
     use memsim::{ExecMode, FixedTier, MachineConfig};
@@ -184,11 +183,10 @@ fn synthesized_columns_analyze_like_the_legacy_path() {
     for app in &apps {
         let result =
             memsim::run(app, &machine, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM));
-        let columnar = synthesize_columns_with_jobs(app, &result, &ProfilerConfig::default(), 1);
-        let legacy =
-            analyze_legacy(&columnar.to_trace_file()).expect("synthesized traces are valid");
+        let trace = synthesize_trace_with_jobs(app, &result, &ProfilerConfig::default(), 1);
+        let legacy = analyze_legacy(&trace).expect("synthesized traces are valid");
         for jobs in [1, 4] {
-            let profile = analyze_columnar_with_jobs(&columnar, jobs).expect("valid");
+            let profile = analyze_with_jobs(&trace, jobs).expect("valid");
             assert!(profile == legacy, "{} jobs {jobs}: columnar profile differs", app.name);
         }
     }

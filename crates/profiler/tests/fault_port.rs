@@ -1,36 +1,37 @@
 //! Differentials for the columnar trace-repair path: the columnar fault
-//! injectors against the original event-vector injectors, and columnar
-//! sanitize against `TraceFile::sanitize_verbose`, on profiled traces
-//! damaged by every trace fault kind.
+//! injectors against the original event-vector injectors on profiled
+//! traces damaged by every trace fault kind, and sanitize's repair of
+//! every such trace.
 
 use memsim::{ExecMode, FixedTier, MachineConfig};
 use memtrace::{
-    CallStack, ColumnarTrace, FaultKind, FaultSpec, FaultTarget, Frame, ModuleId, ObjectId, TierId,
+    CallStack, EventBatch, FaultKind, FaultSpec, FaultTarget, Frame, ModuleId, ObjectId, TierId,
     TraceEvent, TraceFile, Warning, WarningKind,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The event-vector trace injectors as they stood before the columnar
-/// port, kept verbatim as the oracle: the same `StdRng` stream, drawn
-/// event by event in trace order.
+/// port, kept verbatim as the oracle over the trace's AoS view: the same
+/// `StdRng` stream, drawn event by event in trace order.
 fn oracle_apply(spec: &FaultSpec, trace: &mut TraceFile) -> Vec<Warning> {
     if spec.kind.target() != FaultTarget::Trace || spec.severity <= 0.0 {
         return Vec::new();
     }
+    let mut events = trace.events.to_events();
     let severity = spec.severity.min(1.0);
     let mut rng = StdRng::seed_from_u64(spec.seed ^ ((spec.kind as u64) << 56) ^ 0x5eed);
     let mutated = match spec.kind {
         FaultKind::TruncateEvents => {
-            let keep = ((trace.events.len() as f64) * (1.0 - severity)).floor() as usize;
-            let dropped = trace.events.len() - keep;
-            trace.events.truncate(keep);
+            let keep = ((events.len() as f64) * (1.0 - severity)).floor() as usize;
+            let dropped = events.len() - keep;
+            events.truncate(keep);
             dropped
         }
         FaultKind::DropSamples => {
-            let before = trace.events.len();
-            trace.events.retain(|e| !e.is_sample() || rng.gen::<f64>() >= severity);
-            before - trace.events.len()
+            let before = events.len();
+            events.retain(|e| !e.is_sample() || rng.gen::<f64>() >= severity);
+            before - events.len()
         }
         FaultKind::CorruptTimestamps => {
             let span = if trace.duration.is_finite() && trace.duration > 0.0 {
@@ -39,7 +40,7 @@ fn oracle_apply(spec: &FaultSpec, trace: &mut TraceFile) -> Vec<Warning> {
                 1.0
             };
             let mut hit = 0usize;
-            for e in &mut trace.events {
+            for e in events.iter_mut() {
                 if rng.gen::<f64>() < severity {
                     let t = if rng.gen::<f64>() < 0.2 { f64::NAN } else { rng.gen::<f64>() * span };
                     e.set_time(t);
@@ -51,9 +52,8 @@ fn oracle_apply(spec: &FaultSpec, trace: &mut TraceFile) -> Vec<Warning> {
         FaultKind::FreeBeforeAlloc => {
             let allocs = trace.alloc_count().max(1);
             let extra = ((allocs as f64) * severity).ceil() as usize;
-            let t0 = trace.events.first().map(|e| e.time()).unwrap_or(0.0);
-            let fresh = trace
-                .events
+            let t0 = events.first().map(|e| e.time()).unwrap_or(0.0);
+            let fresh = events
                 .iter()
                 .filter_map(|e| match e {
                     TraceEvent::Alloc { object, .. } => Some(object.0),
@@ -63,9 +63,7 @@ fn oracle_apply(spec: &FaultSpec, trace: &mut TraceFile) -> Vec<Warning> {
                 .unwrap_or(0)
                 + 1;
             for i in 0..extra {
-                trace
-                    .events
-                    .insert(0, TraceEvent::Free { time: t0, object: ObjectId(fresh + i as u64) });
+                events.insert(0, TraceEvent::Free { time: t0, object: ObjectId(fresh + i as u64) });
             }
             extra
         }
@@ -84,6 +82,7 @@ fn oracle_apply(spec: &FaultSpec, trace: &mut TraceFile) -> Vec<Warning> {
         }
         FaultKind::StaleOffsets | FaultKind::DropModules => unreachable!("report faults"),
     };
+    trace.events = EventBatch::from_events(&events);
     if mutated == 0 {
         return Vec::new();
     }
@@ -105,13 +104,13 @@ fn profiled_trace() -> TraceFile {
         &mut FixedTier::new(TierId::PMEM),
         &profiler::ProfilerConfig::default(),
     );
-    let end = trace.events.last().map_or(0.0, TraceEvent::time);
+    let end = trace.events.iter_events().last().map_or(0.0, |e| e.time());
     let (site, _) = trace.stacks[0].clone();
     for (i, id) in [7u64 << 40, 7 << 40, 9 << 40].into_iter().enumerate() {
         let time = end + i as f64;
         let object = ObjectId(id);
-        trace.events.push(TraceEvent::Alloc { time, object, site, size: 64, address: 64 });
-        trace.events.push(TraceEvent::Free { time, object: ObjectId(id) });
+        trace.events.push(&TraceEvent::Alloc { time, object, site, size: 64, address: 64 });
+        trace.events.push(&TraceEvent::Free { time, object: ObjectId(id) });
     }
     trace.validate().expect("profiled traces are valid");
     assert!(trace.sample_count() > 1000 && trace.alloc_count() > 100);
@@ -120,9 +119,9 @@ fn profiled_trace() -> TraceFile {
 
 /// Event-for-event equality that also holds for NaN timestamps: times
 /// compare by bit pattern, every other field by value.
-fn assert_same_events(a: &[TraceEvent], b: &[TraceEvent], what: &str) {
+fn assert_same_events(a: &EventBatch, b: &EventBatch, what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: event count");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+    for (i, (x, y)) in a.iter_events().zip(b.iter_events()).enumerate() {
         assert_eq!(x.time().to_bits(), y.time().to_bits(), "{what}: time of event {i}");
         let (mut x, mut y) = (x.clone(), y.clone());
         x.set_time(0.0);
@@ -146,26 +145,18 @@ fn columnar_injectors_match_the_event_vector_oracle() {
                 let mut oracle = clean.clone();
                 let oracle_warnings = oracle_apply(&spec, &mut oracle);
 
-                let mut columnar = ColumnarTrace::from_trace_file(&clean);
-                let warnings = spec.apply_to_columnar(&mut columnar);
+                let mut damaged = clean.clone();
+                let warnings = spec.apply_to_trace(&mut damaged);
                 assert_eq!(warnings, oracle_warnings, "{what}: warnings");
-                let columnar = columnar.into_trace_file();
-                assert_same_events(&columnar.events, &oracle.events, &what);
-                assert_eq!(columnar.stacks, oracle.stacks, "{what}: stacks");
-
-                // The event-vector entry point is now a wrapper over the
-                // columnar injector; it must agree too.
-                let mut wrapped = clean.clone();
-                assert_eq!(spec.apply_to_trace(&mut wrapped), oracle_warnings, "{what}");
-                assert_same_events(&wrapped.events, &oracle.events, &what);
-                assert_eq!(wrapped.stacks, oracle.stacks, "{what}: stacks");
+                assert_same_events(&damaged.events, &oracle.events, &what);
+                assert_eq!(damaged.stacks, oracle.stacks, "{what}: stacks");
             }
         }
     }
 }
 
 #[test]
-fn columnar_sanitize_matches_trace_file_sanitize() {
+fn sanitize_leaves_a_valid_trace_under_every_fault() {
     let clean = profiled_trace();
     for kind in trace_kinds() {
         for severity in [0.0, 0.05, 0.5, 1.0] {
@@ -173,36 +164,17 @@ fn columnar_sanitize_matches_trace_file_sanitize() {
                 let what = format!("{kind}@{severity} seed {seed}");
                 let mut damaged = clean.clone();
                 FaultSpec::with_seed(kind, severity, seed).apply_to_trace(&mut damaged);
+                let before = damaged.len() as u64;
+                let (_, window) = damaged.sanitize_verbose();
+                assert_eq!(window.count, before - damaged.len() as u64, "{what}: dropped window");
+                damaged.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
 
-                let mut expected = damaged.clone();
-                let (expected_warnings, expected_window) = expected.sanitize_verbose();
-                let mut columnar = ColumnarTrace::from_trace_file(&damaged);
-                let (warnings, window) = columnar.sanitize_verbose();
-                assert_eq!(warnings, expected_warnings, "{what}: warnings");
-                assert_eq!(window, expected_window, "{what}: dropped window");
-                columnar.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
-
-                let (again, again_window) = columnar.sanitize_verbose();
+                let sanitized = damaged.clone();
+                let (again, again_window) = damaged.sanitize_verbose();
                 assert!(again.is_empty(), "{what}: second sanitize repaired {again:?}");
                 assert_eq!(again_window.count, 0, "{what}");
-                assert_eq!(columnar.into_trace_file(), expected, "{what}: sanitized trace");
+                assert_same_events(&damaged.events, &sanitized.events, &what);
             }
         }
     }
-}
-
-/// Broken run metadata is repaired identically on both representations.
-#[test]
-fn columnar_sanitize_repairs_metadata_like_trace_file_sanitize() {
-    let mut damaged = profiled_trace();
-    damaged.duration = f64::NAN;
-    damaged.sampling_hz = 0.0;
-    damaged.store_sample_period = -1.0;
-    let mut expected = damaged.clone();
-    let expected_out = expected.sanitize_verbose();
-    let mut columnar = ColumnarTrace::from_trace_file(&damaged);
-    let out = columnar.sanitize_verbose();
-    assert_eq!(out, expected_out);
-    assert_eq!(out.0.len(), 3);
-    assert_eq!(columnar.into_trace_file(), expected);
 }

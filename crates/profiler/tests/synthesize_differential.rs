@@ -6,8 +6,8 @@
 //! generator produces (serial emission, one stable sort by time) — same
 //! events, same order, same bytes. This suite pins that contract over
 //! every shipped workload and arbitrary small application models, pins
-//! jobs-invariance (jobs ∈ {1, 2, 4} → equal columnar
-//! batches, hence byte-identical encodings), and pins the sample-window
+//! jobs-invariance (jobs ∈ {1, 2, 4} → equal events in equal column
+//! layouts, hence byte-identical encodings), and pins the sample-window
 //! property: every sample timestamp falls inside its object's
 //! `[alloc_time, free_time]` ∩ phase window.
 
@@ -17,7 +17,7 @@ use memsim::{
 };
 use memtrace::{BinaryMapBuilder, CallStack, Frame, FuncId, ModuleId, SiteId, TierId, TraceEvent};
 use profiler::sampler::reference::synthesize_trace_reference;
-use profiler::{synthesize_columns_with_jobs, synthesize_trace_with_jobs, ProfilerConfig};
+use profiler::{synthesize_trace_with_jobs, ProfilerConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -147,7 +147,7 @@ proptest! {
 
     /// The hard differential guarantee: columnar synthesis, serial or
     /// chunked, reproduces the pre-columnar AoS generator event for
-    /// event — and the columnar batches themselves are jobs-invariant.
+    /// event — and the column layout itself is jobs-invariant.
     #[test]
     fn columnar_synthesize_matches_the_aos_reference(
         model in arb_model(),
@@ -165,25 +165,25 @@ proptest! {
                 "jobs={}", jobs
             );
         }
-        let c1 = synthesize_columns_with_jobs(&model, &result, &cfg, 1);
-        let c2 = synthesize_columns_with_jobs(&model, &result, &cfg, 2);
-        let c4 = synthesize_columns_with_jobs(&model, &result, &cfg, 4);
+        let c1 = synthesize_trace_with_jobs(&model, &result, &cfg, 1);
+        let c2 = synthesize_trace_with_jobs(&model, &result, &cfg, 2);
+        let c4 = synthesize_trace_with_jobs(&model, &result, &cfg, 4);
+        // Equal events under equal ops means equal rows: every row is
+        // referenced by exactly one op.
         prop_assert_eq!(&c1, &c2);
         prop_assert_eq!(&c1, &c4);
+        prop_assert_eq!(&c1.events.ops, &c2.events.ops);
+        prop_assert_eq!(&c1.events.ops, &c4.events.ops);
 
-        // Equal batches serialize to byte-identical v2 files, and the
+        // Equal traces serialize to byte-identical v2 files, and the
         // encoding round-trips through the lazily-decoded TraceBuf.
         let mut bytes = Vec::new();
-        memtrace::write_columnar_v2(&c1, &mut bytes).unwrap();
+        memtrace::write_trace_v2(&c1, &mut bytes).unwrap();
         let mut bytes4 = Vec::new();
-        memtrace::write_columnar_v2(&c4, &mut bytes4).unwrap();
+        memtrace::write_trace_v2(&c4, &mut bytes4).unwrap();
         prop_assert_eq!(&bytes, &bytes4);
         let buf = memtrace::TraceBuf::from_bytes(bytes).unwrap();
         prop_assert_eq!(buf.event_count(), c1.len());
-        let mut via_aos = Vec::new();
-        memtrace::write_trace_v2(&c1.to_trace_file(), &mut via_aos).unwrap();
-        prop_assert_eq!(&memtrace::TraceBuf::from_bytes(via_aos).unwrap().to_trace_file().unwrap(),
-                        &buf.to_trace_file().unwrap());
     }
 
     /// The clipped-window property (the satellite bugfix): every sample
@@ -200,10 +200,10 @@ proptest! {
             memsim::run(&model, &machine, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM));
         let cfg = ProfilerConfig { sampling_hz: 100.0, seed };
         let trace = synthesize_trace_with_jobs(&model, &result, &cfg, 2);
-        for e in &trace.events {
+        for e in trace.events.iter_events() {
             let (time, address) = match e {
-                TraceEvent::LoadMissSample { time, address, .. } => (*time, *address),
-                TraceEvent::StoreSample { time, address, .. } => (*time, *address),
+                TraceEvent::LoadMissSample { time, address, .. } => (time, address),
+                TraceEvent::StoreSample { time, address, .. } => (time, address),
                 _ => continue,
             };
             prop_assert!(time <= result.total_time,

@@ -431,7 +431,7 @@ impl CoreInner {
         let mut key_bytes = Vec::new();
         // Hash the codec form of the two tables; cheap relative to engine
         // construction and independent of in-memory layout.
-        let probe = TraceFile { events: Vec::new(), app_name: String::new(), ..header.clone() };
+        let probe = TraceFile { app_name: String::new(), ..header.header() };
         let _ = memtrace::binfmt::write_trace(&probe, &mut key_bytes);
         let key = fnv1a(&key_bytes);
         let mut interner = self.interner.lock().expect("interner lock");
@@ -655,7 +655,7 @@ mod tests {
                 (SiteId(1), CallStack::new(vec![Frame::new(ModuleId(0), 0x20)])),
             ],
             binmap: BinaryMap::default(),
-            events: Vec::new(),
+            events: EventBatch::default(),
         }
     }
 

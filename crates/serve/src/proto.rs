@@ -236,7 +236,7 @@ pub fn decode_revisions(
 
 /// Builds the events-free header trace a [`Frame::Hello`] carries.
 pub fn header_of(trace: &TraceFile) -> TraceFile {
-    TraceFile { events: Vec::new(), ..trace.clone() }
+    trace.header()
 }
 
 /// Encodes the Hello header blob.
@@ -608,7 +608,7 @@ mod tests {
             duration: 1.5,
             stacks: vec![(SiteId(0), CallStack::new(vec![StackFrame::new(ModuleId(0), 0x10)]))],
             binmap: BinaryMap::default(),
-            events: Vec::new(),
+            events: EventBatch::default(),
         }
     }
 
@@ -691,10 +691,19 @@ mod tests {
     #[test]
     fn header_with_events_is_refused() {
         let mut t = header();
-        t.events = events();
+        t.events = EventBatch::from_events(&events());
         let bytes = encode_header(&t).unwrap();
         let err = decode_header(&bytes).unwrap_err();
         assert!(err.to_string().contains("events travel in Events frames"), "{err}");
+    }
+
+    #[test]
+    fn header_with_a_trailing_byte_is_refused() {
+        let mut bytes = encode_header(&header()).unwrap();
+        decode_header(&bytes).unwrap();
+        bytes.push(0);
+        let err = decode_header(&bytes).unwrap_err().to_string();
+        assert!(err.contains(&format!("ends at byte {}", bytes.len() - 1)), "{err}");
     }
 
     #[test]

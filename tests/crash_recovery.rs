@@ -48,7 +48,8 @@ enum Op {
 
 fn feed_plan(trace: &TraceFile) -> Vec<Op> {
     let mut ops = Vec::new();
-    let chunks: Vec<&[TraceEvent]> = trace.events.chunks(512).collect();
+    let events = trace.events.to_events();
+    let chunks: Vec<&[TraceEvent]> = events.chunks(512).collect();
     let stride = (chunks.len() / 6).max(1);
     for (i, chunk) in chunks.iter().enumerate() {
         ops.push(Op::Batch(chunk.to_vec()));
@@ -167,11 +168,12 @@ fn best_effort_serves_the_stale_placement_after_a_fatal_crash() {
         sup_cfg,
         |_| {},
     );
-    let half = trace.events.len() / 2;
-    for chunk in trace.events[..half].chunks(512) {
+    let events = trace.events.to_events();
+    let half = events.len() / 2;
+    for chunk in events[..half].chunks(512) {
         supervisor.offer(chunk.to_vec()).unwrap();
     }
-    supervisor.tick(trace.events[half - 1].time()).unwrap();
+    supervisor.tick(events[half - 1].time()).unwrap();
     let mut live = None;
     for _ in 0..600 {
         if let Some(v) = supervisor.placement() {

@@ -59,13 +59,13 @@ fn corrupted_trace_is_rejected_by_the_analyzer() {
     // Inject a double free.
     let victim = trace
         .events
-        .iter()
+        .iter_events()
         .find_map(|e| match e {
-            TraceEvent::Free { object, .. } => Some(*object),
+            TraceEvent::Free { object, .. } => Some(object),
             _ => None,
         })
         .unwrap();
-    trace.events.push(TraceEvent::Free { time: trace.duration + 1.0, object: victim });
+    trace.events.push(&TraceEvent::Free { time: trace.duration + 1.0, object: victim });
     assert!(analyze(&trace).is_err());
 }
 

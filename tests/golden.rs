@@ -182,7 +182,8 @@ fn durability_scenario() -> String {
         sup_cfg,
         |_| {},
     );
-    let chunks: Vec<&[TraceEvent]> = trace.events.chunks(512).collect();
+    let events = trace.events.to_events();
+    let chunks: Vec<&[TraceEvent]> = events.chunks(512).collect();
     let crashes = [chunks.len() / 3, 2 * chunks.len() / 3];
     for (i, chunk) in chunks.iter().enumerate() {
         if i > 0 && crashes.contains(&i) {
@@ -328,6 +329,60 @@ fn engine_fingerprints() -> String {
     out
 }
 
+/// Length and FNV digest of every trace encoding, one line per codec per
+/// app: the JSON codec, binfmt v1 and v2, and the serve `Hello` header.
+/// Then, per trace fault kind at two severities, the v2 digest of the
+/// faulted-then-sanitized trace and the warnings both steps reported.
+fn trace_codec_digests() -> String {
+    use ecohmem_serve::proto;
+    use memsim::{ExecMode, FixedTier, MachineConfig};
+    use memtrace::{binfmt, FaultTarget};
+    use profiler::{profile_run, ProfilerConfig};
+
+    let machine = MachineConfig::optane_pmem6();
+    let mut out = String::new();
+    let mut line = |label: String, bytes: &[u8], notes: &[String]| {
+        out.push_str(&format!("{label} {} {:016x}\n", bytes.len(), fnv1a(bytes)));
+        for note in notes {
+            out.push_str(&format!("  {note}\n"));
+        }
+    };
+    let v2 = |t: &memtrace::TraceFile| {
+        let mut buf = Vec::new();
+        binfmt::write_trace_v2(t, &mut buf).unwrap();
+        buf
+    };
+    for app_name in APPS {
+        let app = ecohmem::workloads::model_by_name(app_name).unwrap();
+        let (trace, _) = profile_run(
+            &app,
+            &machine,
+            ExecMode::MemoryMode,
+            &mut FixedTier::new(machine.largest_tier()),
+            &ProfilerConfig::default(),
+        );
+        line(format!("{app_name} json"), trace.to_json().unwrap().as_bytes(), &[]);
+        let mut v1 = Vec::new();
+        binfmt::write_trace(&trace, &mut v1).unwrap();
+        line(format!("{app_name} v1"), &v1, &[]);
+        line(format!("{app_name} v2"), &v2(&trace), &[]);
+        let hello = proto::encode_header(&proto::header_of(&trace)).unwrap();
+        line(format!("{app_name} hello"), &hello, &[]);
+        for kind in FaultKind::ALL.into_iter().filter(|k| k.target() == FaultTarget::Trace) {
+            for severity in [0.25, 1.0] {
+                let mut t = trace.clone();
+                let warnings = FaultSpec::with_seed(kind, severity, 7).apply_to_trace(&mut t);
+                let (repairs, window) = t.sanitize_verbose();
+                let mut notes: Vec<String> =
+                    warnings.iter().chain(&repairs).map(|w| w.to_string()).collect();
+                notes.push(format!("dropped {}{}", window.count, window.describe()));
+                line(format!("{app_name} {kind}@{severity} v2"), &v2(&t), &notes);
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn pipeline_artifacts_match_goldens() {
     for app_name in APPS {
@@ -353,4 +408,5 @@ fn pipeline_artifacts_match_goldens() {
 
     // Last, so its engine counters cannot leak into the snapshots above.
     assert_matches_golden("engine_runs.txt", &engine_fingerprints());
+    assert_matches_golden("trace_codecs.txt", &trace_codec_digests());
 }

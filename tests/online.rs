@@ -122,8 +122,8 @@ fn incremental_advisor_matches_offline_assignment_over_a_recorded_trace() {
         );
         let mut online = IncrementalAdvisor::new(config, Algorithm::Base);
         let stride = (trace.events.len() / 7).max(1);
-        for (i, event) in trace.events.iter().enumerate() {
-            ingestor.push(event.clone()).unwrap();
+        for (i, event) in trace.events.iter_events().enumerate() {
+            ingestor.push(event).unwrap();
             if (i + 1) % stride == 0 {
                 let now = ingestor.now();
                 online.tick(&mut ingestor, now);

@@ -42,7 +42,8 @@ enum Op {
 /// event batches with six evenly spread ticks plus a final one.
 fn feed_plan(trace: &TraceFile) -> Vec<Op> {
     let mut ops = Vec::new();
-    let chunks: Vec<&[TraceEvent]> = trace.events.chunks(512).collect();
+    let events = trace.events.to_events();
+    let chunks: Vec<&[TraceEvent]> = events.chunks(512).collect();
     let stride = (chunks.len() / 6).max(1);
     for (i, chunk) in chunks.iter().enumerate() {
         ops.push(Op::Batch(chunk.to_vec()));

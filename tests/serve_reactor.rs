@@ -34,7 +34,7 @@ use memtrace::{
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 const DRAM_GIB: u64 = 12;
@@ -43,6 +43,16 @@ const SITES: usize = 8;
 const SAMPLES: usize = 512;
 const BATCH: usize = 128;
 const MIB: u64 = 1 << 20;
+
+/// The daemon thread census counts every thread of this process, so it
+/// holds this lock exclusively while every other test holds it shared:
+/// another test's servers and clients must not start or stop threads
+/// between the census's two samples.
+static CENSUS: RwLock<()> = RwLock::new(());
+
+fn beside_other_tests() -> RwLockReadGuard<'static, ()> {
+    CENSUS.read().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Small deterministic trace: four hot-set shapes over a few sites,
 /// sized for test time, not throughput.
@@ -97,7 +107,7 @@ fn synth_trace(shape: usize) -> TraceFile {
         duration: 4.0,
         stacks,
         binmap: BinaryMap::default(),
-        events,
+        events: EventBatch::from_events(&events),
     }
 }
 
@@ -108,7 +118,8 @@ enum Op {
 
 fn feed_plan(trace: &TraceFile) -> Vec<Op> {
     let mut ops = Vec::new();
-    let chunks: Vec<&[TraceEvent]> = trace.events.chunks(BATCH).collect();
+    let events = trace.events.to_events();
+    let chunks: Vec<&[TraceEvent]> = events.chunks(BATCH).collect();
     for (i, chunk) in chunks.iter().enumerate() {
         ops.push(Op::Batch(chunk.to_vec()));
         if (i + 1) % 2 == 0 {
@@ -201,6 +212,7 @@ fn boot_server_with(
 /// whole frames: the served revision log still matches the isolated run.
 #[test]
 fn tcp_dribble_decodes_identically_to_whole_frames() {
+    let _census = beside_other_tests();
     let trace = synth_trace(0);
     let isolated = isolated_run(&trace);
     let (addr, daemon) = boot_server(1, 1, 1, Duration::from_secs(120));
@@ -245,6 +257,7 @@ fn collect_raw(mut sock: TcpStream) -> (Vec<PlacementRevision>, bool) {
 /// `inbox_capacity` items: every session completes, and each per-shape
 /// probe log stays byte-identical to its isolated run.
 fn connect_storm(sessions: usize, window: usize, inbox_capacity: usize) {
+    let _census = beside_other_tests();
     let traces: Vec<TraceFile> = (0..SHAPES).map(synth_trace).collect();
     let reference: Vec<Vec<u8>> = traces.iter().map(|t| revision_bytes(&isolated_run(t))).collect();
     let serve = ServeConfig { inbox_capacity, ..no_shed_config(2, sessions + 8) };
@@ -320,6 +333,7 @@ fn os_threads_of_self() -> usize {
 #[cfg(target_os = "linux")]
 #[test]
 fn daemon_thread_count_is_independent_of_connection_count() {
+    let _alone = CENSUS.write().unwrap_or_else(|e| e.into_inner());
     const CONNS: usize = 40;
     let (addr, daemon) = boot_server(3, 2, CONNS, Duration::from_secs(120));
 
@@ -352,6 +366,7 @@ fn daemon_thread_count_is_independent_of_connection_count() {
 /// torn down on the idle deadline (counted), not pin a shard forever.
 #[test]
 fn slow_loris_is_idle_closed_and_counted() {
+    let _census = beside_other_tests();
     ecohmem_obs::set_enabled(true);
     let before = ecohmem_obs::snapshot().counter("serve.idle_closed");
     let (addr, daemon) = boot_server(1, 1, 1, Duration::from_millis(300));
@@ -375,6 +390,7 @@ fn slow_loris_is_idle_closed_and_counted() {
 /// the isolated reference).
 #[test]
 fn io_threads_1_vs_4_serve_byte_identical_logs() {
+    let _census = beside_other_tests();
     let traces: Vec<TraceFile> = (0..SHAPES).map(synth_trace).collect();
     let reference: Vec<Vec<u8>> = traces.iter().map(|t| revision_bytes(&isolated_run(t))).collect();
     const TENANTS: usize = 24;
@@ -415,6 +431,7 @@ fn io_threads_1_vs_4_serve_byte_identical_logs() {
 /// error.
 #[test]
 fn finish_deadline_errors_instead_of_hanging() {
+    let _census = beside_other_tests();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let mute_server = std::thread::spawn(move || {
@@ -444,6 +461,7 @@ fn finish_deadline_errors_instead_of_hanging() {
 /// structured error — no spinning until the wall-clock deadline.
 #[test]
 fn connect_retry_exhausts_its_budget_with_a_structured_error() {
+    let _census = beside_other_tests();
     // Bind then drop: a port that refuses immediately.
     let dead_addr = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
