@@ -26,7 +26,7 @@
 //!   consume a recorded trace without an upfront parse-and-alloc pass,
 //!   and buckets decode independently (in parallel upstream).
 
-use crate::columns::{BatchOp, EventBatch};
+use crate::columns::{EventBatch, OpKind, MAX_ROWS};
 use crate::error::TraceError;
 use crate::events::TraceEvent;
 use crate::ids::{FuncId, ObjectId, SiteId};
@@ -53,8 +53,10 @@ pub const MAX_FRAME_EVENTS: usize = 1 << 22;
 /// Hard ceiling on the declared byte length of the JSON header section.
 pub const MAX_HEADER_BYTES: usize = 1 << 26;
 
-/// Hard ceiling on the total event count a trace file may declare.
-pub const MAX_DECLARED_EVENTS: usize = 1 << 30;
+/// Hard ceiling on the total event count a trace file may declare. It
+/// equals [`MAX_ROWS`], so no kind of a decoded trace can pass the row
+/// cap of its [`EventBatch`].
+pub const MAX_DECLARED_EVENTS: usize = MAX_ROWS;
 
 /// Writes a varint (LEB128). Public so downstream binary formats (the
 /// online engine's journal and checkpoints) share one integer encoding.
@@ -611,9 +613,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 pub fn write_frame(batch: &EventBatch, out: &mut Vec<u8>) {
     put_varint(out, batch.ops.len() as u64);
     for &op in &batch.ops {
-        match op {
-            BatchOp::Alloc(r) => {
-                let r = r as usize;
+        let r = op.row();
+        match op.kind() {
+            OpKind::Alloc => {
                 out.push(TAG_ALLOC);
                 put_varint(out, batch.alloc_times[r].to_bits());
                 put_varint(out, batch.alloc_objects[r].0);
@@ -621,29 +623,25 @@ pub fn write_frame(batch: &EventBatch, out: &mut Vec<u8>) {
                 put_varint(out, batch.alloc_sizes[r]);
                 put_varint(out, batch.alloc_addresses[r]);
             }
-            BatchOp::Free(r) => {
-                let r = r as usize;
+            OpKind::Free => {
                 out.push(TAG_FREE);
                 put_varint(out, batch.free_times[r].to_bits());
                 put_varint(out, batch.free_objects[r].0);
             }
-            BatchOp::Load(r) => {
-                let r = r as usize;
+            OpKind::Load => {
                 out.push(TAG_LOAD);
                 put_varint(out, batch.load_times[r].to_bits());
                 put_varint(out, batch.load_addresses[r]);
                 put_varint(out, batch.load_latencies[r].to_bits());
                 put_varint(out, u64::from(batch.load_functions[r].0));
             }
-            BatchOp::Store(r) => {
-                let r = r as usize;
+            OpKind::Store => {
                 out.push(if batch.store_l1d_miss[r] { TAG_STORE_MISS } else { TAG_STORE_HIT });
                 put_varint(out, batch.store_times[r].to_bits());
                 put_varint(out, batch.store_addresses[r]);
                 put_varint(out, u64::from(batch.store_functions[r].0));
             }
-            BatchOp::Phase(r) => {
-                let r = r as usize;
+            OpKind::Phase => {
                 out.push(TAG_PHASE);
                 put_varint(out, batch.phase_times[r].to_bits());
                 put_varint(out, u64::from(batch.phase_ids[r]));
@@ -1045,6 +1043,36 @@ mod tests {
             corrupt.extend_from_slice(&buf[12 + varint_len(orig_len)..]);
             let err = read_trace(&corrupt[..]).unwrap_err().to_string();
             assert!(err.contains("cap is"), "unexpected error: {err}");
+        }
+    }
+
+    #[test]
+    fn declared_event_counts_stop_at_the_row_cap() {
+        let t = sample_trace();
+        let (mut v1, mut v2) = (Vec::new(), Vec::new());
+        write_trace(&t, &mut v1).unwrap();
+        write_trace_v2(&t, &mut v2).unwrap();
+        for buf in [v1, v2] {
+            // Rewrite the event-count varint that follows the header.
+            let mut pos = 12;
+            let header_len = get_varint(&buf, &mut pos).unwrap() as usize;
+            let count_at = pos + header_len;
+            let mut rest = count_at;
+            get_varint(&buf, &mut rest).unwrap();
+            let with_count = |n: usize| {
+                let mut corrupt = buf[..count_at].to_vec();
+                put_varint(&mut corrupt, n as u64);
+                corrupt.extend_from_slice(&buf[rest..]);
+                read_trace(&corrupt[..]).unwrap_err().to_string()
+            };
+            // Past the cap the declared value alone is refused; at the cap
+            // the absolute guard stays quiet and a relative one (the short
+            // buffer, the index total) refuses it, before any allocation.
+            let err = with_count(MAX_DECLARED_EVENTS + 1);
+            assert!(err.contains("cap is"), "unexpected error: {err}");
+            let err = with_count(MAX_DECLARED_EVENTS);
+            assert!(!err.contains("cap is"), "unexpected error: {err}");
+            assert!(err.contains(&MAX_DECLARED_EVENTS.to_string()), "unexpected error: {err}");
         }
     }
 

@@ -11,10 +11,15 @@
 //!   unit the online path streams, and the form the v2 binary trace's
 //!   buckets decode into. `TraceEvent` survives as its lossless AoS view
 //!   ([`EventBatch::iter_events`], [`EventBatch::to_events`]).
-//! * [`TraceColumns`] — one flat column per field per event kind
-//!   (timestamps, addresses, store-miss flags, …), built from an
-//!   [`EventBatch`] by [`TraceColumns::from_batch`] with one walk over
-//!   its op stream.
+//! * [`BatchOp`] — one entry of the op stream, packed into a `u32`: the
+//!   [`OpKind`] in the top 3 bits, the row of that kind's columns in the
+//!   low 29 ([`MAX_ROWS`] caps the rows of one kind). A timestamp gather
+//!   reads through [`EventBatch::time_columns`], a table indexed by the
+//!   kind, so it never branches on the kind.
+//! * [`TraceColumns`] — the object and site tables of a trace, built by
+//!   [`TraceColumns::build`] in one walk over the op stream that also runs
+//!   the strict [`Validator`]. The samples are not copied: the analyzer
+//!   scans them in the batch's own columns, in row order.
 //! * dense interning — [`crate::ObjectId`]s (sparse `u64`s) and
 //!   [`crate::SiteId`]s are mapped to dense `u32` indices, so per-object
 //!   and per-site statistics live in flat arrays instead of hash maps.
@@ -24,11 +29,15 @@
 //!
 //! Consumers shard the columns into fixed-size chunks and scan them in
 //! parallel (see `profiler::analyzer`); everything here is plain data
-//! with no interior mutability, so `&TraceColumns` is freely `Sync`.
+//! with no interior mutability, so `&EventBatch` and `&TraceColumns` are
+//! freely `Sync`.
 
-use crate::callstack::CallStack;
+use crate::error::TraceError;
 use crate::events::TraceEvent;
 use crate::ids::{FuncId, ObjectId, SiteId};
+use crate::integrity::Validator;
+use crate::trace::TraceFile;
+use crate::warn::DegradationPolicy;
 use std::collections::HashMap;
 
 /// Two heap blocks can only alias the same sample address when they sit in
@@ -74,54 +83,38 @@ impl ObjectTable {
     }
 }
 
-/// The SoA view of one trace: per-kind columns plus interning tables.
+/// The object and site tables of one trace, built by [`Self::build`].
+/// The samples stay in the trace's own [`EventBatch`] columns, which the
+/// analyzer scans in place.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceColumns {
     /// Trace duration, seconds.
     pub duration: f64,
     /// Dense site index → site id, in `stacks` order (first occurrence
-    /// wins for duplicate table entries, unknown sites referenced by
-    /// allocations are appended after the table).
+    /// wins for duplicate table entries).
     pub site_ids: Vec<SiteId>,
-    /// Dense site index → position in `TraceFile::stacks`, or
-    /// `usize::MAX` for sites that appear in events but not in the table.
+    /// Dense site index → position in `TraceFile::stacks`.
     pub site_stacks: Vec<usize>,
     /// Interned object records.
     pub objects: ObjectTable,
     /// Dense site index → dense object indices, sorted by [`ObjectId`]
     /// (the order every per-site aggregation folds in).
     pub site_objects: Vec<Vec<u32>>,
-    /// Load-miss sample timestamps (ascending for a valid trace).
-    pub load_times: Vec<f64>,
-    /// Load-miss sample data addresses.
-    pub load_addresses: Vec<u64>,
-    /// Store sample timestamps (ascending for a valid trace).
-    pub store_times: Vec<f64>,
-    /// Store sample data addresses.
-    pub store_addresses: Vec<u64>,
-    /// Store sample L1D-miss flags.
-    pub store_l1d_miss: Vec<bool>,
-    /// Phase-marker timestamps in arrival order.
-    pub phase_times: Vec<f64>,
 }
 
 impl TraceColumns {
-    /// Transposes a batch into analysis columns. Event order matters only
-    /// for the alloc/free replay (an id re-used after free must end up
-    /// with its *last* instance, like the scalar analyzer's object
-    /// table), so only that replay and site interning walk the op stream;
-    /// the sample columns are wholesale copies of the batch columns, in
-    /// row order (the analyzer attributes every sample on its own, so
-    /// that order never changes a result).
-    pub fn from_batch(
-        duration: f64,
-        stacks: &[(SiteId, CallStack)],
-        batch: &EventBatch,
-    ) -> TraceColumns {
+    /// Validates a trace under the strict [`crate::integrity`] rules and
+    /// builds its tables, in one walk over the op stream: every op goes
+    /// through the [`Validator`], and the allocations and frees it
+    /// accepts are replayed into the object table (an id re-used after
+    /// free ends up with its *last* instance, like the scalar analyzer's
+    /// object table). Fails with [`TraceFile::validate`]'s error.
+    pub fn build(trace: &TraceFile) -> Result<TraceColumns, TraceError> {
+        let (duration, batch) = (trace.duration, &trace.events);
         let mut cols = TraceColumns { duration, ..TraceColumns::default() };
 
-        let mut site_dense: HashMap<SiteId, u32> = HashMap::with_capacity(stacks.len());
-        for (i, (site, _)) in stacks.iter().enumerate() {
+        let mut site_dense: HashMap<SiteId, u32> = HashMap::with_capacity(trace.stacks.len());
+        for (i, (site, _)) in trace.stacks.iter().enumerate() {
             site_dense.entry(*site).or_insert_with(|| {
                 cols.site_ids.push(*site);
                 cols.site_stacks.push(i);
@@ -129,17 +122,17 @@ impl TraceColumns {
             });
         }
 
+        let mut v = Validator::new(&trace.stacks);
+        let times = batch.time_columns();
         let mut obj_dense: HashMap<ObjectId, u32> = HashMap::new();
-        for op in &batch.ops {
-            match *op {
-                BatchOp::Alloc(r) => {
-                    let r = r as usize;
-                    let site = batch.alloc_sites[r];
-                    let ds = *site_dense.entry(site).or_insert_with(|| {
-                        cols.site_ids.push(site);
-                        cols.site_stacks.push(usize::MAX);
-                        (cols.site_ids.len() - 1) as u32
-                    });
+        for &op in &batch.ops {
+            let t = times.at(op);
+            v.offer_op(DegradationPolicy::Strict, batch, op, t)?;
+            let r = op.row();
+            match op.kind() {
+                OpKind::Alloc => {
+                    // The validator admits only sites of the table.
+                    let ds = site_dense[&batch.alloc_sites[r]];
                     let object = batch.alloc_objects[r];
                     let o = &mut cols.objects;
                     match obj_dense.get(&object) {
@@ -148,7 +141,7 @@ impl TraceColumns {
                             o.sites[d] = ds;
                             o.sizes[d] = batch.alloc_sizes[r];
                             o.addresses[d] = batch.alloc_addresses[r];
-                            o.alloc_times[d] = batch.alloc_times[r];
+                            o.alloc_times[d] = t;
                             o.free_times[d] = duration;
                         }
                         None => {
@@ -157,26 +150,19 @@ impl TraceColumns {
                             o.sites.push(ds);
                             o.sizes.push(batch.alloc_sizes[r]);
                             o.addresses.push(batch.alloc_addresses[r]);
-                            o.alloc_times.push(batch.alloc_times[r]);
+                            o.alloc_times.push(t);
                             o.free_times.push(duration);
                         }
                     }
                 }
-                BatchOp::Free(r) => {
-                    if let Some(&d) = obj_dense.get(&batch.free_objects[r as usize]) {
-                        cols.objects.free_times[d as usize] = batch.free_times[r as usize];
-                    }
+                OpKind::Free => {
+                    // The validator admits only frees of live objects.
+                    let d = obj_dense[&batch.free_objects[r]];
+                    cols.objects.free_times[d as usize] = t;
                 }
-                _ => {}
+                OpKind::Load | OpKind::Store | OpKind::Phase => {}
             }
         }
-
-        cols.load_times = batch.load_times.clone();
-        cols.load_addresses = batch.load_addresses.clone();
-        cols.store_times = batch.store_times.clone();
-        cols.store_addresses = batch.store_addresses.clone();
-        cols.store_l1d_miss = batch.store_l1d_miss.clone();
-        cols.phase_times = batch.phase_times.clone();
 
         cols.site_objects = vec![Vec::new(); cols.site_ids.len()];
         for (d, &ds) in cols.objects.sites.iter().enumerate() {
@@ -186,7 +172,7 @@ impl TraceColumns {
         for objs in &mut cols.site_objects {
             objs.sort_unstable_by_key(|&d| ids[d as usize]);
         }
-        cols
+        Ok(cols)
     }
 }
 
@@ -344,63 +330,143 @@ impl IndexCursor<'_> {
     }
 }
 
-/// Operation stream of an [`EventBatch`]: which kind the next event is,
-/// and which row of that kind's columns holds its fields.
+/// Rows one kind's columns may hold: a [`BatchOp`] keeps the row in its
+/// low 29 bits. Every constructor of an op enforces the cap, in release
+/// builds too, so a row past it can never carry into the kind bits.
+pub const MAX_ROWS: usize = 1 << 29;
+
+/// Bit position of the kind in a packed [`BatchOp`].
+const KIND_SHIFT: u32 = 29;
+
+/// The row bits of a packed [`BatchOp`].
+const ROW_MASK: u32 = (1 << KIND_SHIFT) - 1;
+
+/// The event kind of a [`BatchOp`]. The discriminant is the kind's index
+/// in [`EventBatch::time_columns`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchOp {
-    /// Allocation at `alloc_*[row]`.
-    Alloc(u32),
-    /// Free at `free_*[row]`.
-    Free(u32),
-    /// Load-miss sample at `load_*[row]`.
-    Load(u32),
-    /// Store sample at `store_*[row]`.
-    Store(u32),
-    /// Phase marker at `phase_*[row]`.
-    Phase(u32),
+pub enum OpKind {
+    /// Allocation, at `alloc_*[row]`.
+    Alloc = 0,
+    /// Free, at `free_*[row]`.
+    Free = 1,
+    /// Load-miss sample, at `load_*[row]`.
+    Load = 2,
+    /// Store sample, at `store_*[row]`.
+    Store = 3,
+    /// Phase marker, at `phase_*[row]`.
+    Phase = 4,
 }
 
+/// One entry of an [`EventBatch`]'s operation stream: which kind the next
+/// event is, and which row of that kind's columns holds its fields.
+///
+/// Packed into one `u32`: the [`OpKind`] in the top 3 bits, the row in the
+/// low 29 (see [`MAX_ROWS`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct BatchOp(u32);
+
 impl BatchOp {
-    /// The kind as an index `0..5`, in declaration order.
+    /// The op for `row` of `kind`'s columns. Panics when `row` is not
+    /// below [`MAX_ROWS`].
     #[inline]
-    fn kind(self) -> usize {
-        match self {
-            BatchOp::Alloc(_) => 0,
-            BatchOp::Free(_) => 1,
-            BatchOp::Load(_) => 2,
-            BatchOp::Store(_) => 3,
-            BatchOp::Phase(_) => 4,
-        }
+    fn new(kind: OpKind, row: usize) -> BatchOp {
+        assert!(row < MAX_ROWS, "row {row} of {kind:?} exceeds the cap of {MAX_ROWS} rows");
+        BatchOp(((kind as u32) << KIND_SHIFT) | row as u32)
+    }
+
+    /// An allocation at `alloc_*[row]`.
+    #[inline]
+    pub fn alloc(row: usize) -> BatchOp {
+        BatchOp::new(OpKind::Alloc, row)
+    }
+
+    /// A free at `free_*[row]`.
+    #[inline]
+    pub fn free(row: usize) -> BatchOp {
+        BatchOp::new(OpKind::Free, row)
+    }
+
+    /// A load-miss sample at `load_*[row]`.
+    #[inline]
+    pub fn load(row: usize) -> BatchOp {
+        BatchOp::new(OpKind::Load, row)
+    }
+
+    /// A store sample at `store_*[row]`.
+    #[inline]
+    pub fn store(row: usize) -> BatchOp {
+        BatchOp::new(OpKind::Store, row)
+    }
+
+    /// A phase marker at `phase_*[row]`.
+    #[inline]
+    pub fn phase(row: usize) -> BatchOp {
+        BatchOp::new(OpKind::Phase, row)
+    }
+
+    /// The op's kind: one load from a table indexed by the kind bits, so
+    /// a time gather through [`EventBatch::time_columns`] never branches.
+    #[inline]
+    pub fn kind(self) -> OpKind {
+        // Constructors only write the first five; the rest pad the table
+        // to the 3-bit range so the index needs no bounds check.
+        const KINDS: [OpKind; 8] = [
+            OpKind::Alloc,
+            OpKind::Free,
+            OpKind::Load,
+            OpKind::Store,
+            OpKind::Phase,
+            OpKind::Phase,
+            OpKind::Phase,
+            OpKind::Phase,
+        ];
+        KINDS[(self.0 >> KIND_SHIFT) as usize]
     }
 
     /// The row of the op's kind columns.
     #[inline]
-    fn row(self) -> usize {
-        match self {
-            BatchOp::Alloc(r)
-            | BatchOp::Free(r)
-            | BatchOp::Load(r)
-            | BatchOp::Store(r)
-            | BatchOp::Phase(r) => r as usize,
-        }
+    pub fn row(self) -> usize {
+        (self.0 & ROW_MASK) as usize
     }
 
     /// The same kind at another row.
     #[inline]
-    fn with_row(self, row: u32) -> BatchOp {
-        match self {
-            BatchOp::Alloc(_) => BatchOp::Alloc(row),
-            BatchOp::Free(_) => BatchOp::Free(row),
-            BatchOp::Load(_) => BatchOp::Load(row),
-            BatchOp::Store(_) => BatchOp::Store(row),
-            BatchOp::Phase(_) => BatchOp::Phase(row),
-        }
+    pub(crate) fn with_row(self, row: usize) -> BatchOp {
+        BatchOp::new(self.kind(), row)
     }
 
     /// True for load-miss and store samples.
     #[inline]
     pub(crate) fn is_sample(self) -> bool {
-        matches!(self, BatchOp::Load(_) | BatchOp::Store(_))
+        matches!(self.kind(), OpKind::Load | OpKind::Store)
+    }
+
+    /// True for the kinds whose only checked field is the timestamp:
+    /// samples and phase markers.
+    #[inline]
+    pub(crate) fn is_timed_only(self) -> bool {
+        self.0 >> KIND_SHIFT >= OpKind::Load as u32
+    }
+}
+
+impl std::fmt::Debug for BatchOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}({})", self.kind(), self.row())
+    }
+}
+
+/// The timestamp columns of an [`EventBatch`], indexed by `OpKind as
+/// usize` (see [`EventBatch::time_columns`]): reading an op's time is two
+/// loads and no branch on the kind.
+#[derive(Debug, Clone, Copy)]
+pub struct TimeColumns<'a>([&'a [f64]; 5]);
+
+impl TimeColumns<'_> {
+    /// Timestamp of one op.
+    #[inline]
+    pub fn at(&self, op: BatchOp) -> f64 {
+        self.0[op.kind() as usize][op.row()]
     }
 }
 
@@ -489,7 +555,7 @@ impl EventBatch {
     /// Appends an allocation without going through the event enum.
     #[inline]
     pub fn push_alloc(&mut self, time: f64, object: ObjectId, site: SiteId, size: u64, addr: u64) {
-        self.ops.push(BatchOp::Alloc(self.alloc_times.len() as u32));
+        self.ops.push(BatchOp::alloc(self.alloc_times.len()));
         self.alloc_times.push(time);
         self.alloc_objects.push(object);
         self.alloc_sites.push(site);
@@ -500,7 +566,7 @@ impl EventBatch {
     /// Appends a free without going through the event enum.
     #[inline]
     pub fn push_free(&mut self, time: f64, object: ObjectId) {
-        self.ops.push(BatchOp::Free(self.free_times.len() as u32));
+        self.ops.push(BatchOp::free(self.free_times.len()));
         self.free_times.push(time);
         self.free_objects.push(object);
     }
@@ -508,7 +574,7 @@ impl EventBatch {
     /// Appends a load-miss sample without going through the event enum.
     #[inline]
     pub fn push_load(&mut self, time: f64, address: u64, latency_cycles: f64, function: FuncId) {
-        self.ops.push(BatchOp::Load(self.load_times.len() as u32));
+        self.ops.push(BatchOp::load(self.load_times.len()));
         self.load_times.push(time);
         self.load_addresses.push(address);
         self.load_latencies.push(latency_cycles);
@@ -518,7 +584,7 @@ impl EventBatch {
     /// Appends a store sample without going through the event enum.
     #[inline]
     pub fn push_store(&mut self, time: f64, address: u64, l1d_miss: bool, function: FuncId) {
-        self.ops.push(BatchOp::Store(self.store_times.len() as u32));
+        self.ops.push(BatchOp::store(self.store_times.len()));
         self.store_times.push(time);
         self.store_addresses.push(address);
         self.store_l1d_miss.push(l1d_miss);
@@ -528,33 +594,46 @@ impl EventBatch {
     /// Appends a phase marker without going through the event enum.
     #[inline]
     pub fn push_phase(&mut self, time: f64, phase: u32) {
-        self.ops.push(BatchOp::Phase(self.phase_times.len() as u32));
+        self.ops.push(BatchOp::phase(self.phase_times.len()));
         self.phase_times.push(time);
         self.phase_ids.push(phase);
+    }
+
+    /// The five timestamp columns as one kind-indexed table. Loops build
+    /// it once and read each op's time through [`TimeColumns::at`].
+    #[inline]
+    pub fn time_columns(&self) -> TimeColumns<'_> {
+        TimeColumns([
+            &self.alloc_times,
+            &self.free_times,
+            &self.load_times,
+            &self.store_times,
+            &self.phase_times,
+        ])
     }
 
     /// Timestamp of one op.
     #[inline]
     pub fn time_of(&self, op: BatchOp) -> f64 {
-        match op {
-            BatchOp::Alloc(r) => self.alloc_times[r as usize],
-            BatchOp::Free(r) => self.free_times[r as usize],
-            BatchOp::Load(r) => self.load_times[r as usize],
-            BatchOp::Store(r) => self.store_times[r as usize],
-            BatchOp::Phase(r) => self.phase_times[r as usize],
-        }
+        self.time_columns().at(op)
     }
 
     /// Re-stamps one op.
     #[inline]
     pub fn set_time(&mut self, op: BatchOp, t: f64) {
-        match op {
-            BatchOp::Alloc(r) => self.alloc_times[r as usize] = t,
-            BatchOp::Free(r) => self.free_times[r as usize] = t,
-            BatchOp::Load(r) => self.load_times[r as usize] = t,
-            BatchOp::Store(r) => self.store_times[r as usize] = t,
-            BatchOp::Phase(r) => self.phase_times[r as usize] = t,
-        }
+        let column = match op.kind() {
+            OpKind::Alloc => &mut self.alloc_times,
+            OpKind::Free => &mut self.free_times,
+            OpKind::Load => &mut self.load_times,
+            OpKind::Store => &mut self.store_times,
+            OpKind::Phase => &mut self.phase_times,
+        };
+        column[op.row()] = t;
+    }
+
+    /// Rows per kind, in `OpKind` order.
+    fn kind_lens(&self) -> [usize; 5] {
+        self.time_columns().0.map(<[f64]>::len)
     }
 
     /// Keeps the ops `keep` accepts, visiting them in order, and compacts
@@ -566,16 +645,9 @@ impl EventBatch {
         if flags.iter().all(|&k| k) {
             return;
         }
-        let lens = [
-            self.alloc_times.len(),
-            self.free_times.len(),
-            self.load_times.len(),
-            self.store_times.len(),
-            self.phase_times.len(),
-        ];
-        let mut kept_rows = lens.map(|n| vec![false; n]);
+        let mut kept_rows = self.kind_lens().map(|n| vec![false; n]);
         for (&op, &k) in self.ops.iter().zip(&flags) {
-            kept_rows[op.kind()][op.row()] = k;
+            kept_rows[op.kind() as usize][op.row()] = k;
         }
         // New row of each kept row: the number of kept rows below it.
         let new_rows = kept_rows.each_ref().map(|mask| {
@@ -591,7 +663,7 @@ impl EventBatch {
         let mut flag = flags.iter();
         self.ops.retain(|_| *flag.next().expect("one flag per op"));
         for op in &mut self.ops {
-            *op = op.with_row(new_rows[op.kind()][op.row()]);
+            *op = op.with_row(new_rows[op.kind() as usize][op.row()] as usize);
         }
 
         fn compact<T>(column: &mut Vec<T>, mask: &[bool]) {
@@ -622,43 +694,33 @@ impl EventBatch {
     /// lossless, so `event_of` inverts [`Self::push`] exactly.
     #[inline]
     pub fn event_of(&self, op: BatchOp) -> TraceEvent {
-        match op {
-            BatchOp::Alloc(r) => {
-                let r = r as usize;
-                TraceEvent::Alloc {
-                    time: self.alloc_times[r],
-                    object: self.alloc_objects[r],
-                    site: self.alloc_sites[r],
-                    size: self.alloc_sizes[r],
-                    address: self.alloc_addresses[r],
-                }
-            }
-            BatchOp::Free(r) => TraceEvent::Free {
-                time: self.free_times[r as usize],
-                object: self.free_objects[r as usize],
+        let r = op.row();
+        match op.kind() {
+            OpKind::Alloc => TraceEvent::Alloc {
+                time: self.alloc_times[r],
+                object: self.alloc_objects[r],
+                site: self.alloc_sites[r],
+                size: self.alloc_sizes[r],
+                address: self.alloc_addresses[r],
             },
-            BatchOp::Load(r) => {
-                let r = r as usize;
-                TraceEvent::LoadMissSample {
-                    time: self.load_times[r],
-                    address: self.load_addresses[r],
-                    latency_cycles: self.load_latencies[r],
-                    function: self.load_functions[r],
-                }
+            OpKind::Free => {
+                TraceEvent::Free { time: self.free_times[r], object: self.free_objects[r] }
             }
-            BatchOp::Store(r) => {
-                let r = r as usize;
-                TraceEvent::StoreSample {
-                    time: self.store_times[r],
-                    address: self.store_addresses[r],
-                    l1d_miss: self.store_l1d_miss[r],
-                    function: self.store_functions[r],
-                }
-            }
-            BatchOp::Phase(r) => TraceEvent::PhaseMarker {
-                time: self.phase_times[r as usize],
-                phase: self.phase_ids[r as usize],
+            OpKind::Load => TraceEvent::LoadMissSample {
+                time: self.load_times[r],
+                address: self.load_addresses[r],
+                latency_cycles: self.load_latencies[r],
+                function: self.load_functions[r],
             },
+            OpKind::Store => TraceEvent::StoreSample {
+                time: self.store_times[r],
+                address: self.store_addresses[r],
+                l1d_miss: self.store_l1d_miss[r],
+                function: self.store_functions[r],
+            },
+            OpKind::Phase => {
+                TraceEvent::PhaseMarker { time: self.phase_times[r], phase: self.phase_ids[r] }
+            }
         }
     }
 
@@ -675,20 +737,16 @@ impl EventBatch {
 
     /// Appends every event of `other`, re-basing its op rows onto this
     /// batch's columns. Column data moves as bulk extends; only the op
-    /// stream is rewritten.
+    /// stream is rewritten. Panics when a kind would pass [`MAX_ROWS`].
     pub fn append(&mut self, other: &EventBatch) {
-        let a0 = self.alloc_times.len() as u32;
-        let f0 = self.free_times.len() as u32;
-        let l0 = self.load_times.len() as u32;
-        let s0 = self.store_times.len() as u32;
-        let p0 = self.phase_times.len() as u32;
-        self.ops.extend(other.ops.iter().map(|&op| match op {
-            BatchOp::Alloc(r) => BatchOp::Alloc(r + a0),
-            BatchOp::Free(r) => BatchOp::Free(r + f0),
-            BatchOp::Load(r) => BatchOp::Load(r + l0),
-            BatchOp::Store(r) => BatchOp::Store(r + s0),
-            BatchOp::Phase(r) => BatchOp::Phase(r + p0),
-        }));
+        let base = self.kind_lens();
+        for (kind, (&mine, theirs)) in base.iter().zip(other.kind_lens()).enumerate() {
+            assert!(mine + theirs <= MAX_ROWS, "appending passes {MAX_ROWS} rows of kind {kind}");
+        }
+        // Every rebased row stays below the cap, so the add never carries
+        // into the kind bits.
+        let base = base.map(|n| n as u32);
+        self.ops.extend(other.ops.iter().map(|&op| BatchOp(op.0 + base[op.kind() as usize])));
         self.alloc_times.extend_from_slice(&other.alloc_times);
         self.alloc_objects.extend_from_slice(&other.alloc_objects);
         self.alloc_sites.extend_from_slice(&other.alloc_sites);
@@ -745,7 +803,7 @@ mod tests {
     use crate::trace::TraceFile;
 
     fn columns(t: &TraceFile) -> TraceColumns {
-        TraceColumns::from_batch(t.duration, &t.stacks, &t.events)
+        TraceColumns::build(t).unwrap()
     }
 
     fn trace_with(events: Vec<TraceEvent>) -> TraceFile {
@@ -787,35 +845,44 @@ mod tests {
     }
 
     #[test]
-    fn sample_columns_preserve_trace_order() {
-        let t = trace_with(vec![
-            alloc(0.0, 1, 0, 4096, 0x1000),
-            TraceEvent::LoadMissSample {
-                time: 0.5,
-                address: 0x1040,
-                latency_cycles: 300.0,
-                function: FuncId(0),
-            },
-            TraceEvent::StoreSample {
-                time: 0.6,
-                address: 0x1080,
-                l1d_miss: true,
-                function: FuncId(0),
-            },
-            TraceEvent::PhaseMarker { time: 0.7, phase: 3 },
-            TraceEvent::LoadMissSample {
-                time: 0.8,
-                address: 0x10c0,
-                latency_cycles: 200.0,
-                function: FuncId(0),
-            },
-        ]);
-        let cols = columns(&t);
-        assert_eq!(cols.load_times, vec![0.5, 0.8]);
-        assert_eq!(cols.load_addresses, vec![0x1040, 0x10c0]);
-        assert_eq!(cols.store_times, vec![0.6]);
-        assert_eq!(cols.store_l1d_miss, vec![true]);
-        assert_eq!(cols.phase_times, vec![0.7]);
+    fn build_rejects_what_validate_rejects() {
+        let broken = [
+            vec![TraceEvent::Free { time: 0.0, object: ObjectId(1) }],
+            vec![alloc(1.0, 1, 0, 64, 0x1000), alloc(0.5, 2, 0, 64, 0x2000)],
+            vec![alloc(0.0, 1, 9, 64, 0x1000)],
+            vec![TraceEvent::PhaseMarker { time: f64::NAN, phase: 0 }],
+        ];
+        for events in broken {
+            let t = trace_with(events);
+            let err = t.validate().unwrap_err().to_string();
+            assert_eq!(TraceColumns::build(&t).unwrap_err().to_string(), err);
+        }
+    }
+
+    #[test]
+    fn ops_pack_kind_and_row_into_four_bytes() {
+        assert_eq!(std::mem::size_of::<BatchOp>(), 4);
+        let kinds = [OpKind::Alloc, OpKind::Free, OpKind::Load, OpKind::Store, OpKind::Phase];
+        for kind in kinds {
+            for row in [0, 1, 12_345, MAX_ROWS - 1] {
+                let op = BatchOp::new(kind, row);
+                assert_eq!((op.kind(), op.row()), (kind, row));
+                assert_eq!(op.with_row(7), BatchOp::new(kind, 7));
+                assert_eq!(op.is_timed_only(), kind as usize >= OpKind::Load as usize);
+            }
+        }
+        assert_eq!(format!("{:?}", BatchOp::store(3)), "Store(3)");
+    }
+
+    #[test]
+    fn ops_enforce_the_row_cap() {
+        // A row at the cap would carry into the kind bits; every
+        // constructor refuses it, in release builds too.
+        assert_eq!(BatchOp::free(MAX_ROWS - 1).kind(), OpKind::Free);
+        for kind in [OpKind::Alloc, OpKind::Free, OpKind::Load, OpKind::Store, OpKind::Phase] {
+            assert!(std::panic::catch_unwind(|| BatchOp::new(kind, MAX_ROWS)).is_err(), "{kind:?}");
+        }
+        assert!(std::panic::catch_unwind(|| BatchOp::alloc(0).with_row(MAX_ROWS)).is_err());
     }
 
     #[test]
@@ -930,7 +997,7 @@ mod tests {
         assert_eq!(b.len(), 4);
         assert_eq!(
             b.ops,
-            vec![BatchOp::Alloc(0), BatchOp::Phase(0), BatchOp::Store(0), BatchOp::Free(0)]
+            vec![BatchOp::alloc(0), BatchOp::phase(0), BatchOp::store(0), BatchOp::free(0)]
         );
         assert_eq!(b.store_l1d_miss, vec![false]);
         assert_eq!(b.free_objects, vec![ObjectId(1)]);
@@ -968,11 +1035,9 @@ mod tests {
         b.load_latencies.reverse();
         b.load_functions.reverse();
         for op in &mut b.ops {
-            *op = match *op {
-                BatchOp::Alloc(r) => BatchOp::Alloc(1 - r),
-                BatchOp::Load(r) => BatchOp::Load(1 - r),
-                other => other,
-            };
+            if matches!(op.kind(), OpKind::Alloc | OpKind::Load) {
+                *op = op.with_row(1 - op.row());
+            }
         }
         assert_eq!(b.to_events(), events);
 

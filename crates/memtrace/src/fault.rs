@@ -254,12 +254,12 @@ impl FaultSpec {
                 let fresh = events.alloc_objects.iter().map(|o| o.0).max().unwrap_or(0) + 1;
                 // Each free goes in front of the previous one, so the
                 // freshest id leads the stream.
-                let first_row = events.free_times.len() as u32;
+                let first_row = events.free_times.len();
                 for i in 0..extra {
                     events.free_times.push(t0);
                     events.free_objects.push(ObjectId(fresh + i as u64));
                 }
-                let frees = (0..extra as u32).rev().map(|i| BatchOp::Free(first_row + i));
+                let frees = (0..extra).rev().map(|i| BatchOp::free(first_row + i));
                 events.ops.splice(0..0, frees);
                 extra
             }

@@ -20,7 +20,7 @@
 //! would accept.
 
 use crate::callstack::CallStack;
-use crate::columns::{BatchOp, EventBatch};
+use crate::columns::{BatchOp, EventBatch, OpKind};
 use crate::error::TraceError;
 use crate::events::TraceEvent;
 use crate::ids::{ObjectId, SiteId};
@@ -62,17 +62,15 @@ impl Shape {
     /// The shape of one op of a columnar batch.
     #[inline]
     pub fn of_op(b: &EventBatch, op: BatchOp) -> Shape {
-        match op {
-            BatchOp::Alloc(r) => {
-                let r = r as usize;
-                Shape::Alloc {
-                    object: b.alloc_objects[r],
-                    site: b.alloc_sites[r],
-                    size: b.alloc_sizes[r],
-                }
-            }
-            BatchOp::Free(r) => Shape::Free { object: b.free_objects[r as usize] },
-            _ => Shape::Other,
+        let r = op.row();
+        match op.kind() {
+            OpKind::Alloc => Shape::Alloc {
+                object: b.alloc_objects[r],
+                site: b.alloc_sites[r],
+                size: b.alloc_sizes[r],
+            },
+            OpKind::Free => Shape::Free { object: b.free_objects[r] },
+            OpKind::Load | OpKind::Store | OpKind::Phase => Shape::Other,
         }
     }
 }
@@ -95,7 +93,7 @@ pub struct Validator {
     pub last_t: f64,
     /// Events checked so far, accepted or not; the next event's index.
     pub seen: u64,
-    /// Events dropped by [`Self::lenient`].
+    /// Events the lenient policies dropped.
     pub dropped: u64,
     /// `(kind, count, index of the first)` per kind of drop, in order of
     /// first occurrence.
@@ -121,7 +119,9 @@ impl Validator {
 
     /// The rule check: accepts the event (updating the state) or names
     /// the rule it breaks (leaving the state as it was). Counts the event
-    /// as seen either way.
+    /// as seen either way. Small enough to inline into every caller's
+    /// loop: samples and phase markers ([`Shape::Other`]) keep only the
+    /// time rule, and the object rules sit out of line.
     #[inline]
     fn check(&mut self, t: f64, shape: Shape) -> Result<(), WarningKind> {
         self.seen += 1;
@@ -131,6 +131,16 @@ impl Validator {
         if t < self.last_t {
             return Err(WarningKind::OutOfOrderEvent);
         }
+        if !matches!(shape, Shape::Other) {
+            self.check_object(shape)?;
+        }
+        self.last_t = t;
+        Ok(())
+    }
+
+    /// [`Self::check`]'s rules for allocations and frees.
+    #[inline(never)]
+    fn check_object(&mut self, shape: Shape) -> Result<(), WarningKind> {
         match shape {
             Shape::Alloc { object, site, size } => {
                 if !self.known_sites.contains(&site) {
@@ -156,8 +166,23 @@ impl Validator {
             }
             Shape::Other => {}
         }
-        self.last_t = t;
         Ok(())
+    }
+
+    /// Checks the next op of a batch, whose timestamp `t` the caller has
+    /// already read, under `policy` like [`Self::offer`]. Samples and
+    /// phase markers are checked as [`Shape::Other`] without reading any
+    /// of their columns: their only rule is the time rule.
+    #[inline]
+    pub fn offer_op(
+        &mut self,
+        policy: DegradationPolicy,
+        b: &EventBatch,
+        op: BatchOp,
+        t: f64,
+    ) -> Result<bool, TraceError> {
+        let shape = if op.is_timed_only() { Shape::Other } else { Shape::of_op(b, op) };
+        self.offer(policy, t, shape)
     }
 
     /// Checks the next event, failing with the error strict validation
@@ -174,15 +199,21 @@ impl Validator {
         match self.check(t, shape) {
             Ok(()) => true,
             Err(kind) => {
-                self.dropped += 1;
-                self.window.note(t);
-                let index = self.seen - 1;
-                match self.tallies.iter_mut().find(|(k, _, _)| *k == kind) {
-                    Some((_, n, _)) => *n += 1,
-                    None => self.tallies.push((kind, 1, index)),
-                }
+                self.note_drop(kind, t);
                 false
             }
+        }
+    }
+
+    /// The lenient policies' accounting for one dropped event.
+    #[cold]
+    fn note_drop(&mut self, kind: WarningKind, t: f64) {
+        self.dropped += 1;
+        self.window.note(t);
+        let index = self.seen - 1;
+        match self.tallies.iter_mut().find(|(k, _, _)| *k == kind) {
+            Some((_, n, _)) => *n += 1,
+            None => self.tallies.push((kind, 1, index)),
         }
     }
 

@@ -6,8 +6,8 @@ use crate::callstack::CallStack;
 use crate::columns::EventBatch;
 use crate::error::TraceError;
 use crate::ids::SiteId;
-use crate::integrity::{self, Shape, Validator};
-use crate::warn::{DroppedWindow, Warning, WarningKind};
+use crate::integrity::{self, Validator};
+use crate::warn::{DegradationPolicy, DroppedWindow, Warning, WarningKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -105,9 +105,10 @@ impl TraceFile {
     /// loudly instead of silently producing a bad placement.
     pub fn validate(&self) -> Result<(), TraceError> {
         let b = &self.events;
+        let times = b.time_columns();
         let mut v = Validator::new(&self.stacks);
         for &op in &b.ops {
-            v.strict(b.time_of(op), Shape::of_op(b, op))?;
+            v.offer_op(DegradationPolicy::Strict, b, op, times.at(op))?;
         }
         Ok(())
     }
@@ -176,7 +177,9 @@ impl TraceFile {
             &mut self.store_sample_period,
         );
         let mut v = Validator::new(&self.stacks);
-        self.events.retain(|b, op| v.lenient(b.time_of(op), Shape::of_op(b, op)));
+        // A lenient policy drops what it rejects and never fails.
+        let lenient = DegradationPolicy::BestEffort;
+        self.events.retain(|b, op| matches!(v.offer_op(lenient, b, op, b.time_of(op)), Ok(true)));
         (integrity::sanitize_warnings(&v, repairs), v.window)
     }
 

@@ -4,7 +4,7 @@
 //! measurable — Extrae events, Paramedir metrics, per-site miss densities,
 //! Algorithm 1's bandwidth classes. This crate gives the reproduction the
 //! same property: named counters/gauges/histograms in a sharded
-//! [`MetricsRegistry`], monotonic nested timing [spans](span), a JSON
+//! [`MetricsRegistry`], monotonic nested timing [spans](fn@span), a JSON
 //! Lines event sink, and a `RunMetrics` document that ties a placement
 //! decision back to the numbers that produced it.
 //!

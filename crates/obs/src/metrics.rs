@@ -2,7 +2,7 @@
 //!
 //! Hot paths (the simulator engine, the sampler) update metrics from many
 //! threads at once, so the registry is sharded: a metric name hashes to one
-//! of [`SHARDS`] independently-locked maps, and the lock is only taken to
+//! of `SHARDS` independently-locked maps, and the lock is only taken to
 //! *find* a metric — updates land on the returned `Arc`'d atomics without
 //! any lock. Call sites that care can cache the handle; casual call sites
 //! use the free functions in the crate root, which are a no-op branch on a

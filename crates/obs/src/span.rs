@@ -1,6 +1,6 @@
 //! Monotonic timing spans with nesting.
 //!
-//! A span measures one stage of work on one thread: [`crate::span`] returns
+//! A span measures one stage of work on one thread: [`crate::span()`] returns
 //! a guard, dropping it ends the span. Spans nest — a per-thread stack
 //! tracks depth, and the begin/end bookkeeping is counted globally so tests
 //! can assert pairing (every end has a begin, depth returns to zero) even

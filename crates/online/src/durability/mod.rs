@@ -13,7 +13,7 @@
 //!   CRC-checked records, segment rotation, and torn-tail truncation.
 //! - [`checkpoint`] — atomic (tmp + rename) snapshots of engine state,
 //!   CRC-guarded with fallback to the newest intact checkpoint.
-//! - [`engine`] — [`DurableEngine`](engine::DurableEngine) composes the
+//! - [`engine`] — [`engine::DurableEngine`] composes the
 //!   above: every mutation is journaled before it is applied, recovery
 //!   is `last checkpoint + replay of the journal suffix`, and the
 //!   recovered state is *identical* to an uninterrupted run.

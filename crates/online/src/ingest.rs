@@ -30,7 +30,7 @@
 
 use crate::config::OnlineConfig;
 use crate::stats::DecayedWindow;
-use memtrace::columns::{BatchOp, EventBatch, SAME_TIER_SPAN};
+use memtrace::columns::{EventBatch, OpKind, SAME_TIER_SPAN};
 use memtrace::{
     BinaryMap, CallStack, DegradationPolicy, DroppedWindow, ObjectId, Shape, SiteId, TraceError,
     TraceEvent, TraceFile, Validator, Warning, WarningKind,
@@ -490,35 +490,31 @@ impl StreamIngestor {
     /// the same error `push` would raise.
     pub fn push_batch(&mut self, b: &EventBatch) -> Result<u64, TraceError> {
         let mut accepted = 0u64;
+        let times = b.time_columns();
         for &op in &b.ops {
-            if !self.admit(b.time_of(op), Shape::of_op(b, op))? {
+            let t = times.at(op);
+            let before = self.integrity.last_t;
+            if !self.integrity.offer_op(self.policy, b, op, t)? {
                 continue;
             }
+            self.retire_grace(before, t);
             accepted += 1;
-            match op {
-                BatchOp::Alloc(r) => {
-                    let r = r as usize;
-                    self.record_alloc(
-                        b.alloc_times[r],
-                        b.alloc_objects[r],
-                        b.alloc_sites[r],
-                        b.alloc_sizes[r],
-                        b.alloc_addresses[r],
-                    );
-                }
-                BatchOp::Free(r) => {
-                    self.record_free(b.free_times[r as usize], b.free_objects[r as usize])
-                }
-                BatchOp::Load(r) => {
-                    let r = r as usize;
-                    self.record_sample(b.load_times[r], b.load_addresses[r], SampleKind::LoadMiss);
-                }
-                BatchOp::Store(r) => {
-                    let r = r as usize;
+            let r = op.row();
+            match op.kind() {
+                OpKind::Alloc => self.record_alloc(
+                    t,
+                    b.alloc_objects[r],
+                    b.alloc_sites[r],
+                    b.alloc_sizes[r],
+                    b.alloc_addresses[r],
+                ),
+                OpKind::Free => self.record_free(t, b.free_objects[r]),
+                OpKind::Load => self.record_sample(t, b.load_addresses[r], SampleKind::LoadMiss),
+                OpKind::Store => {
                     let kind = SampleKind::store(b.store_l1d_miss[r]);
-                    self.record_sample(b.store_times[r], b.store_addresses[r], kind);
+                    self.record_sample(t, b.store_addresses[r], kind);
                 }
-                BatchOp::Phase(r) => self.record_phase(b.phase_times[r as usize]),
+                OpKind::Phase => self.record_phase(t),
             }
         }
         Ok(accepted)
@@ -533,10 +529,17 @@ impl StreamIngestor {
         if !self.integrity.offer(self.policy, t, shape)? {
             return Ok(false);
         }
+        self.retire_grace(before, t);
+        Ok(true)
+    }
+
+    /// Drops the grace entries freed before `t` once an accepted event
+    /// has moved the stream past `before`.
+    #[inline]
+    fn retire_grace(&mut self, before: f64, t: f64) {
         if t > before && !self.grace.is_empty() {
             self.grace.retain(|&(_, _, _, free_time)| free_time >= t);
         }
-        Ok(true)
     }
 
     fn mark_dirty(&mut self, slot: u32) {

@@ -7,16 +7,17 @@
 //! mapping from the allocation events and interval-searches each sample —
 //! the same object-matching job Paramedir performs (§IV-A).
 //!
-//! The analysis is columnar: the trace's [`memtrace::EventBatch`] is
-//! transposed once into [`memtrace::columns::TraceColumns`] (by
-//! `TraceColumns::from_batch`, the only column builder), an
-//! [`memtrace::columns::ObjectIndex`] whose entries inline the liveness
-//! window gives zero hash lookups per sample, and sample attribution is
-//! fused with bandwidth binning into one pass over the sample columns,
-//! sharded into fixed-size chunks and run through
-//! [`memsim::parallel_map`]. Every shard accumulates integer sample
-//! *counts*; the merge is a sum of `u64`s, so the result is bit-identical
-//! for any worker count.
+//! The analysis is columnar and reads the trace in place. One walk over
+//! the trace's [`memtrace::EventBatch`] op stream runs the strict
+//! [`memtrace::Validator`] and replays the allocations and frees into the
+//! object and site tables ([`memtrace::columns::TraceColumns::build`]);
+//! the samples are never copied. An [`memtrace::columns::ObjectIndex`]
+//! whose entries inline the liveness window gives zero hash lookups per
+//! sample, and sample attribution is fused with bandwidth binning into one
+//! pass over the batch's own sample columns, sharded into fixed-size
+//! chunks and run through [`memsim::parallel_map`]. Every shard
+//! accumulates integer sample *counts*; the merge is a sum of `u64`s, so
+//! the result is bit-identical for any worker count.
 //!
 //! The original event-at-a-time walk over the AoS view
 //! ([`memtrace::EventBatch::iter_events`]) survives only as the test
@@ -29,8 +30,8 @@
 use crate::profile::{ObjectLifetime, ProfileSet, SiteProfile};
 use memtrace::binfmt::TraceBuf;
 use memtrace::columns::{ObjectIndex, TraceColumns};
-use memtrace::{BinaryMap, CallStack, ObjectId, SiteId, TraceError, TraceEvent, TraceFile};
-use memtrace::{Warning, WarningKind};
+use memtrace::{BinaryMap, CallStack, EventBatch, ObjectId, SiteId, TraceError, TraceEvent};
+use memtrace::{TraceFile, Warning, WarningKind};
 use std::collections::HashMap;
 
 /// Same-tier scan bound for interval search, re-exported from the columns
@@ -55,10 +56,9 @@ pub fn analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
 /// does.
 pub fn analyze_with_jobs(trace: &TraceFile, jobs: usize) -> Result<ProfileSet, TraceError> {
     let _span = ecohmem_obs::span("analyzer.analyze");
-    trace.validate()?;
     let cols = {
         let _span = ecohmem_obs::span("analyzer.columns.build");
-        TraceColumns::from_batch(trace.duration, &trace.stacks, &trace.events)
+        TraceColumns::build(trace)?
     };
     Ok(analyze_cols(trace, &cols, jobs))
 }
@@ -309,8 +309,14 @@ fn shard_tasks(n_loads: usize, n_stores: usize) -> Vec<ShardTask> {
     tasks
 }
 
-fn scan_shard(cols: &TraceColumns, index: &ObjectIndex, bins: &[f64], task: ShardTask) -> ScanAcc {
-    let mut acc = ScanAcc::new(cols.objects.len(), bins.len());
+fn scan_shard(
+    events: &EventBatch,
+    n_objs: usize,
+    index: &ObjectIndex,
+    bins: &[f64],
+    task: ShardTask,
+) -> ScanAcc {
+    let mut acc = ScanAcc::new(n_objs, bins.len());
     // Consecutive samples mostly share a phase bin and often an address
     // gap — time neighbours in a recorded trace, same-object runs in a
     // synthesized one, whose columns are in emission order — so both
@@ -319,12 +325,12 @@ fn scan_shard(cols: &TraceColumns, index: &ObjectIndex, bins: &[f64], task: Shar
     let mut objects = index.cursor();
     if task.store {
         for i in task.lo..task.hi {
-            let t = cols.store_times[i];
-            let miss = cols.store_l1d_miss[i];
+            let t = events.store_times[i];
+            let miss = events.store_l1d_miss[i];
             if miss {
                 acc.bin_store_miss[bin.bin(t)] += 1;
             }
-            match objects.lookup(cols.store_addresses[i], t) {
+            match objects.lookup(events.store_addresses[i], t) {
                 Some(d) => {
                     acc.obj_store[d as usize] += 1;
                     acc.obj_store_miss[d as usize] += u64::from(miss);
@@ -334,9 +340,9 @@ fn scan_shard(cols: &TraceColumns, index: &ObjectIndex, bins: &[f64], task: Shar
         }
     } else {
         for i in task.lo..task.hi {
-            let t = cols.load_times[i];
+            let t = events.load_times[i];
             acc.bin_load[bin.bin(t)] += 1;
-            match objects.lookup(cols.load_addresses[i], t) {
+            match objects.lookup(events.load_addresses[i], t) {
                 Some(d) => acc.obj_load[d as usize] += 1,
                 None => acc.unmatched += 1,
             }
@@ -345,27 +351,29 @@ fn scan_shard(cols: &TraceColumns, index: &ObjectIndex, bins: &[f64], task: Shar
     acc
 }
 
-/// The columnar analysis core. The trace is already validated and
-/// transposed.
+/// The columnar analysis core. The trace is already validated and its
+/// tables built; the samples are scanned in the trace's own columns.
 fn analyze_cols(trace: &TraceFile, cols: &TraceColumns, jobs: usize) -> ProfileSet {
-    ecohmem_obs::count("analyzer.columns.objects", cols.objects.len() as u64);
-    ecohmem_obs::count("analyzer.columns.load_samples", cols.load_times.len() as u64);
-    ecohmem_obs::count("analyzer.columns.store_samples", cols.store_times.len() as u64);
+    let events = &trace.events;
+    let n_objs = cols.objects.len();
+    ecohmem_obs::count("analyzer.columns.objects", n_objs as u64);
+    ecohmem_obs::count("analyzer.columns.load_samples", events.load_times.len() as u64);
+    ecohmem_obs::count("analyzer.columns.store_samples", events.store_times.len() as u64);
 
     let index = ObjectIndex::build(&cols.objects);
-    let bins = sorted_bins(cols.phase_times.clone());
+    let bins = sorted_bins(events.phase_times.clone());
 
     // Fused passes 2+3: attribute samples to objects and bin them for the
     // bandwidth series, one shard at a time.
-    let tasks = shard_tasks(cols.load_times.len(), cols.store_times.len());
+    let tasks = shard_tasks(events.load_times.len(), events.store_times.len());
     ecohmem_obs::count("analyzer.columns.shards", tasks.len() as u64);
     let total = {
         let _span = ecohmem_obs::span("analyzer.columns.scan");
-        let (cols_ref, index_ref, bins_ref) = (cols, &index, &bins[..]);
+        let (index_ref, bins_ref) = (&index, &bins[..]);
         let accs = memsim::parallel_map(tasks, jobs, move |task| {
-            scan_shard(cols_ref, index_ref, bins_ref, task)
+            scan_shard(events, n_objs, index_ref, bins_ref, task)
         });
-        let mut total = ScanAcc::new(cols.objects.len(), bins.len());
+        let mut total = ScanAcc::new(n_objs, bins.len());
         for acc in &accs {
             total.merge(acc);
         }
@@ -390,9 +398,6 @@ fn analyze_cols(trace: &TraceFile, cols: &TraceColumns, jobs: usize) -> ProfileS
     let mut sites = Vec::with_capacity(cols.site_ids.len());
     let mut views: Vec<ObjView> = Vec::new();
     for (ds, &stack_idx) in cols.site_stacks.iter().enumerate() {
-        if stack_idx == usize::MAX {
-            continue;
-        }
         let objs = &cols.site_objects[ds];
         if objs.is_empty() {
             continue;
@@ -802,6 +807,28 @@ mod tests {
         // path.
         let quantized = buf.to_trace_file().unwrap();
         assert_eq!(analyze_with_jobs(&quantized, 2).unwrap(), from_stream);
+    }
+
+    #[test]
+    fn analysis_does_not_depend_on_the_row_layout() {
+        // The synthesizer leaves each kind's rows in emission order and
+        // the scan reads them in place; rebuilt from its events, the same
+        // trace has its rows in op order. Both must analyze identically.
+        let app = workloads::minife::model();
+        let mach = MachineConfig::optane_pmem6();
+        let (trace, _) = profile_run(
+            &app,
+            &mach,
+            ExecMode::MemoryMode,
+            &mut FixedTier::new(TierId::PMEM),
+            &ProfilerConfig::default(),
+        );
+        let rebuilt = TraceFile {
+            events: memtrace::EventBatch::from_events(&trace.events.to_events()),
+            ..trace.clone()
+        };
+        assert_ne!(rebuilt.events.load_times, trace.events.load_times, "rows differ in layout");
+        assert_eq!(analyze(&rebuilt).unwrap(), analyze(&trace).unwrap());
     }
 
     #[test]

@@ -19,18 +19,19 @@
 //! of objects can be generated on any number of workers (via
 //! [`memsim::parallel_map`]) and concatenated in submission order without
 //! changing a single byte of the trace. Events are emitted *straight into*
-//! columnar storage ([`memtrace::EventBatch`]): the generation sink logs
-//! one 16-byte `(time_bits, kind|row, time bucket)` key per event, in
-//! emission order, over one shared column arena, so finalizing the trace
-//! costs a counting scatter into small time buckets, one in-cache sort
-//! per bucket and a 4-byte-per-event `ops` fill — the column data never
-//! moves and no `Vec<TraceEvent>` is ever built on the hot path.
-//! [`reference`] keeps an AoS generator (serial emission plus one stable
-//! sort by time) as the differential-testing oracle.
+//! columnar storage ([`memtrace::EventBatch`]): the batch's own
+//! emission-order `ops` stream plus one time bucket per event is the key
+//! log, 8 bytes per event, over one shared column arena. Finalizing the
+//! trace scatters each op straight into its time bucket of the final
+//! `ops` array and sweeps every bucket into stable time order in place —
+//! the column data never moves and no `Vec<TraceEvent>` is ever built on
+//! the hot path. [`reference`](mod@reference) keeps an AoS generator
+//! (serial emission plus one stable sort by time) as the
+//! differential-testing oracle.
 
 use memsim::RunResult;
 use memsim::{AppModel, ExecMode, MachineConfig, ObjectRecord, PhaseStats, PlacementPolicy};
-use memtrace::columns::BatchOp;
+use memtrace::columns::{BatchOp, TimeColumns};
 use memtrace::{EventBatch, FuncId, ObjectId, SiteId, TierId, TraceEvent, TraceFile};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -169,56 +170,30 @@ trait EventSink {
     fn push_phase(&mut self, t: f64, phase: u32);
 }
 
-/// Event-kind tag packed into the top 3 bits of the key's `u32` row
-/// field; the low 29 bits index the kind's column arrays. 2²⁹ events of
-/// one kind per sink is ~500M — far above any synthesized trace.
-const KIND_SHIFT: u32 = 29;
-const ROW_MASK: u32 = (1 << KIND_SHIFT) - 1;
-const K_ALLOC: u32 = 0;
-const K_FREE: u32 = 1;
-const K_LOAD: u32 = 2;
-const K_STORE: u32 = 3;
-const K_PHASE: u32 = 4;
-
-/// Decodes a packed `kind|row` key field into the corresponding op. The
-/// row already points into the shared column arena, so "materializing" a
-/// sorted event costs one 4-byte op — no column data moves.
-#[inline]
-fn op_of(kr: u32) -> BatchOp {
-    let r = kr & ROW_MASK;
-    match kr >> KIND_SHIFT {
-        K_ALLOC => BatchOp::Alloc(r),
-        K_FREE => BatchOp::Free(r),
-        K_LOAD => BatchOp::Load(r),
-        K_STORE => BatchOp::Store(r),
-        _ => BatchOp::Phase(r),
-    }
-}
-
 /// Target keys per time bucket of the finalize scatter. Small buckets
-/// keep every per-bucket sort an insertion sort over one or two cache
-/// lines.
+/// keep the per-bucket sort a handful of comparisons.
 const KEYS_PER_BUCKET: usize = 8;
 
-/// Below this many buckets the finalize sort runs serially: a parallel
-/// split would cost more in thread hand-off than the sorts take.
+/// Buckets longer than this (a burst of events in a short time) are
+/// sorted by the library's stable sort instead of by rank placement, so a
+/// dense bucket costs `k log k`, not `k²`. Both give the stable time
+/// order, so the choice never shows in the trace.
+const SMALL_BUCKET: usize = 32;
+
+/// Below this many buckets the finalize sweep runs serially: a parallel
+/// split would cost more in thread hand-off than the sweep takes.
 const PARALLEL_FINALIZE_BUCKETS: usize = 512;
 
-/// Bucket-count ceiling (the bucket index is a `u32` key field, and the
-/// offset table stays a few MiB at most).
+/// Bucket-count ceiling (the offset table stays a few MiB at most).
 const MAX_BUCKETS: usize = 1 << 20;
 
-/// One emitted event's sort key: `(time_bits, kind|row, time bucket)`,
-/// 16 bytes, logged in emission order.
-type EmitKey = (u64, u32, u32);
-
-/// Columnar event sink: events are pushed straight into SoA columns (one
-/// shared [`EventBatch`] arena), while one flat, emission-order key log
-/// records each event's timestamp bits, its `kind|row` pointer into the
-/// arena and the time bucket it falls in. Finalizing is a counting
-/// scatter of the keys into ~8-key time buckets plus a per-bucket sort
-/// on `(time_bits, emission position)`, then an `ops` fill over the
-/// untouched arena — no 48-byte `TraceEvent` ever exists on this path.
+/// Columnar event sink: events are pushed straight into one shared
+/// [`EventBatch`] arena through its `push_*` methods, whose emission-order
+/// `ops` stream, together with `bucket_of`, is the key log: 8 bytes per
+/// event, one packed op and its time bucket. Finalizing is a counting
+/// scatter of the ops into ~8-op time buckets and a stable sweep of each
+/// bucket by timestamp; the column data never moves and no 48-byte
+/// `TraceEvent` ever exists on this path.
 ///
 /// Emission order already is the total tie-break order: phase markers
 /// come first, objects follow in index order (each object's events in
@@ -230,7 +205,8 @@ type EmitKey = (u64, u32, u32);
 struct ColumnSink {
     scale: f64,
     buckets: usize,
-    keys: Vec<EmitKey>,
+    /// Time bucket of each op of `cols.ops`, in emission order.
+    bucket_of: Vec<u32>,
     cols: EventBatch,
 }
 
@@ -246,7 +222,9 @@ impl ColumnSink {
         // mid-emission without over-reserving the rare columns.
         let sample = fill / 2 + fill / 8;
         let meta = fill / 16;
+        let keys = fill + fill / 8;
         let mut cols = EventBatch::default();
+        cols.ops.reserve(keys);
         cols.load_times.reserve(sample);
         cols.load_addresses.reserve(sample);
         cols.load_latencies.reserve(sample);
@@ -265,160 +243,165 @@ impl ColumnSink {
         ColumnSink {
             scale: buckets as f64 / duration.max(f64::MIN_POSITIVE),
             buckets,
-            keys: Vec::with_capacity(fill + fill / 8),
+            bucket_of: Vec::with_capacity(keys),
             cols,
         }
     }
 
+    /// Logs the time bucket of the event just pushed.
     #[inline]
-    fn key(&mut self, t: f64, kind: u32, row: usize) {
-        debug_assert!(row < ROW_MASK as usize, "per-kind event count exceeds row field");
+    fn note(&mut self, t: f64) {
         let b = ((t * self.scale) as usize).min(self.buckets - 1);
-        self.keys.push((time_bits(t), (kind << KIND_SHIFT) | row as u32, b as u32));
+        self.bucket_of.push(b as u32);
     }
 
-    /// Folds a sink of identical geometry into this one: rows are
-    /// rebased past this sink's column lengths, then the key logs and
-    /// arenas concatenate. Absorbing shards in chunk order keeps the
-    /// key log in emission order.
+    /// Folds a sink of identical geometry into this one: the arenas
+    /// concatenate (rows rebased past this sink's columns) and so do the
+    /// bucket logs. Absorbing shards in chunk order keeps the key log in
+    /// emission order.
     fn absorb(&mut self, other: ColumnSink) {
-        let base = [
-            self.cols.alloc_times.len() as u32,
-            self.cols.free_times.len() as u32,
-            self.cols.load_times.len() as u32,
-            self.cols.store_times.len() as u32,
-            self.cols.phase_times.len() as u32,
-        ];
-        // Row + base stays below 2²⁹, so adding it never carries into the
-        // kind bits.
-        self.keys.extend(
-            other
-                .keys
-                .into_iter()
-                .map(|(tb, kr, b)| (tb, kr + base[(kr >> KIND_SHIFT) as usize], b)),
-        );
         self.cols.append(&other.cols);
+        self.bucket_of.extend_from_slice(&other.bucket_of);
     }
 
-    /// Scatters the key log into its time buckets (a counting sort on the
-    /// bucket field, stable, so each bucket holds its keys in emission
-    /// order), sorts every bucket on `(time_bits, emission position)` and
-    /// lays down the sorted `ops` stream over the column arena. The arena
-    /// itself never moves: a sorted event is four bytes of op pointing at
-    /// the row the emission loop already wrote. Buckets are mutually
-    /// independent, so with `jobs > 1` contiguous bucket ranges
-    /// sort-and-encode in parallel; range order is restored before
-    /// concatenation, keeping the output independent of `jobs`.
+    /// Scatters the emission-order ops into their time buckets, straight
+    /// into the final `ops` array (a counting sort on the bucket, stable,
+    /// so each bucket holds its ops in emission order), then sweeps every
+    /// bucket into stable time order in place. The arena itself never
+    /// moves. Buckets are mutually independent, so with `jobs > 1`
+    /// disjoint ranges of buckets are swept in parallel, each on its own
+    /// slice of `ops`; the output does not depend on `jobs`.
     fn into_sorted(mut self, jobs: usize) -> EventBatch {
-        let n = self.keys.len();
-        assert!(n < u32::MAX as usize, "event count exceeds the emission-position field");
-        // `starts[b]..starts[b + 1]` is bucket `b`'s range after the scatter.
+        let emitted = std::mem::take(&mut self.cols.ops);
+        // `starts[b]..starts[b + 1]` is bucket `b`'s range of `ops`.
         let mut starts = vec![0u32; self.buckets + 1];
-        for &(_, _, b) in &self.keys {
+        for &b in &self.bucket_of {
             starts[b as usize + 1] += 1;
         }
         for b in 0..self.buckets {
             starts[b + 1] += starts[b];
         }
-        // Scattered entries are `(time_bits, emission position, kind|row)`:
-        // positions are unique, so the derived tuple order is exactly the
-        // `(time_bits, emission position)` order.
-        let mut sorted = vec![(0u64, 0u32, 0u32); n];
-        {
-            let mut next = starts[..self.buckets].to_vec();
-            for (pos, &(tb, kr, b)) in self.keys.iter().enumerate() {
-                let slot = &mut next[b as usize];
-                sorted[*slot as usize] = (tb, pos as u32, kr);
-                *slot += 1;
-            }
+        // Every slot is overwritten by the scatter.
+        let mut ops = vec![BatchOp::alloc(0); emitted.len()];
+        let mut next = starts[..self.buckets].to_vec();
+        for (&op, &b) in emitted.iter().zip(&self.bucket_of) {
+            let slot = &mut next[b as usize];
+            ops[*slot as usize] = op;
+            *slot += 1;
         }
-        drop(std::mem::take(&mut self.keys));
+        drop((emitted, next, std::mem::take(&mut self.bucket_of)));
 
-        fn sort_run(run: &mut [(u64, u32, u32)], bounds: &[u32]) -> Vec<BatchOp> {
-            let base = bounds[0] as usize;
-            for w in bounds.windows(2) {
-                run[w[0] as usize - base..w[1] as usize - base].sort_unstable();
-            }
-            run.iter().map(|&(_, _, kr)| op_of(kr)).collect()
-        }
-
+        let times = self.cols.time_columns();
         if jobs <= 1 || self.buckets < PARALLEL_FINALIZE_BUCKETS {
-            self.cols.ops = sort_run(&mut sorted, &starts);
-            return self.cols;
-        }
-        // Contiguous bucket ranges over disjoint slices of the scatter.
-        let group = self.buckets.div_ceil(jobs * 4);
-        let mut runs = Vec::with_capacity(self.buckets.div_ceil(group));
-        let mut rest: &mut [(u64, u32, u32)] = &mut sorted;
-        for g in (0..self.buckets).step_by(group) {
-            let bounds = &starts[g..=(g + group).min(self.buckets)];
-            let len = (bounds[bounds.len() - 1] - bounds[0]) as usize;
-            let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            rest = tail;
-            runs.push((run, bounds));
-        }
-        // Rows address the one shared arena, so the per-range op runs
-        // concatenate without any rebasing.
-        let parts = memsim::parallel_map(runs, jobs, |(run, bounds)| sort_run(run, bounds));
-        let mut ops = Vec::with_capacity(n);
-        for p in &parts {
-            ops.extend_from_slice(p);
+            sweep(&mut ops, &starts, times);
+        } else {
+            let group = self.buckets.div_ceil(jobs * 4);
+            let mut runs = Vec::with_capacity(self.buckets.div_ceil(group));
+            let mut rest: &mut [BatchOp] = &mut ops;
+            for g in (0..self.buckets).step_by(group) {
+                let bounds = &starts[g..=(g + group).min(self.buckets)];
+                let len = (bounds[bounds.len() - 1] - bounds[0]) as usize;
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                runs.push((run, bounds));
+            }
+            memsim::parallel_map(runs, jobs, |(run, bounds)| sweep(run, bounds, times));
         }
         self.cols.ops = ops;
         self.cols
     }
 }
 
-// Column pushes go straight to the arena fields rather than through
-// `EventBatch::push_*`: the emission-order `ops` stream those helpers
-// maintain would be discarded by `into_sorted` (which lays down its own
-// sorted stream), so building it here would be pure waste.
+/// Ops whose timestamps [`sweep`] gathers in one go, before it sorts
+/// the buckets they belong to.
+const SWEEP_CHUNK: usize = 256;
+
+/// Sorts each bucket of `ops` (bucket `i` spans `bounds[i]..bounds[i + 1]`,
+/// offset by `bounds[0]`) stably by timestamp, reading each op's time
+/// through the batch's kind-indexed time columns. No op leaves its bucket:
+/// the bucket map is monotone in time.
+///
+/// The rows an op stream in time order points at are scattered over the
+/// columns, so nearly every time read misses the cache. The sweep
+/// therefore gathers the keys of a chunk of whole buckets first, in one
+/// loop of independent loads the CPU overlaps, and only then places each
+/// op of the chunk's buckets at its stable rank among its bucket's keys —
+/// counting comparisons instead of branching on them, so the random order
+/// inside a bucket costs no mispredicted branches. The library's
+/// `sort_by_key` on each bucket instead re-reads both keys on every
+/// comparison; with it, perfbench's `pipeline_ms_p50` was about 11 %
+/// higher.
+fn sweep(ops: &mut [BatchOp], bounds: &[u32], times: TimeColumns<'_>) {
+    let key = |op: BatchOp| time_bits(times.at(op));
+    let at = |b: usize| (bounds[b] - bounds[0]) as usize;
+    let n_buckets = bounds.len() - 1;
+    let mut keys = [0u64; SWEEP_CHUNK];
+    let mut src = [BatchOp::alloc(0); SWEEP_CHUNK];
+    let mut b = 0;
+    while b < n_buckets {
+        let lo = at(b);
+        if at(b + 1) - lo > SMALL_BUCKET {
+            ops[lo..at(b + 1)].sort_by_key(|&op| key(op));
+            b += 1;
+            continue;
+        }
+        // The chunk: buckets `b..e`, each at most `SMALL_BUCKET` long,
+        // together at most `SWEEP_CHUNK`.
+        let mut e = b + 1;
+        while e < n_buckets && at(e + 1) - at(e) <= SMALL_BUCKET && at(e + 1) - lo <= SWEEP_CHUNK {
+            e += 1;
+        }
+        let run = &mut ops[lo..at(e)];
+        let keys = &mut keys[..run.len()];
+        for (k, &op) in keys.iter_mut().zip(run.iter()) {
+            *k = key(op);
+        }
+        let src = &mut src[..run.len()];
+        src.copy_from_slice(run);
+        for bucket in b..e {
+            let (first, end) = (at(bucket) - lo, at(bucket + 1) - lo);
+            let bucket_keys = &keys[first..end];
+            for (i, &k) in bucket_keys.iter().enumerate() {
+                // The stable rank: the keys before it that are not
+                // greater, and the keys after it that are smaller.
+                let before = bucket_keys[..i].iter().filter(|&&x| x <= k).count();
+                let after = bucket_keys[i + 1..].iter().filter(|&&x| x < k).count();
+                run[first + before + after] = src[first + i];
+            }
+        }
+        b = e;
+    }
+}
+
 impl EventSink for ColumnSink {
     #[inline]
     fn push_alloc(&mut self, t: f64, object: ObjectId, site: SiteId, size: u64, a: u64) {
-        let row = self.cols.alloc_times.len();
-        self.cols.alloc_times.push(t);
-        self.cols.alloc_objects.push(object);
-        self.cols.alloc_sites.push(site);
-        self.cols.alloc_sizes.push(size);
-        self.cols.alloc_addresses.push(a);
-        self.key(t, K_ALLOC, row);
+        self.cols.push_alloc(t, object, site, size, a);
+        self.note(t);
     }
 
     #[inline]
     fn push_free(&mut self, t: f64, object: ObjectId) {
-        let row = self.cols.free_times.len();
-        self.cols.free_times.push(t);
-        self.cols.free_objects.push(object);
-        self.key(t, K_FREE, row);
+        self.cols.push_free(t, object);
+        self.note(t);
     }
 
     #[inline]
     fn push_load(&mut self, t: f64, address: u64, latency_cycles: f64, func: FuncId) {
-        let row = self.cols.load_times.len();
-        self.cols.load_times.push(t);
-        self.cols.load_addresses.push(address);
-        self.cols.load_latencies.push(latency_cycles);
-        self.cols.load_functions.push(func);
-        self.key(t, K_LOAD, row);
+        self.cols.push_load(t, address, latency_cycles, func);
+        self.note(t);
     }
 
     #[inline]
     fn push_store(&mut self, t: f64, address: u64, l1d_miss: bool, func: FuncId) {
-        let row = self.cols.store_times.len();
-        self.cols.store_times.push(t);
-        self.cols.store_addresses.push(address);
-        self.cols.store_l1d_miss.push(l1d_miss);
-        self.cols.store_functions.push(func);
-        self.key(t, K_STORE, row);
+        self.cols.push_store(t, address, l1d_miss, func);
+        self.note(t);
     }
 
     #[inline]
     fn push_phase(&mut self, t: f64, phase: u32) {
-        let row = self.cols.phase_times.len();
-        self.cols.phase_times.push(t);
-        self.cols.phase_ids.push(phase);
-        self.key(t, K_PHASE, row);
+        self.cols.push_phase(t, phase);
+        self.note(t);
     }
 }
 
@@ -621,7 +604,7 @@ pub fn synthesize_trace_with_jobs(
 }
 
 /// The AoS generator kept as the differential-testing oracle for the
-/// columnar sink: same [`EmitCtx`], same emission body (and therefore the
+/// columnar sink: same emission context, same emission body (and therefore the
 /// same RNG draw sequence), but events materialize as `Vec<TraceEvent>`
 /// in serial emission order and take one stable sort by timestamp — the
 /// definition of the trace order the bucketed sink must reproduce. Not

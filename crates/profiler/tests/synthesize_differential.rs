@@ -142,6 +142,91 @@ fn every_workload_matches_the_aos_reference() {
     }
 }
 
+/// A hand-built engine result made of ties: zero-duration phases, objects
+/// allocated and freed at the same instant (a zero-width sampling window,
+/// so every sample of the object lands on one timestamp), and every
+/// alloc, free and phase start on a time-bucket edge. Thousands of events
+/// share a timestamp, so buckets run far past their expected size and
+/// the finalize sweep's stability is all that orders them.
+fn tie_heavy_result() -> (AppModel, memsim::RunResult) {
+    let app = workloads::minife::model();
+    let mut result = memsim::run(
+        &app,
+        &MachineConfig::optane_pmem6(),
+        ExecMode::MemoryMode,
+        &mut FixedTier::new(TierId::PMEM),
+    );
+    let total = 8.0;
+    // Phase starts and object times are multiples of `total / 64`: bucket
+    // edges for any power-of-two bucket count of at least 64.
+    let edge = |k: u64| k as f64 * total / 64.0;
+    let template = result.phases[0].clone();
+    let spans = [(0, 16), (16, 0), (16, 16), (32, 0), (32, 32), (64, 0)];
+    result.phases = spans
+        .iter()
+        .enumerate()
+        .map(|(i, &(start, len))| memsim::PhaseStats {
+            index: i as u32,
+            start: edge(start),
+            duration: edge(len),
+            ..template.clone()
+        })
+        .collect();
+    result.total_time = total;
+    let template = result.objects[0].clone();
+    let sites: Vec<SiteId> = app.sites.iter().map(|(s, _)| *s).collect();
+    result.objects = (0..240u64)
+        .map(|i| {
+            let (alloc, free, phases): (u64, u64, &[u32]) = match i % 4 {
+                // Zero-width window: allocated and freed at one edge.
+                0 => (i % 64, i % 64, &[0, 2, 4, 5]),
+                // Alive across the zero-duration phases only.
+                1 => (8, 40, &[1, 3]),
+                // An ordinary window between two edges.
+                2 => (i % 32, i % 32 + 16, &[0, 2, 4]),
+                // Allocated at the run's end.
+                _ => (64, 64, &[5]),
+            };
+            let activity: Vec<(u32, f64, f64, f64)> =
+                phases.iter().map(|&p| (p, 4.0e6, 1.0e6, 4.0e6)).collect();
+            memsim::ObjectRecord {
+                object: memtrace::ObjectId(1000 + i),
+                site: sites[i as usize % sites.len()],
+                address: 0x1_0000 * (i + 1),
+                alloc_time: edge(alloc),
+                free_time: edge(free),
+                alloc_phase: 0,
+                load_misses: activity.iter().map(|a| a.1).sum(),
+                store_misses: activity.iter().map(|a| a.2).sum(),
+                stores: activity.iter().map(|a| a.3).sum(),
+                phase_activity: activity,
+                ..template.clone()
+            }
+        })
+        .collect();
+    (app, result)
+}
+
+/// Ties everywhere, at jobs 1, 2 and 4: the in-place finalize sweep keeps
+/// emission order among equal timestamps exactly like the oracle's stable
+/// sort, and lays down the same `ops` at every worker count.
+#[test]
+fn tie_heavy_synthesis_matches_the_reference_at_any_jobs() {
+    let (app, result) = tie_heavy_result();
+    let cfg = ProfilerConfig { sampling_hz: 100.0, seed: 17 };
+    let reference = synthesize_trace_reference(&app, &result, &cfg);
+    let times: Vec<f64> = reference.events.iter_events().map(|e| e.time()).collect();
+    let tied = |t: f64| times.iter().filter(|&&x| x == t).count();
+    assert!(tied(2.0) > 1000 && tied(8.0) > 1000, "want heavy ties: {} {}", tied(2.0), tied(8.0));
+    assert!(times.len() > 8 * 512, "want the parallel sweep path: {} events", times.len());
+    let serial = synthesize_trace_with_jobs(&app, &result, &cfg, 1);
+    for jobs in [1usize, 2, 4] {
+        let trace = synthesize_trace_with_jobs(&app, &result, &cfg, jobs);
+        assert_eq!(trace.events, reference.events, "jobs {jobs}: events differ from the oracle");
+        assert_eq!(trace.events.ops, serial.events.ops, "jobs {jobs}: ops differ from jobs 1");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

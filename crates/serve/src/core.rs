@@ -5,7 +5,7 @@
 //! ingestor + incremental advisor, optionally wrapped in the durability
 //! engine) and two bounded queues:
 //!
-//! * an **inbox** of [`Work`] items (event batches, ticks, finish) fed by
+//! * an **inbox** of `Work` items (event batches, ticks, finish) fed by
 //!   the transport with *deadline admission* — a full inbox sheds the
 //!   batch after [`ServeConfig::admission_timeout`] instead of stalling
 //!   the connection reader;

@@ -19,7 +19,7 @@
 //! * [`sys`] — hand-rolled `poll(2)`/`epoll(2)` readiness wrapper
 //!   (direct `extern "C"` against the libc std already links; scalar
 //!   `poll` fallback for portability).
-//! * [`reactor`] — the sharded event loop: `--io-threads N` shards own
+//! * `reactor` — the sharded event loop: `--io-threads N` shards own
 //!   nonblocking sockets, decode frames incrementally, and batch outbox
 //!   drains into coalesced writes. Thread count is fixed at
 //!   `io_threads + workers`, independent of tenant count.

@@ -501,7 +501,7 @@ impl FrameReader {
 
     /// Empties the reader but keeps its buffer allocation — connection
     /// pools recycle readers so a churn of short sessions doesn't pay a
-    /// fresh (zeroed) [`READ_CHUNK`] allocation per connection.
+    /// fresh (zeroed) `READ_CHUNK` allocation per connection.
     pub fn reset(&mut self) {
         self.start = 0;
         self.end = 0;
@@ -527,7 +527,7 @@ impl FrameReader {
         self.start = 0;
     }
 
-    /// Appends up to [`READ_CHUNK`] bytes from `r`. A nonblocking source
+    /// Appends up to `READ_CHUNK` bytes from `r`. A nonblocking source
     /// reports [`Fill::WouldBlock`]; EINTR is retried internally.
     pub fn fill_from<R: Read>(&mut self, r: &mut R) -> Result<Fill, ServeError> {
         self.compact();

@@ -2,7 +2,7 @@
 //!
 //! Since the reactor rework this file is the *configuration* surface:
 //! [`Server::bind`] sets up the listener and the [`ServiceCore`], then
-//! [`Server::run`] hands both to [`crate::reactor`], which multiplexes
+//! [`Server::run`] hands both to the `reactor` module, which multiplexes
 //! every connection across `io_threads` event-driven shards. The daemon
 //! runs exactly `io_threads + workers` threads no matter how many
 //! tenants connect — there are no per-connection threads anywhere.
