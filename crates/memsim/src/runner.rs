@@ -259,6 +259,14 @@ impl RunCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Forgets every stored run, so the next request for any key
+    /// simulates again; the hit and miss counters keep counting.
+    pub fn clear(&self) {
+        let mut slots = self.slots.lock().unwrap();
+        slots.map.clear();
+        slots.order.clear();
+    }
 }
 
 /// The process-global run cache shared by all bench binaries, pipelines and

@@ -521,7 +521,7 @@ impl TraceBuf {
         let data = &self.data[m.off..m.off + m.len];
         let mut pos = 0usize;
         let mut last_us = m.base_us;
-        let mut batch = EventBatch { ops: Vec::with_capacity(m.count), ..EventBatch::default() };
+        let mut batch = EventBatch::with_capacity(m.count);
         for _ in 0..m.count {
             let e = decode_record(data, &mut pos, &mut last_us)?;
             batch.push(&e);
@@ -670,7 +670,7 @@ pub fn read_frame(data: &[u8], pos: &mut usize) -> Result<EventBatch, TraceError
     if n > data.len().saturating_sub(*pos) / 2 {
         return Err(TraceError::Malformed(format!("frame claims {n} events in a short buffer")));
     }
-    let mut batch = EventBatch { ops: Vec::with_capacity(n), ..EventBatch::default() };
+    let mut batch = EventBatch::with_capacity(n);
     for _ in 0..n {
         let tag = *data.get(*pos).ok_or_else(|| TraceError::Malformed("truncated frame".into()))?;
         *pos += 1;

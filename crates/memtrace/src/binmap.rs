@@ -19,6 +19,7 @@ use crate::ids::ModuleId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One entry of a module's synthetic debug line table: a half-open offset
 /// range `[start, end)` mapped to a source location.
@@ -76,16 +77,20 @@ impl ModuleInfo {
 
 /// The run-independent program image: the fixed set of binary objects an
 /// application maps, indexed by [`ModuleId`].
+///
+/// The image never changes once built, and every trace and profile of an
+/// application carries it, so clones share the modules: a line table runs
+/// to hundreds of KiB.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct BinaryMap {
-    modules: Vec<ModuleInfo>,
+    modules: Arc<[ModuleInfo]>,
 }
 
 impl BinaryMap {
     /// Rebuilds a map from deserialized modules (crate-internal: the JSON
     /// codec needs it; everyone else goes through [`BinaryMapBuilder`]).
     pub(crate) fn from_modules(modules: Vec<ModuleInfo>) -> Self {
-        BinaryMap { modules }
+        BinaryMap { modules: modules.into() }
     }
 
     /// All modules, in id order.
@@ -193,7 +198,7 @@ impl BinaryMapBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> BinaryMap {
-        BinaryMap { modules: self.modules }
+        BinaryMap { modules: self.modules.into() }
     }
 }
 

@@ -10,7 +10,9 @@
 //!   arrival-ordered op stream. It is the event store of every trace, the
 //!   unit the online path streams, and the form the v2 binary trace's
 //!   buckets decode into. `TraceEvent` survives as its lossless AoS view
-//!   ([`EventBatch::iter_events`], [`EventBatch::to_events`]).
+//!   ([`EventBatch::iter_events`], [`EventBatch::to_events`]). A thread
+//!   that builds large batches keeps the storage of the last one it
+//!   dropped as a spare for the next ([`EventBatch::take_spare`]).
 //! * [`BatchOp`] — one entry of the op stream, packed into a `u32`: the
 //!   [`OpKind`] in the top 3 bits, the row of that kind's columns in the
 //!   low 29 ([`MAX_ROWS`] caps the rows of one kind). A timestamp gather
@@ -38,6 +40,7 @@ use crate::ids::{FuncId, ObjectId, SiteId};
 use crate::integrity::Validator;
 use crate::trace::TraceFile;
 use crate::warn::DegradationPolicy;
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Two heap blocks can only alias the same sample address when they sit in
@@ -484,6 +487,9 @@ impl TimeColumns<'_> {
 /// other than op order, so a derived, column-by-column comparison would
 /// tell apart batches that [`EventBatch::from_events`] of the same
 /// events cannot.
+///
+/// Dropping a batch of at least [`SPARE_FLOOR`] op slots may keep its
+/// emptied storage as its thread's spare (see [`EventBatch::take_spare`]).
 #[derive(Debug, Clone, Default)]
 pub struct EventBatch {
     /// Arrival-ordered operation stream.
@@ -525,9 +531,54 @@ pub struct EventBatch {
 }
 
 impl EventBatch {
+    /// An empty batch with room for `ops` ops and no column rows.
+    pub fn with_capacity(ops: usize) -> EventBatch {
+        let mut b = EventBatch::default();
+        b.ops.reserve_exact(ops);
+        b
+    }
+
+    /// An empty batch for a large build: this thread's spare when it has
+    /// one (the storage of the last large batch dropped here, emptied),
+    /// else a fresh one. Marks the thread as one whose dropped batches
+    /// become spares.
+    pub fn take_spare() -> EventBatch {
+        SPARE
+            .try_with(|slot| {
+                let mut slot = slot.try_borrow_mut().ok()?;
+                slot.drawn = true;
+                slot.batch.take()
+            })
+            .ok()
+            .flatten()
+            .unwrap_or_default()
+    }
+
+    /// Empties the batch, keeping the capacity of every column.
+    fn clear(&mut self) {
+        self.ops.clear();
+        self.alloc_times.clear();
+        self.alloc_objects.clear();
+        self.alloc_sites.clear();
+        self.alloc_sizes.clear();
+        self.alloc_addresses.clear();
+        self.free_times.clear();
+        self.free_objects.clear();
+        self.load_times.clear();
+        self.load_addresses.clear();
+        self.load_latencies.clear();
+        self.load_functions.clear();
+        self.store_times.clear();
+        self.store_addresses.clear();
+        self.store_l1d_miss.clear();
+        self.store_functions.clear();
+        self.phase_times.clear();
+        self.phase_ids.clear();
+    }
+
     /// Transposes a slice of events into one batch.
     pub fn from_events(events: &[TraceEvent]) -> EventBatch {
-        let mut b = EventBatch { ops: Vec::with_capacity(events.len()), ..EventBatch::default() };
+        let mut b = EventBatch::with_capacity(events.len());
         for e in events {
             b.push(e);
         }
@@ -770,7 +821,7 @@ impl EventBatch {
     /// primitive the streaming producer uses to feed a whole columnar
     /// trace through a bounded channel without materializing events.
     pub fn slice_ops(&self, range: std::ops::Range<usize>) -> EventBatch {
-        let mut out = EventBatch { ops: Vec::with_capacity(range.len()), ..EventBatch::default() };
+        let mut out = EventBatch::with_capacity(range.len());
         for &op in &self.ops[range] {
             out.push(&self.event_of(op));
         }
@@ -791,6 +842,53 @@ impl EventBatch {
 impl PartialEq for EventBatch {
     fn eq(&self, other: &EventBatch) -> bool {
         self.len() == other.len() && self.iter_events().eq(other.iter_events())
+    }
+}
+
+/// Op slots a dropped [`EventBatch`] needs for its storage to be kept as
+/// its thread's spare. A profiled trace holds 10^5 to 10^6 events; a serve
+/// frame holds at most a few hundred, so frames and other small batches
+/// are freed as usual and never touch the thread-local.
+pub const SPARE_FLOOR: usize = 1 << 15;
+
+/// A thread's spare batch storage (see [`EventBatch::take_spare`]).
+struct Spare {
+    /// The thread has called [`EventBatch::take_spare`]: only such a
+    /// thread keeps the batches it drops.
+    drawn: bool,
+    /// The kept storage, emptied.
+    batch: Option<EventBatch>,
+}
+
+thread_local! {
+    /// One slot per thread, so a thread retains at most one batch.
+    static SPARE: RefCell<Spare> = const { RefCell::new(Spare { drawn: false, batch: None }) };
+}
+
+/// Keeps the storage of a large batch dropped on a drawing thread as that
+/// thread's spare, so the next [`EventBatch::take_spare`] maps no fresh
+/// pages. Of two candidates the one with more op slots stays. The slot is
+/// reached only through `try_with` and `try_borrow_mut`: while the thread
+/// exits, or while the slot is busy, a drop just frees the batch.
+impl Drop for EventBatch {
+    fn drop(&mut self) {
+        if self.ops.capacity() < SPARE_FLOOR {
+            return;
+        }
+        let _ = SPARE.try_with(|slot| {
+            let Ok(mut slot) = slot.try_borrow_mut() else { return };
+            let roomier =
+                slot.batch.as_ref().is_none_or(|b| b.ops.capacity() < self.ops.capacity());
+            if slot.drawn && roomier {
+                let mut kept = std::mem::take(self);
+                kept.clear();
+                // Declared after `slot`, so it drops first, while the slot
+                // is still borrowed: the displaced batch's own drop finds
+                // the slot busy and frees it, and displacement cannot
+                // recurse.
+                let _displaced = slot.batch.replace(kept);
+            }
+        });
     }
 }
 
@@ -883,6 +981,76 @@ mod tests {
             assert!(std::panic::catch_unwind(|| BatchOp::new(kind, MAX_ROWS)).is_err(), "{kind:?}");
         }
         assert!(std::panic::catch_unwind(|| BatchOp::alloc(0).with_row(MAX_ROWS)).is_err());
+    }
+
+    /// Op slots of this thread's spare, if it has one.
+    fn spare_slots() -> Option<usize> {
+        SPARE.with(|s| s.borrow().batch.as_ref().map(|b| b.ops.capacity()))
+    }
+
+    /// A batch of one event with room for `ops` ops.
+    fn roomy(ops: usize) -> EventBatch {
+        let mut b = EventBatch::with_capacity(ops);
+        b.push_phase(0.0, 7);
+        b
+    }
+
+    /// Runs `f` on a thread of its own, so it starts with an empty slot.
+    fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().expect("the thread finishes");
+    }
+
+    #[test]
+    fn a_roomier_batch_displaces_the_spare() {
+        on_fresh_thread(|| {
+            drop(roomy(2 * SPARE_FLOOR));
+            assert_eq!(spare_slots(), None, "a thread that never drew keeps nothing");
+            assert_eq!(EventBatch::take_spare().ops.capacity(), 0);
+            drop(roomy(2 * SPARE_FLOOR));
+            assert_eq!(spare_slots(), Some(2 * SPARE_FLOOR));
+            // The parked batch is displaced, and its own drop frees it
+            // instead of displacing the newcomer back.
+            drop(roomy(4 * SPARE_FLOOR));
+            assert_eq!(spare_slots(), Some(4 * SPARE_FLOOR));
+            // A smaller batch leaves the spare alone.
+            drop(roomy(3 * SPARE_FLOOR));
+            assert_eq!(spare_slots(), Some(4 * SPARE_FLOOR));
+            let spare = EventBatch::take_spare();
+            assert!(spare.is_empty() && spare.phase_ids.is_empty(), "the spare is emptied");
+            assert!(spare.ops.capacity() >= 4 * SPARE_FLOOR && spare.phase_ids.capacity() > 0);
+            assert_eq!(spare_slots(), None);
+            // A drop while the slot is busy frees the batch.
+            SPARE.with(|s| {
+                let _busy = s.borrow_mut();
+                drop(roomy(8 * SPARE_FLOOR));
+            });
+            assert_eq!(spare_slots(), None);
+        });
+    }
+
+    #[test]
+    fn a_thread_exits_holding_a_spare() {
+        on_fresh_thread(|| {
+            drop(EventBatch::take_spare());
+            drop(roomy(SPARE_FLOOR));
+            assert_eq!(spare_slots(), Some(SPARE_FLOOR));
+            // The slot's destructor drops the spare; that drop must find
+            // the slot gone and just free it.
+        });
+    }
+
+    #[test]
+    fn a_batch_below_the_floor_is_never_kept() {
+        on_fresh_thread(|| {
+            drop(EventBatch::take_spare());
+            drop(roomy(SPARE_FLOOR - 1));
+            assert_eq!(spare_slots(), None);
+            drop(roomy(SPARE_FLOOR));
+            let mut small = roomy(16);
+            small.push_load(1.0, 0x40, 300.0, FuncId(0));
+            drop(small);
+            assert_eq!(spare_slots(), Some(SPARE_FLOOR), "the spare stays as it was");
+        });
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::ids::SiteId;
 use crate::integrity::{self, Validator};
 use crate::warn::{DegradationPolicy, DroppedWindow, Warning, WarningKind};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -181,6 +182,29 @@ impl TraceFile {
         let lenient = DegradationPolicy::BestEffort;
         self.events.retain(|b, op| matches!(v.offer_op(lenient, b, op, b.time_of(op)), Ok(true)));
         (integrity::sanitize_warnings(&v, repairs), v.window)
+    }
+
+    /// [`Self::sanitize`] without a copy when there is nothing to repair:
+    /// the trace itself when its metadata is usable and every event passes
+    /// the rules, else a sanitized copy. The warnings are `sanitize`'s.
+    pub fn sanitized(&self) -> (Cow<'_, TraceFile>, Vec<Warning>) {
+        let (mut duration, mut hz, mut load_period, mut store_period) =
+            (self.duration, self.sampling_hz, self.load_sample_period, self.store_sample_period);
+        let repairs =
+            integrity::repair_metadata(&mut duration, &mut hz, &mut load_period, &mut store_period);
+        if repairs.is_empty() {
+            let (mut v, b) = (Validator::new(&self.stacks), &self.events);
+            let times = b.time_columns();
+            let lenient = DegradationPolicy::BestEffort;
+            // Stops at the first event sanitizing would drop.
+            if b.ops.iter().all(|&op| matches!(v.offer_op(lenient, b, op, times.at(op)), Ok(true)))
+            {
+                return (Cow::Borrowed(self), integrity::sanitize_warnings(&v, repairs));
+            }
+        }
+        let mut copy = self.clone();
+        let warnings = copy.sanitize();
+        (Cow::Owned(copy), warnings)
     }
 
     /// Deserializes a trace from JSON, salvaging a valid prefix when the

@@ -105,15 +105,15 @@ pub fn analyze_legacy(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
     scalar_analyze(trace)
 }
 
-/// Lenient analysis: sanitizes a copy of the trace — dropping
-/// the events strict validation would reject — and analyzes the
+/// Lenient analysis: sanitizes the trace — dropping the events strict
+/// validation would reject, on a copy only when there is something to
+/// drop or repair ([`TraceFile::sanitized`]) — and analyzes the
 /// remainder. Never fails: if analysis is still impossible the result is
 /// an empty profile (which places everything in the fallback tier
 /// downstream) plus a warning saying so. The warning list is nonempty
 /// exactly when the trace needed repair or could not be analyzed.
 pub fn analyze_lenient(trace: &TraceFile) -> (ProfileSet, Vec<Warning>) {
-    let mut clean = trace.clone();
-    let (mut warnings, _) = clean.sanitize_verbose();
+    let (clean, mut warnings) = trace.sanitized();
     ecohmem_obs::count("analyzer.lenient.repairs", warnings.len() as u64);
     let (profile, failed) =
         profile_or_empty(analyze(&clean), &trace.app_name, clean.duration, &trace.binmap);

@@ -25,7 +25,10 @@
 //! trace scatters each op straight into its time bucket of the final
 //! `ops` array and sweeps every bucket into stable time order in place —
 //! the column data never moves and no `Vec<TraceEvent>` is ever built on
-//! the hot path. [`reference`](mod@reference) keeps an AoS generator
+//! the hot path. The arena and the finalize buffers are the storage of
+//! the last trace synthesized on the same thread, recycled
+//! ([`EventBatch::take_spare`]), so a steady stream of requests maps no
+//! fresh trace pages. [`reference`](mod@reference) keeps an AoS generator
 //! (serial emission plus one stable sort by time) as the
 //! differential-testing oracle.
 
@@ -33,6 +36,7 @@ use memsim::RunResult;
 use memsim::{AppModel, ExecMode, MachineConfig, ObjectRecord, PhaseStats, PlacementPolicy};
 use memtrace::columns::{BatchOp, TimeColumns};
 use memtrace::{EventBatch, FuncId, ObjectId, SiteId, TierId, TraceEvent, TraceFile};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -205,15 +209,35 @@ const MAX_BUCKETS: usize = 1 << 20;
 struct ColumnSink {
     scale: f64,
     buckets: usize,
+    /// The key log and the finalize buffers.
+    scratch: Scratch,
+    cols: EventBatch,
+}
+
+/// The buffers of a [`ColumnSink`] besides its arena. A thread keeps its
+/// set, emptied, from one trace to the next.
+#[derive(Default)]
+struct Scratch {
     /// Time bucket of each op of `cols.ops`, in emission order.
     bucket_of: Vec<u32>,
-    cols: EventBatch,
+    /// The final `ops` of the next finalize.
+    ops: Vec<BatchOp>,
+    /// Bucket offsets of the finalize.
+    starts: Vec<u32>,
+}
+
+thread_local! {
+    /// This thread's spare [`Scratch`].
+    static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
 impl ColumnSink {
     /// `expected` fixes the bucket geometry (all sinks that will be
     /// folded together must share it); `fill` is the share of `expected`
     /// this particular sink will receive, used only to pre-size storage.
+    /// The arena is this thread's spare batch and the scratch its spare
+    /// scratch, so a thread that synthesizes trace after trace reuses the
+    /// storage of the last one instead of mapping fresh pages.
     fn new(expected: usize, fill: usize, duration: f64) -> ColumnSink {
         let buckets = (expected / KEYS_PER_BUCKET).next_power_of_two().clamp(1, MAX_BUCKETS);
         // Loads and stores dominate synthesized traces (alloc/free/phase
@@ -223,7 +247,7 @@ impl ColumnSink {
         let sample = fill / 2 + fill / 8;
         let meta = fill / 16;
         let keys = fill + fill / 8;
-        let mut cols = EventBatch::default();
+        let mut cols = EventBatch::take_spare();
         cols.ops.reserve(keys);
         cols.load_times.reserve(sample);
         cols.load_addresses.reserve(sample);
@@ -240,10 +264,12 @@ impl ColumnSink {
         cols.alloc_addresses.reserve(meta);
         cols.free_times.reserve(meta);
         cols.free_objects.reserve(meta);
+        let mut scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
+        scratch.bucket_of.reserve(keys);
         ColumnSink {
             scale: buckets as f64 / duration.max(f64::MIN_POSITIVE),
             buckets,
-            bucket_of: Vec::with_capacity(keys),
+            scratch,
             cols,
         }
     }
@@ -252,7 +278,7 @@ impl ColumnSink {
     #[inline]
     fn note(&mut self, t: f64) {
         let b = ((t * self.scale) as usize).min(self.buckets - 1);
-        self.bucket_of.push(b as u32);
+        self.scratch.bucket_of.push(b as u32);
     }
 
     /// Folds a sink of identical geometry into this one: the arenas
@@ -261,7 +287,7 @@ impl ColumnSink {
     /// emission order.
     fn absorb(&mut self, other: ColumnSink) {
         self.cols.append(&other.cols);
-        self.bucket_of.extend_from_slice(&other.bucket_of);
+        self.scratch.bucket_of.extend_from_slice(&other.scratch.bucket_of);
     }
 
     /// Scatters the emission-order ops into their time buckets, straight
@@ -271,25 +297,34 @@ impl ColumnSink {
     /// moves. Buckets are mutually independent, so with `jobs > 1`
     /// disjoint ranges of buckets are swept in parallel, each on its own
     /// slice of `ops`; the output does not depend on `jobs`.
+    ///
+    /// The final `ops` is the scratch's op buffer, and the emission-order
+    /// ops become the op buffer of the scratch this thread keeps.
     fn into_sorted(mut self, jobs: usize) -> EventBatch {
-        let emitted = std::mem::take(&mut self.cols.ops);
+        let Scratch { bucket_of, mut ops, mut starts } = self.scratch;
         // `starts[b]..starts[b + 1]` is bucket `b`'s range of `ops`.
-        let mut starts = vec![0u32; self.buckets + 1];
-        for &b in &self.bucket_of {
+        starts.resize(self.buckets + 1, 0);
+        for &b in &bucket_of {
             starts[b as usize + 1] += 1;
         }
         for b in 0..self.buckets {
             starts[b + 1] += starts[b];
         }
-        // Every slot is overwritten by the scatter.
-        let mut ops = vec![BatchOp::alloc(0); emitted.len()];
-        let mut next = starts[..self.buckets].to_vec();
-        for (&op, &b) in emitted.iter().zip(&self.bucket_of) {
-            let slot = &mut next[b as usize];
+        // Every slot is overwritten by the scatter, which advances
+        // `starts[b]` to the end of bucket `b`; shifting the table up by
+        // one restores the starts. The op buffer is made as roomy as the
+        // emission buffer, so the two trade places trace after trace
+        // without either growing.
+        let emitted = std::mem::take(&mut self.cols.ops);
+        ops.reserve(emitted.capacity());
+        ops.resize(emitted.len(), BatchOp::alloc(0));
+        for (&op, &b) in emitted.iter().zip(&bucket_of) {
+            let slot = &mut starts[b as usize];
             ops[*slot as usize] = op;
             *slot += 1;
         }
-        drop((emitted, next, std::mem::take(&mut self.bucket_of)));
+        starts.copy_within(..self.buckets, 1);
+        starts[0] = 0;
 
         let times = self.cols.time_columns();
         if jobs <= 1 || self.buckets < PARALLEL_FINALIZE_BUCKETS {
@@ -308,6 +343,11 @@ impl ColumnSink {
             memsim::parallel_map(runs, jobs, |(run, bounds)| sweep(run, bounds, times));
         }
         self.cols.ops = ops;
+        let mut spare = Scratch { bucket_of, ops: emitted, starts };
+        spare.bucket_of.clear();
+        spare.ops.clear();
+        spare.starts.clear();
+        let _ = SCRATCH.try_with(|s| s.set(spare));
         self.cols
     }
 }
@@ -746,6 +786,39 @@ mod tests {
         let reference = reference::synthesize_trace_reference(&app, &result, &cfg);
         for jobs in [1, 4] {
             assert_eq!(synthesize_trace_with_jobs(&app, &result, &cfg, jobs), reference, "{jobs}");
+        }
+    }
+
+    #[test]
+    fn recycled_storage_does_not_show_in_the_trace() {
+        // Trace A leaves this thread a spare arena and finalize buffers
+        // full of its own events; B, smaller, is synthesized on top.
+        let mach = MachineConfig::optane_pmem6();
+        let cfg = ProfilerConfig { sampling_hz: 100.0, seed: 13 };
+        let engine = |app: &AppModel| {
+            memsim::run(app, &mach, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM))
+        };
+        let (a, b) = (workloads::lulesh::model(), workloads::hpcg::model());
+        let (run_a, run_b) = (engine(&a), engine(&b));
+        let reference = reference::synthesize_trace_reference(&b, &run_b, &cfg);
+        for jobs in [1, 2] {
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| synthesize_trace_with_jobs(&b, &run_b, &cfg, jobs)).join().unwrap()
+            });
+            let (recycled, a_loads) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let a_loads =
+                        synthesize_trace_with_jobs(&a, &run_a, &cfg, jobs).events.load_times.len();
+                    (synthesize_trace_with_jobs(&b, &run_b, &cfg, jobs), a_loads)
+                })
+                .join()
+                .unwrap()
+            });
+            assert!(a_loads > fresh.events.load_times.len(), "A is the larger trace");
+            assert!(recycled.events.load_times.capacity() >= a_loads, "B reused A's arena");
+            assert_eq!(recycled.events.ops, fresh.events.ops, "jobs={jobs}");
+            assert_eq!(recycled, fresh, "jobs={jobs}");
+            assert_eq!(recycled, reference, "jobs={jobs}");
         }
     }
 

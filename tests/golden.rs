@@ -383,8 +383,10 @@ fn trace_codec_digests() -> String {
     out
 }
 
-#[test]
-fn pipeline_artifacts_match_goldens() {
+/// Runs the three golden apps through `run_pipeline`, from an empty run
+/// cache, and checks each one's report and metrics against its goldens.
+fn golden_apps_pass() {
+    memsim::global_cache().clear();
     for app_name in APPS {
         let app = ecohmem::workloads::model_by_name(app_name).unwrap();
         let cfg = PipelineConfig::paper_default();
@@ -400,6 +402,22 @@ fn pipeline_artifacts_match_goldens() {
         assert_matches_golden(&format!("{app_name}.report.json"), &report_json);
         assert_matches_golden(&format!("{app_name}.metrics.json"), &normalized_metrics(app_name));
     }
+}
+
+#[test]
+fn pipeline_artifacts_match_goldens() {
+    golden_apps_pass();
+
+    // A second pass on this thread synthesizes every trace into storage
+    // recycled from the traces before it (`EventBatch::take_spare`),
+    // still holding their events, and one lenient request with a damaged
+    // trace runs in between. None of that may show in an artifact.
+    let mut lenient = PipelineConfig::paper_default();
+    lenient.policy = DegradationPolicy::Warn;
+    lenient.faults = vec![FaultSpec::with_seed(FaultKind::CorruptTimestamps, 0.25, 7)];
+    let app = ecohmem::workloads::model_by_name("lulesh").unwrap();
+    assert!(run_pipeline(&app, &lenient).unwrap().degraded);
+    golden_apps_pass();
 
     // The crash-recovery and overload counters ride the same snapshot
     // discipline: supervised restarts and explicit shedding are part of
