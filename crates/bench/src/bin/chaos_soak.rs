@@ -531,20 +531,27 @@ fn scenario_soak(trace: &TraceFile, rng: &mut u64) -> Outcome {
     check("soak", true, format!("{kills} kill/recover cycles, log identical"))
 }
 
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("chaos_soak: {msg}");
+    std::process::exit(2)
+}
+
+/// The integer value of `flag`; a missing or malformed value exits with
+/// status 2 rather than falling back to the default.
+fn flag_value(flag: &str, value: Option<String>) -> u64 {
+    let Some(v) = value else { usage_exit(&format!("missing value for {flag}")) };
+    v.parse().unwrap_or_else(|_| usage_exit(&format!("invalid value `{v}` for {flag}")))
+}
+
 fn main() {
     let mut seed = 0xec0_c4a05u64;
     let mut budget = Duration::from_secs(60);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--budget-secs" => {
-                budget = Duration::from_secs(args.next().and_then(|v| v.parse().ok()).unwrap_or(60))
-            }
-            other => {
-                eprintln!("chaos_soak: unknown argument `{other}`");
-                std::process::exit(2);
-            }
+            "--seed" => seed = flag_value(&a, args.next()),
+            "--budget-secs" => budget = Duration::from_secs(flag_value(&a, args.next())),
+            other => usage_exit(&format!("unknown argument `{other}`")),
         }
     }
 

@@ -1,9 +1,12 @@
 //! # bench — experiment harness for the ecoHMEM reproduction
 //!
-//! One binary per paper table/figure (see `src/bin/`), plus shared table
-//! formatting helpers and the parallel memoizing experiment runner here.
+//! Every table and figure of the paper's evaluation, and every extension
+//! experiment, is an entry of the [`repro`] registry; the `ecohmem-repro`
+//! bin runs them. The parallel memoizing experiment runner, table
+//! formatting and the scenarios perfbench shares live here too.
 
 pub mod fleet_scenario;
+pub mod repro;
 pub mod runner;
 pub mod serve_scenario;
 pub mod table;

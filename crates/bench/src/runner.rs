@@ -1,13 +1,11 @@
-//! The bench experiment runner: one object every `src/bin/` harness drives
-//! its simulations through.
+//! The bench experiment runner: one object every experiment drives its
+//! simulations through.
 //!
 //! The runner owns three things:
 //!
-//! * **Worker count.** `Runner::from_env` reads `--jobs N` (or `--jobs=N`)
-//!   from the command line, falling back to the `ECOHMEM_JOBS` environment
-//!   variable and then to the machine's available parallelism (see
-//!   [`memsim::jobs_from_env`]). A malformed `--jobs` or `--metrics-out`
-//!   exits with status 2, like the `ecohmem-*` tools.
+//! * **Worker count.** Fixed at construction ([`Runner::with_jobs`]); the
+//!   `ecohmem-repro` driver takes it from `--jobs N`, falling back to
+//!   [`memsim::jobs_from_env`].
 //! * **Parallel mapping.** [`Runner::map`] spreads independent experiment
 //!   cells over [`memsim::parallel_map`]'s work-stealing scoped-thread pool.
 //!   Results come back in submission order, so tables rendered from them
@@ -43,23 +41,6 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Builds a runner named `label` (shown in the stats line), taking the
-    /// worker count from `--jobs N` / `--jobs=N` on the command line, then
-    /// `ECOHMEM_JOBS`, then the available parallelism. `--metrics-out PATH`
-    /// (or `--metrics-out=PATH`) additionally turns observability on and
-    /// makes [`Runner::report`] write the run's `RunMetrics` document there.
-    /// A `--jobs` value that does not parse, or either flag without a
-    /// value, is a usage error: the process exits with status 2.
-    pub fn from_env(label: &str) -> Self {
-        let jobs = or_usage_exit(label, jobs_from_args(std::env::args().skip(1)))
-            .unwrap_or_else(memsim::jobs_from_env);
-        let runner = Self::with_jobs(label, jobs);
-        match or_usage_exit(label, flag_value(std::env::args().skip(1), "metrics-out")) {
-            Some(path) => runner.with_metrics_out(path),
-            None => runner,
-        }
-    }
-
     /// Builds a runner with an explicit worker count (clamped to ≥ 1).
     pub fn with_jobs(label: &str, jobs: usize) -> Self {
         Runner {
@@ -123,8 +104,8 @@ impl Runner {
     /// Prints the end-of-run statistics line to stderr. Call once, after
     /// the last `map`; stdout stays clean for table output.
     ///
-    /// When `--metrics-out` was given, also writes the `RunMetrics` JSON
-    /// document there.
+    /// When built with [`Runner::with_metrics_out`], also writes the `RunMetrics`
+    /// JSON document there.
     pub fn report(&self) {
         let wall = self.started.elapsed().as_secs_f64();
         let busy = self.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9;
@@ -150,88 +131,10 @@ impl Runner {
     }
 }
 
-/// Unwraps a parsed flag or exits with status 2, naming the bin, the flag
-/// and the value the way the `ecohmem-*` tools do.
-fn or_usage_exit<T>(label: &str, parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|msg| {
-        eprintln!("{label}: {msg}");
-        std::process::exit(2)
-    })
-}
-
-/// The value of `--NAME V` / `--NAME=V` in an argument stream: `Ok(None)`
-/// when the flag is absent, an error when it is present without a value
-/// (end of arguments, an empty `--NAME=`, or another `--flag` next).
-fn flag_value<I: Iterator<Item = String>>(args: I, name: &str) -> Result<Option<String>, String> {
-    let (bare, eq) = (format!("--{name}"), format!("--{name}="));
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        let value = if a == bare {
-            args.next_if(|v| !v.starts_with("--"))
-        } else if let Some(v) = a.strip_prefix(&eq) {
-            Some(v.to_string())
-        } else {
-            continue;
-        };
-        return match value.filter(|v| !v.is_empty()) {
-            Some(v) => Ok(Some(v)),
-            None => Err(format!("missing value for --{name}")),
-        };
-    }
-    Ok(None)
-}
-
-/// Extracts `--jobs N` / `--jobs=N` (clamped to ≥ 1) from an argument
-/// stream. `Ok(None)` when absent; an error naming the value when it does
-/// not parse.
-fn jobs_from_args<I: Iterator<Item = String>>(args: I) -> Result<Option<usize>, String> {
-    flag_value(args, "jobs")?
-        .map(|v| {
-            v.parse::<usize>()
-                .map(|n| n.max(1))
-                .map_err(|_| format!("invalid value `{v}` for --jobs"))
-        })
-        .transpose()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ecohmem_obs::Json;
-
-    fn argv(items: &[&str]) -> impl Iterator<Item = String> {
-        items.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
-    }
-
-    #[test]
-    fn jobs_flag_parses_both_spellings() {
-        assert_eq!(jobs_from_args(argv(&["--jobs", "4"])), Ok(Some(4)));
-        assert_eq!(jobs_from_args(argv(&["--fast", "--jobs=7"])), Ok(Some(7)));
-        assert_eq!(jobs_from_args(argv(&["--jobs", "0"])), Ok(Some(1)));
-        assert_eq!(
-            jobs_from_args(argv(&["--jobs", "soup"])),
-            Err("invalid value `soup` for --jobs".into())
-        );
-        assert_eq!(jobs_from_args(argv(&["--jobs"])), Err("missing value for --jobs".into()));
-        assert_eq!(jobs_from_args(argv(&["--fast"])), Ok(None));
-    }
-
-    #[test]
-    fn metrics_out_flag_parses_both_spellings() {
-        assert_eq!(
-            flag_value(argv(&["--metrics-out", "m.json"]), "metrics-out"),
-            Ok(Some("m.json".into()))
-        );
-        assert_eq!(
-            flag_value(argv(&["--metrics-out=x/y.json"]), "metrics-out"),
-            Ok(Some("x/y.json".into()))
-        );
-        let missing = Err("missing value for --metrics-out".to_string());
-        assert_eq!(flag_value(argv(&["--metrics-out"]), "metrics-out"), missing);
-        assert_eq!(flag_value(argv(&["--metrics-out="]), "metrics-out"), missing);
-        assert_eq!(flag_value(argv(&["--metrics-out", "--jobs", "4"]), "metrics-out"), missing);
-        assert_eq!(flag_value(argv(&["--jobs", "4"]), "metrics-out"), Ok(None));
-    }
 
     #[test]
     fn report_writes_metrics_document() {

@@ -1,4 +1,4 @@
-//! Minimal fixed-width table rendering for experiment binaries.
+//! Minimal fixed-width table rendering for the experiments.
 
 /// A simple text table with a header row.
 #[derive(Debug, Default)]

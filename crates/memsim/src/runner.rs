@@ -1,7 +1,7 @@
 //! Parallel memoized experiment runner core.
 //!
 //! Reproducing the paper's tables means running the same deterministic
-//! simulations over and over: every bench binary re-simulates the
+//! simulations over and over: every experiment re-simulates the
 //! Memory-Mode baseline and the unconstrained-DRAM profiling run for each
 //! sweep cell, even though the engine is a pure function of its inputs. This
 //! module provides the two pieces that remove that redundancy without any
@@ -269,7 +269,7 @@ impl RunCache {
     }
 }
 
-/// The process-global run cache shared by all bench binaries, pipelines and
+/// The process-global run cache shared by all experiments, pipelines and
 /// baselines in this process.
 pub fn global_cache() -> &'static RunCache {
     static CACHE: OnceLock<RunCache> = OnceLock::new();

@@ -312,11 +312,14 @@ impl ColumnSink {
         }
         // Every slot is overwritten by the scatter, which advances
         // `starts[b]` to the end of bucket `b`; shifting the table up by
-        // one restores the starts. The op buffer is made as roomy as the
-        // emission buffer, so the two trade places trace after trace
-        // without either growing.
+        // one restores the starts. The op buffer is made exactly as roomy
+        // as the emission buffer, so the two trade places trace after
+        // trace without either growing. (An amortized `reserve` would
+        // double the smaller of two unequal buffers on every trade, and a
+        // thread's two buffers would then leapfrog each other without
+        // bound.)
         let emitted = std::mem::take(&mut self.cols.ops);
-        ops.reserve(emitted.capacity());
+        ops.reserve_exact(emitted.capacity());
         ops.resize(emitted.len(), BatchOp::alloc(0));
         for (&op, &b) in emitted.iter().zip(&bucket_of) {
             let slot = &mut starts[b as usize];
@@ -820,6 +823,39 @@ mod tests {
             assert_eq!(recycled, fresh, "jobs={jobs}");
             assert_eq!(recycled, reference, "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn recycled_storage_stays_bounded_over_many_traces() {
+        // One thread synthesizes trace after trace of varied sizes, as a
+        // serial sweep does. The finalize op buffer and the arena's op
+        // column trade places each time; neither may outgrow the largest
+        // trace by more than the usual amortized doubling.
+        let cfg = ProfilerConfig { sampling_hz: 100.0, seed: 3 };
+        let mut runs = Vec::new();
+        for mach in [MachineConfig::optane_pmem6(), MachineConfig::optane_pmem2()] {
+            for app in workloads::all_models() {
+                let tier = mach.largest_tier();
+                let run = memsim::run(&app, &mach, ExecMode::MemoryMode, &mut FixedTier::new(tier));
+                runs.push((app, run));
+            }
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut largest = 0;
+                for (i, (app, run)) in runs.iter().chain(&runs).enumerate() {
+                    let trace = synthesize_trace_with_jobs(app, run, &cfg, 2);
+                    largest = largest.max(trace.events.ops.len());
+                    let cap = trace.events.ops.capacity();
+                    assert!(
+                        cap <= 4 * largest,
+                        "trace {i}: {cap} op slots for at most {largest} ops"
+                    );
+                }
+            })
+            .join()
+            .unwrap()
+        });
     }
 
     #[test]

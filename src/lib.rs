@@ -32,8 +32,9 @@
 //! ```
 //!
 //! The experiment harness regenerating every table and figure of the paper
-//! lives in the `bench` crate (`cargo run -p bench --bin fig6_sweep`, etc.);
-//! see `EXPERIMENTS.md` for the full index and measured-vs-paper numbers.
+//! lives in the `bench` crate (`cargo run -p bench --release --bin
+//! ecohmem-repro -- fig6_sweep`, or no name for all of them); see
+//! `EXPERIMENTS.md` for the full index and measured-vs-paper numbers.
 
 pub use advisor;
 pub use baselines;

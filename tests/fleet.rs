@@ -23,8 +23,9 @@
 use memsim::fleet::{self, ChurnConfig, FleetConfig, SchedulerPolicy};
 use memsim::{ExecMode, MachineConfig, RunCache, RunResult, TenantSpec};
 use proptest::prelude::*;
-use std::path::PathBuf;
 use workloads::colocations;
+
+mod support;
 
 const GOLDEN_APPS: [&str; 3] = ["minife", "lulesh", "hpcg"];
 const DEFAULT_SEED: u64 = 0xEC0;
@@ -253,59 +254,6 @@ fn different_colocation_mixes_use_distinct_cache_cells() {
     assert_eq!(cache.misses(), misses, "replaying a known mix is all hits");
 }
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
-}
-
-/// Same contract as `tests/golden.rs`: `ECOHMEM_BLESS=1` rewrites, a
-/// mismatch panics with a line diff.
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var("ECOHMEM_BLESS").ok().as_deref() == Some("1") {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); generate it with ECOHMEM_BLESS=1 cargo test --test fleet",
-            path.display()
-        )
-    });
-    if expected == actual {
-        return;
-    }
-    let exp: Vec<&str> = expected.lines().collect();
-    let act: Vec<&str> = actual.lines().collect();
-    let mut diff = String::new();
-    let mut shown = 0;
-    for i in 0..exp.len().max(act.len()) {
-        let (e, a) = (exp.get(i).copied(), act.get(i).copied());
-        if e == a {
-            continue;
-        }
-        diff.push_str(&format!("@@ line {}\n", i + 1));
-        if let Some(e) = e {
-            diff.push_str(&format!("- {e}\n"));
-        }
-        if let Some(a) = a {
-            diff.push_str(&format!("+ {a}\n"));
-        }
-        shown += 1;
-        if shown >= 20 {
-            diff.push_str("... (further differences elided)\n");
-            break;
-        }
-    }
-    panic!(
-        "{name} drifted from its golden ({} expected lines, {} actual); \
-         re-bless with ECOHMEM_BLESS=1 if intentional:\n{diff}",
-        exp.len(),
-        act.len(),
-    );
-}
-
 /// Satellite 4: the pinned 4-node mixed minife/lulesh/hpcg/phaseshift
 /// colocation with churn — scheduler decisions, migration storms and
 /// per-node pressure, line-diff clean against `tests/golden/fleet_colo4.json`.
@@ -323,7 +271,10 @@ fn golden_fleet_colo4_snapshot() {
     assert_eq!(r.completed_tenants(), 16);
     assert!(r.scheduler_decisions() > 16);
     assert!(r.peak_pressure() > 1.0, "4 mixed tenants must overcommit 16 GiB DRAM");
-    assert_matches_golden("fleet_colo4.json", &(r.to_json().to_string_pretty() + "\n"));
+    support::assert_matches_golden(
+        "tests/golden/fleet_colo4.json",
+        &(r.to_json().to_string_pretty() + "\n"),
+    );
 }
 
 /// The 16-node × 4-tenant mixed colocation under every scheduler: one
@@ -357,5 +308,5 @@ fn golden_fleet_sweep16x4_snapshot() {
             r.completed_tenants(),
         ));
     }
-    assert_matches_golden("fleet_sweep16x4.txt", &lines);
+    support::assert_matches_golden("tests/golden/fleet_sweep16x4.txt", &lines);
 }

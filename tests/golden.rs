@@ -24,62 +24,10 @@
 
 use ecohmem::prelude::*;
 use ecohmem_obs::Json;
-use std::path::PathBuf;
+
+mod support;
 
 const APPS: [&str; 3] = ["minife", "lulesh", "hpcg"];
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
-}
-
-/// Compares `actual` against the golden file, or rewrites the golden when
-/// `ECOHMEM_BLESS=1`. A mismatch panics with a line diff, not two blobs.
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var("ECOHMEM_BLESS").ok().as_deref() == Some("1") {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); generate it with ECOHMEM_BLESS=1 cargo test --test golden",
-            path.display()
-        )
-    });
-    if expected == actual {
-        return;
-    }
-    let exp: Vec<&str> = expected.lines().collect();
-    let act: Vec<&str> = actual.lines().collect();
-    let mut diff = String::new();
-    let mut shown = 0;
-    for i in 0..exp.len().max(act.len()) {
-        let (e, a) = (exp.get(i).copied(), act.get(i).copied());
-        if e == a {
-            continue;
-        }
-        diff.push_str(&format!("@@ line {}\n", i + 1));
-        if let Some(e) = e {
-            diff.push_str(&format!("- {e}\n"));
-        }
-        if let Some(a) = a {
-            diff.push_str(&format!("+ {a}\n"));
-        }
-        shown += 1;
-        if shown >= 20 {
-            diff.push_str("... (further differences elided)\n");
-            break;
-        }
-    }
-    panic!(
-        "{name} drifted from its golden ({} expected lines, {} actual); \
-         re-bless with ECOHMEM_BLESS=1 if intentional:\n{diff}",
-        exp.len(),
-        act.len(),
-    );
-}
 
 /// The normalized metrics document: span counts per stage, all counters,
 /// all gauges — no wall-clock, no nanoseconds.
@@ -399,8 +347,14 @@ fn golden_apps_pass() {
         if !report_json.ends_with('\n') {
             report_json.push('\n');
         }
-        assert_matches_golden(&format!("{app_name}.report.json"), &report_json);
-        assert_matches_golden(&format!("{app_name}.metrics.json"), &normalized_metrics(app_name));
+        support::assert_matches_golden(
+            &format!("tests/golden/{app_name}.report.json"),
+            &report_json,
+        );
+        support::assert_matches_golden(
+            &format!("tests/golden/{app_name}.metrics.json"),
+            &normalized_metrics(app_name),
+        );
     }
 }
 
@@ -422,9 +376,9 @@ fn pipeline_artifacts_match_goldens() {
     // The crash-recovery and overload counters ride the same snapshot
     // discipline: supervised restarts and explicit shedding are part of
     // the audited surface, not best-effort logging.
-    assert_matches_golden("durability.metrics.json", &durability_scenario());
+    support::assert_matches_golden("tests/golden/durability.metrics.json", &durability_scenario());
 
     // Last, so its engine counters cannot leak into the snapshots above.
-    assert_matches_golden("engine_runs.txt", &engine_fingerprints());
-    assert_matches_golden("trace_codecs.txt", &trace_codec_digests());
+    support::assert_matches_golden("tests/golden/engine_runs.txt", &engine_fingerprints());
+    support::assert_matches_golden("tests/golden/trace_codecs.txt", &trace_codec_digests());
 }
