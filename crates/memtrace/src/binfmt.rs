@@ -13,7 +13,8 @@
 //! [`write_trace`] rejects out-of-order events (a silent `saturating_sub`
 //! would decode them *reordered*), and [`write_trace_lenient`] sorts a
 //! copy first. [`read_trace`] rejects wrong magics, wrong versions, and
-//! truncated streams.
+//! truncated streams; every reader here decodes through
+//! [`crate::wire::Reader`].
 //!
 //! Two on-disk versions share the magic and header encoding:
 //!
@@ -31,6 +32,7 @@ use crate::error::TraceError;
 use crate::events::TraceEvent;
 use crate::ids::{FuncId, ObjectId, SiteId};
 use crate::trace::TraceFile;
+use crate::wire::Reader;
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -72,48 +74,14 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Reads a varint.
+/// Reads one varint at `pos` and advances it: [`Reader::varint`] for a
+/// caller holding a bare slice and offset.
 #[inline]
 pub fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = data.get(*pos) else {
-            return Err(varint_error("truncated varint"));
-        };
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            // A 10th byte carries only bit 63: anything above 1 would
-            // have been shifted out silently.
-            if shift == 63 && byte > 1 {
-                return Err(varint_error("oversized varint"));
-            }
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(varint_error("oversized varint"));
-        }
-    }
-}
-
-#[cold]
-fn varint_error(what: &str) -> TraceError {
-    TraceError::Malformed(what.into())
-}
-
-/// Reads a varint into a narrower id field, rejecting values that do not
-/// fit instead of truncating them.
-#[inline]
-fn get_field<T: TryFrom<u64>>(data: &[u8], pos: &mut usize, what: &str) -> Result<T, TraceError> {
-    let v = get_varint(data, pos)?;
-    T::try_from(v).map_err(|_| out_of_range(what, v))
-}
-
-#[cold]
-fn out_of_range(what: &str, v: u64) -> TraceError {
-    TraceError::Malformed(format!("{what} {v} out of range"))
+    let mut r = Reader::new(data.get(*pos..).unwrap_or_default());
+    let v = r.varint()?;
+    *pos += r.pos();
+    Ok(v)
 }
 
 fn micros(t: f64) -> u64 {
@@ -168,40 +136,36 @@ fn encode_record(out: &mut Vec<u8>, e: &TraceEvent, delta: u64) {
     }
 }
 
-/// Decodes one tagged record, advancing `pos` and the running timestamp.
-fn decode_record(
-    data: &[u8],
-    pos: &mut usize,
-    last_us: &mut u64,
-) -> Result<TraceEvent, TraceError> {
-    let tag =
-        *data.get(*pos).ok_or_else(|| TraceError::Malformed("truncated event stream".into()))?;
-    *pos += 1;
-    let delta = get_varint(data, pos)?;
-    *last_us += delta;
+/// Decodes one tagged record, advancing the running timestamp.
+fn decode_record(r: &mut Reader, last_us: &mut u64) -> Result<TraceEvent, TraceError> {
+    let tag = r.byte()?;
+    let delta = r.varint()?;
+    *last_us = last_us.checked_add(delta).ok_or_else(|| {
+        TraceError::Malformed(format!("timestamp delta {delta} overflows the µs clock"))
+    })?;
     let time = seconds(*last_us);
     Ok(match tag {
         TAG_ALLOC => TraceEvent::Alloc {
             time,
-            object: ObjectId(get_varint(data, pos)?),
-            site: SiteId(get_field(data, pos, "site id")?),
-            size: get_varint(data, pos)?,
-            address: get_varint(data, pos)?,
+            object: ObjectId(r.varint()?),
+            site: SiteId(r.field("site id")?),
+            size: r.varint()?,
+            address: r.varint()?,
         },
-        TAG_FREE => TraceEvent::Free { time, object: ObjectId(get_varint(data, pos)?) },
+        TAG_FREE => TraceEvent::Free { time, object: ObjectId(r.varint()?) },
         TAG_LOAD => TraceEvent::LoadMissSample {
             time,
-            address: get_varint(data, pos)?,
-            latency_cycles: get_varint(data, pos)? as f64,
-            function: FuncId(get_field(data, pos, "function id")?),
+            address: r.varint()?,
+            latency_cycles: r.varint()? as f64,
+            function: FuncId(r.field("function id")?),
         },
         TAG_STORE_HIT | TAG_STORE_MISS => TraceEvent::StoreSample {
             time,
-            address: get_varint(data, pos)?,
+            address: r.varint()?,
             l1d_miss: tag == TAG_STORE_MISS,
-            function: FuncId(get_field(data, pos, "function id")?),
+            function: FuncId(r.field("function id")?),
         },
-        TAG_PHASE => TraceEvent::PhaseMarker { time, phase: get_field(data, pos, "phase")? },
+        TAG_PHASE => TraceEvent::PhaseMarker { time, phase: r.field("phase")? },
         other => return Err(TraceError::Malformed(format!("unknown event tag {other}"))),
     })
 }
@@ -312,67 +276,54 @@ pub fn write_trace_v2<W: Write>(trace: &TraceFile, mut w: W) -> Result<(), Trace
     Ok(())
 }
 
-fn sniff_version(data: &[u8]) -> Result<u32, TraceError> {
-    if data.len() < 12 || &data[..8] != MAGIC {
-        return Err(TraceError::Malformed("bad magic".into()));
+/// Reads the magic and the version both layouts start with.
+fn read_version(r: &mut Reader) -> Result<u32, TraceError> {
+    match r.bytes(12) {
+        Ok(head) if head[..8] == MAGIC[..] => {
+            Ok(u32::from_le_bytes(head[8..].try_into().expect("12-byte head")))
+        }
+        _ => Err(TraceError::Malformed("bad magic".into())),
     }
-    Ok(u32::from_le_bytes(data[8..12].try_into().expect("length checked")))
+}
+
+#[cold]
+fn unsupported(version: u32) -> TraceError {
+    TraceError::Malformed(format!("unsupported version {version}"))
+}
+
+/// Reads what both layouts carry after the version: the length-prefixed
+/// JSON header and the declared event count. Each event costs ≥ 2 bytes
+/// (tag + delta varint) in either layout, so an absurd count means
+/// corruption, not a huge trace.
+fn read_header(r: &mut Reader) -> Result<(TraceFile, usize), TraceError> {
+    let len = r.count("header bytes", 1, MAX_HEADER_BYTES)?;
+    let text = std::str::from_utf8(r.bytes(len)?)
+        .map_err(|_| TraceError::Malformed("header is not utf-8".into()))?;
+    let header = TraceFile::from_json(text)?;
+    let n_events = r.count("trace events", 2, MAX_DECLARED_EVENTS)?;
+    Ok((header, n_events))
 }
 
 /// Deserializes a trace from the binary format, either version: v1 decodes
 /// the flat stream directly, v2 goes through [`TraceBuf`].
-pub fn read_trace<R: Read>(mut r: R) -> Result<TraceFile, TraceError> {
+pub fn read_trace<R: Read>(mut input: R) -> Result<TraceFile, TraceError> {
     let mut data = Vec::new();
-    r.read_to_end(&mut data)?;
-    match sniff_version(&data)? {
-        VERSION_V1 => read_trace_v1(&data),
+    input.read_to_end(&mut data)?;
+    let mut r = Reader::new(&data);
+    match read_version(&mut r)? {
+        VERSION_V1 => {
+            let (mut trace, n_events) = read_header(&mut r)?;
+            trace.events.ops.reserve(n_events);
+            let mut last_us = 0u64;
+            for _ in 0..n_events {
+                trace.events.push(&decode_record(&mut r, &mut last_us)?);
+            }
+            r.expect_end(|pos, len| format!("event stream ends at byte {pos}, file has {len}"))?;
+            Ok(trace)
+        }
         VERSION_V2 => TraceBuf::from_bytes(data)?.to_trace_file(),
-        v => Err(TraceError::Malformed(format!("unsupported version {v}"))),
+        v => Err(unsupported(v)),
     }
-}
-
-fn read_trace_v1(data: &[u8]) -> Result<TraceFile, TraceError> {
-    let mut pos = 12usize;
-    let header_len = get_varint(data, &mut pos)? as usize;
-    if header_len > MAX_HEADER_BYTES {
-        return Err(TraceError::Malformed(format!(
-            "header declares {header_len} bytes, cap is {MAX_HEADER_BYTES}"
-        )));
-    }
-    let header_end = pos
-        .checked_add(header_len)
-        .filter(|&e| e <= data.len())
-        .ok_or_else(|| TraceError::Malformed("truncated header".into()))?;
-    let header_text = std::str::from_utf8(&data[pos..header_end])
-        .map_err(|_| TraceError::Malformed("header is not utf-8".into()))?;
-    let mut trace = TraceFile::from_json(header_text)?;
-    pos = header_end;
-
-    let n_events = get_varint(data, &mut pos)? as usize;
-    if n_events > MAX_DECLARED_EVENTS {
-        return Err(TraceError::Malformed(format!(
-            "trace declares {n_events} events, cap is {MAX_DECLARED_EVENTS}"
-        )));
-    }
-    // Each event costs ≥ 2 bytes (tag + delta varint); an absurd count
-    // means corruption, not a huge trace.
-    if n_events > data.len().saturating_sub(pos) / 2 {
-        return Err(TraceError::Malformed(format!(
-            "trace claims {n_events} events in a short buffer"
-        )));
-    }
-    trace.events.ops.reserve(n_events);
-    let mut last_us = 0u64;
-    for _ in 0..n_events {
-        trace.events.push(&decode_record(data, &mut pos, &mut last_us)?);
-    }
-    if pos != data.len() {
-        return Err(TraceError::Malformed(format!(
-            "event stream ends at byte {pos}, file has {}",
-            data.len()
-        )));
-    }
-    Ok(trace)
 }
 
 /// One bucket of a [`TraceBuf`]: where its payload lives and the timestamp
@@ -415,7 +366,8 @@ impl TraceBuf {
     /// Wraps an in-memory v2 encoding. Rejects v1 files with a pointer to
     /// the eager reader — the flat v1 stream has no index to seek by.
     pub fn from_bytes(data: Vec<u8>) -> Result<TraceBuf, TraceError> {
-        match sniff_version(&data)? {
+        let mut r = Reader::new(&data);
+        match read_version(&mut r)? {
             VERSION_V2 => {}
             VERSION_V1 => {
                 return Err(TraceError::Malformed(
@@ -424,74 +376,42 @@ impl TraceBuf {
                         .into(),
                 ))
             }
-            v => return Err(TraceError::Malformed(format!("unsupported version {v}"))),
+            v => return Err(unsupported(v)),
         }
-        let mut pos = 12usize;
-        let header_len = get_varint(&data, &mut pos)? as usize;
-        if header_len > MAX_HEADER_BYTES {
-            return Err(TraceError::Malformed(format!(
-                "header declares {header_len} bytes, cap is {MAX_HEADER_BYTES}"
-            )));
-        }
-        let header_end = pos
-            .checked_add(header_len)
-            .filter(|&e| e <= data.len())
-            .ok_or_else(|| TraceError::Malformed("truncated header".into()))?;
-        let header_text = std::str::from_utf8(&data[pos..header_end])
-            .map_err(|_| TraceError::Malformed("header is not utf-8".into()))?;
-        let header = TraceFile::from_json(header_text)?;
-        pos = header_end;
-
-        let n_events = get_varint(&data, &mut pos)? as usize;
-        if n_events > MAX_DECLARED_EVENTS {
-            return Err(TraceError::Malformed(format!(
-                "trace declares {n_events} events, cap is {MAX_DECLARED_EVENTS}"
-            )));
-        }
-        let n_buckets = get_varint(&data, &mut pos)? as usize;
+        let (header, n_events) = read_header(&mut r)?;
         // Each index entry costs ≥ 3 bytes.
-        if n_buckets > data.len().saturating_sub(pos) / 3 {
-            return Err(TraceError::Malformed(format!(
-                "index claims {n_buckets} buckets in a short buffer"
-            )));
-        }
-        let mut metas = Vec::with_capacity(n_buckets);
+        let n_buckets = r.count("index buckets", 3, usize::MAX)?;
+        let mut buckets = Vec::with_capacity(n_buckets);
         for _ in 0..n_buckets {
-            let count = get_varint(&data, &mut pos)?;
-            let len = get_varint(&data, &mut pos)?;
-            let base_us = get_varint(&data, &mut pos)?;
+            let count = r.count("events in a bucket", 2, MAX_DECLARED_EVENTS)?;
+            let len: usize = r.field("bucket length")?;
+            let base_us = r.varint()?;
             // Each event costs ≥ 2 bytes (tag + delta varint).
             if count > len / 2 {
                 return Err(TraceError::Malformed(format!(
                     "bucket claims {count} events in {len} bytes"
                 )));
             }
-            metas.push((count, len, base_us));
+            buckets.push(BucketMeta { count, base_us, off: 0, len });
         }
-        let mut buckets = Vec::with_capacity(n_buckets);
-        let mut off = pos as u64;
-        let mut total = 0u64;
-        for &(count, len, base_us) in &metas {
-            let end = off
-                .checked_add(len)
-                .filter(|&e| e <= data.len() as u64)
+        let mut off = r.pos();
+        for b in &mut buckets {
+            b.off = off;
+            off = off
+                .checked_add(b.len)
+                .filter(|&e| e <= data.len())
                 .ok_or_else(|| TraceError::Malformed("bucket section out of bounds".into()))?;
-            buckets.push(BucketMeta {
-                count: count as usize,
-                base_us,
-                off: off as usize,
-                len: len as usize,
-            });
-            total += count;
-            off = end;
         }
-        if off != data.len() as u64 {
+        if off != data.len() {
             return Err(TraceError::Malformed(format!(
                 "bucket sections end at byte {off}, file has {}",
                 data.len()
             )));
         }
-        if total != n_events as u64 {
+        // The sections tile the file and hold ≥ 2 bytes per event, so the
+        // sum cannot overflow.
+        let total: usize = buckets.iter().map(|b| b.count).sum();
+        if total != n_events {
             return Err(TraceError::Malformed(format!(
                 "index counts {total} events, header claims {n_events}"
             )));
@@ -518,20 +438,13 @@ impl TraceBuf {
     /// the index; a payload that decodes short or long is rejected.
     pub fn bucket(&self, i: usize) -> Result<EventBatch, TraceError> {
         let m = self.buckets[i];
-        let data = &self.data[m.off..m.off + m.len];
-        let mut pos = 0usize;
+        let mut r = Reader::new(&self.data[m.off..m.off + m.len]);
         let mut last_us = m.base_us;
         let mut batch = EventBatch::with_capacity(m.count);
         for _ in 0..m.count {
-            let e = decode_record(data, &mut pos, &mut last_us)?;
-            batch.push(&e);
+            batch.push(&decode_record(&mut r, &mut last_us)?);
         }
-        if pos != data.len() {
-            return Err(TraceError::Malformed(format!(
-                "bucket {i} decoded {pos} of {} payload bytes",
-                data.len()
-            )));
-        }
+        r.expect_end(|pos, len| format!("bucket {i} decoded {pos} of {len} payload bytes"))?;
         Ok(batch)
     }
 
@@ -651,51 +564,35 @@ pub fn write_frame(batch: &EventBatch, out: &mut Vec<u8>) {
 }
 
 /// Decodes one frame written by [`write_frame`] straight into a columnar
-/// batch, advancing `pos` past it — no per-event enum in between.
-pub fn read_frame(data: &[u8], pos: &mut usize) -> Result<EventBatch, TraceError> {
-    let n = get_varint(data, pos)? as usize;
-    // Checked before the relative guard (and before any allocation): the
-    // relative guard scales with however many bytes a peer managed to
-    // send, so on its own a hostile socket could still drive a large
-    // `Vec::with_capacity` by padding the frame.
-    if n > MAX_FRAME_EVENTS {
-        return Err(TraceError::Malformed(format!(
-            "frame declares {n} events, cap is {MAX_FRAME_EVENTS}"
-        )));
-    }
-    // Each event costs ≥ 2 bytes (tag + varint time), so a count above
-    // half the remaining bytes means corruption — checking against the
-    // full remainder would let a hostile count just under the buffer
-    // length drive an oversized `Vec::with_capacity`.
-    if n > data.len().saturating_sub(*pos) / 2 {
-        return Err(TraceError::Malformed(format!("frame claims {n} events in a short buffer")));
-    }
+/// batch — no per-event enum in between.
+pub fn read_frame(r: &mut Reader) -> Result<EventBatch, TraceError> {
+    // Each event costs ≥ 2 bytes (tag + varint time).
+    let n = r.count("frame events", 2, MAX_FRAME_EVENTS)?;
     let mut batch = EventBatch::with_capacity(n);
     for _ in 0..n {
-        let tag = *data.get(*pos).ok_or_else(|| TraceError::Malformed("truncated frame".into()))?;
-        *pos += 1;
-        let time = f64::from_bits(get_varint(data, pos)?);
+        let tag = r.byte()?;
+        let time = r.f64_bits()?;
         match tag {
             TAG_ALLOC => {
-                let object = ObjectId(get_varint(data, pos)?);
-                let site = SiteId(get_field(data, pos, "site id")?);
-                let size = get_varint(data, pos)?;
-                let address = get_varint(data, pos)?;
+                let object = ObjectId(r.varint()?);
+                let site = SiteId(r.field("site id")?);
+                let size = r.varint()?;
+                let address = r.varint()?;
                 batch.push_alloc(time, object, site, size, address);
             }
-            TAG_FREE => batch.push_free(time, ObjectId(get_varint(data, pos)?)),
+            TAG_FREE => batch.push_free(time, ObjectId(r.varint()?)),
             TAG_LOAD => {
-                let address = get_varint(data, pos)?;
-                let latency = f64::from_bits(get_varint(data, pos)?);
-                let function = FuncId(get_field(data, pos, "function id")?);
+                let address = r.varint()?;
+                let latency = r.f64_bits()?;
+                let function = FuncId(r.field("function id")?);
                 batch.push_load(time, address, latency, function);
             }
             TAG_STORE_HIT | TAG_STORE_MISS => {
-                let address = get_varint(data, pos)?;
-                let function = FuncId(get_field(data, pos, "function id")?);
+                let address = r.varint()?;
+                let function = FuncId(r.field("function id")?);
                 batch.push_store(time, address, tag == TAG_STORE_MISS, function);
             }
-            TAG_PHASE => batch.push_phase(time, get_field(data, pos, "phase")?),
+            TAG_PHASE => batch.push_phase(time, r.field("phase")?),
             other => return Err(TraceError::Malformed(format!("unknown frame tag {other}"))),
         }
     }
@@ -865,10 +762,10 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&EventBatch::from_events(&events), &mut buf);
         write_frame(&EventBatch::default(), &mut buf);
-        let mut pos = 0;
-        assert_eq!(read_frame(&buf, &mut pos).unwrap().to_events(), events);
-        assert!(read_frame(&buf, &mut pos).unwrap().is_empty());
-        assert_eq!(pos, buf.len());
+        let mut r = Reader::new(&buf);
+        assert_eq!(read_frame(&mut r).unwrap().to_events(), events);
+        assert!(read_frame(&mut r).unwrap().is_empty());
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -876,13 +773,11 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&sample_trace().events, &mut buf);
         for cut in [0, 1, buf.len() / 2, buf.len() - 1] {
-            let mut pos = 0;
-            assert!(read_frame(&buf[..cut], &mut pos).is_err(), "cut at {cut}");
+            assert!(read_frame(&mut Reader::new(&buf[..cut])).is_err(), "cut at {cut}");
         }
         let mut junk = buf.clone();
         junk[1] = 99; // first tag byte (after the count varint)
-        let mut pos = 0;
-        assert!(read_frame(&junk, &mut pos).is_err());
+        assert!(read_frame(&mut Reader::new(&junk)).is_err());
     }
 
     #[test]
@@ -952,16 +847,48 @@ mod tests {
         for (tag, fits, field, what) in cases {
             let mut over = fits.clone();
             over[field] += 1;
-            assert!(read_frame(&frame_with(tag, &fits), &mut 0).is_ok(), "{what} at its max");
+            assert!(
+                read_frame(&mut Reader::new(&frame_with(tag, &fits))).is_ok(),
+                "{what} at its max"
+            );
             assert!(read_trace(&v1_with(tag, &fits)[..]).is_ok(), "v1 {what} at its max");
             let errors = [
-                read_frame(&frame_with(tag, &over), &mut 0).unwrap_err(),
+                read_frame(&mut Reader::new(&frame_with(tag, &over))).unwrap_err(),
                 read_trace(&v1_with(tag, &over)[..]).unwrap_err(),
             ];
             for err in errors {
                 let err = err.to_string();
                 assert!(err.contains(&format!("{what} {} out of range", over[field])), "{err}");
             }
+        }
+    }
+
+    #[test]
+    fn a_timestamp_past_u64_is_malformed_not_a_panic() {
+        // Two phase records of delta 2^63 each carry the µs clock past u64.
+        let mut records = Vec::new();
+        for _ in 0..2 {
+            records.push(TAG_PHASE);
+            put_varint(&mut records, 1 << 63);
+            put_varint(&mut records, 0);
+        }
+        let header = sample_trace().header();
+        let mut v1 = Vec::new();
+        write_trace(&header, &mut v1).unwrap();
+        assert_eq!(v1.pop(), Some(0), "the empty trace ends with its zero event count");
+        put_varint(&mut v1, 2);
+        v1.extend_from_slice(&records);
+        let mut v2 = Vec::new();
+        write_trace_v2(&header, &mut v2).unwrap();
+        assert_eq!(v2.split_off(v2.len() - 2), [0, 0], "zero events in zero buckets");
+        // 2 events in 1 bucket: (count, byte length, base timestamp).
+        for v in [2, 1, 2, records.len() as u64, 0] {
+            put_varint(&mut v2, v);
+        }
+        v2.extend_from_slice(&records);
+        let bucket = TraceBuf::from_bytes(v2.clone()).unwrap().bucket(0).unwrap_err();
+        for err in [read_trace(&v1[..]).unwrap_err(), bucket, read_trace(&v2[..]).unwrap_err()] {
+            assert!(err.to_string().contains("overflows the µs clock"), "{err}");
         }
     }
 
@@ -1001,8 +928,7 @@ mod tests {
         let mut corrupt = Vec::new();
         put_varint(&mut corrupt, hostile);
         corrupt.extend_from_slice(&buf[1..]); // original count was 1 byte (6 events)
-        let mut pos = 0;
-        let err = read_frame(&corrupt, &mut pos).unwrap_err().to_string();
+        let err = read_frame(&mut Reader::new(&corrupt)).unwrap_err().to_string();
         assert!(err.contains("short buffer"), "unexpected error: {err}");
     }
 
@@ -1014,16 +940,14 @@ mod tests {
         // the buffer the peer chose to send.
         let mut poisoned = Vec::new();
         put_varint(&mut poisoned, 1u64 << 40);
-        let mut pos = 0;
-        let err = read_frame(&poisoned, &mut pos).unwrap_err().to_string();
+        let err = read_frame(&mut Reader::new(&poisoned)).unwrap_err().to_string();
         assert!(err.contains("cap is"), "unexpected error: {err}");
 
         // Exactly at the cap the absolute guard stays quiet and the
         // relative bytes-remaining guard takes over.
         let mut at_cap = Vec::new();
         put_varint(&mut at_cap, MAX_FRAME_EVENTS as u64);
-        let mut pos = 0;
-        let err = read_frame(&at_cap, &mut pos).unwrap_err().to_string();
+        let err = read_frame(&mut Reader::new(&at_cap)).unwrap_err().to_string();
         assert!(err.contains("short buffer"), "unexpected error: {err}");
     }
 

@@ -28,6 +28,7 @@ pub mod report;
 pub mod textfmt;
 pub mod trace;
 pub mod warn;
+pub mod wire;
 
 pub use binfmt::{read_trace, write_trace, write_trace_lenient, write_trace_v2, TraceBuf};
 pub use binmap::{BinaryMap, BinaryMapBuilder, LoadMap, ModuleInfo};

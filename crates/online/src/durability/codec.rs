@@ -4,9 +4,12 @@
 //! `checkpoint + journal suffix` must emit exactly the revision sequence
 //! of an uninterrupted run. That rules out any lossy serialization of the
 //! floating-point statistics, so every `f64` here travels as its IEEE-754
-//! bit pattern (`to_bits`/`from_bits`) varint-encoded with the shared
-//! [`memtrace::binfmt`] primitives — including NaN payloads and negative
-//! zero, which a decimal round-trip would quietly normalize.
+//! bit pattern (`to_bits`/`from_bits`) as a varint — including NaN
+//! payloads and negative zero, which a decimal round-trip would quietly
+//! normalize. Encoders write with [`memtrace::binfmt::put_varint`];
+//! decoders read through [`memtrace::wire::Reader`], which bounds every
+//! collection length by the bytes that remain before anything is
+//! allocated and refuses ids too wide for their field.
 //!
 //! Hash containers (`HashMap`/`HashSet`) have no stable iteration order,
 //! and the ingestor's dense object and site slots are numbered in arrival
@@ -24,7 +27,8 @@ use crate::ingest::{ObjAcc, PeakSweep, SiteAcc, StreamIngestor, StreamMeta};
 use crate::stats::DecayedWindow;
 use crate::PlacementRevision;
 use advisor::{AdvisorConfig, Algorithm, Assignment, BwThresholds, TierBudget};
-use memtrace::binfmt::{get_varint, put_varint};
+use memtrace::binfmt::put_varint;
+use memtrace::wire::Reader;
 use memtrace::{
     DegradationPolicy, DroppedWindow, ObjectId, SiteId, TierId, TraceError, TraceFile, WarningKind,
 };
@@ -63,24 +67,16 @@ pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     put_varint(out, v);
 }
 
-pub(crate) fn get_u64(data: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    get_varint(data, pos)
-}
-
 pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_varint(out, v.to_bits());
-}
-
-pub(crate) fn get_f64(data: &[u8], pos: &mut usize) -> Result<f64, TraceError> {
-    Ok(f64::from_bits(get_varint(data, pos)?))
 }
 
 pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(v as u8);
 }
 
-pub(crate) fn get_bool(data: &[u8], pos: &mut usize) -> Result<bool, TraceError> {
-    match get_varint(data, pos)? {
+fn get_bool(r: &mut Reader) -> Result<bool, TraceError> {
+    match r.varint()? {
         0 => Ok(false),
         1 => Ok(true),
         _ => Err(corrupt("boolean out of range")),
@@ -97,8 +93,8 @@ pub(crate) fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
     }
 }
 
-pub(crate) fn get_opt_f64(data: &[u8], pos: &mut usize) -> Result<Option<f64>, TraceError> {
-    Ok(if get_bool(data, pos)? { Some(get_f64(data, pos)?) } else { None })
+fn get_opt_f64(r: &mut Reader) -> Result<Option<f64>, TraceError> {
+    Ok(if get_bool(r)? { Some(r.f64_bits()?) } else { None })
 }
 
 pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -106,27 +102,9 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn get_str(data: &[u8], pos: &mut usize) -> Result<String, TraceError> {
-    let n = get_varint(data, pos)? as usize;
-    if n > data.len().saturating_sub(*pos) {
-        return Err(corrupt("string length exceeds payload"));
-    }
-    let s = std::str::from_utf8(&data[*pos..*pos + n])
-        .map_err(|_| corrupt("string is not UTF-8"))?
-        .to_string();
-    *pos += n;
-    Ok(s)
-}
-
-fn checked_len(data: &[u8], pos: &mut usize, item_floor: usize) -> Result<usize, TraceError> {
-    let n = get_varint(data, pos)? as usize;
-    // Every encoded item costs ≥ `item_floor` bytes; an absurd count means
-    // a corrupt length field, caught before any huge allocation.
-    if n.saturating_mul(item_floor.max(1)) > data.len().saturating_sub(*pos) {
-        return Err(corrupt("collection length exceeds payload"));
-    }
-    Ok(n)
-}
+/// Checkpoint collections have no absolute cap: a payload is CRC-checked
+/// and [`Reader::count`] bounds each one by the bytes that remain.
+const UNCAPPED: usize = usize::MAX;
 
 // --------------------------------------------------------- small structs
 
@@ -136,22 +114,18 @@ fn put_window(out: &mut Vec<u8>, w: &DroppedWindow) {
     put_opt_f64(out, w.last_time);
 }
 
-fn get_window(data: &[u8], pos: &mut usize) -> Result<DroppedWindow, TraceError> {
-    Ok(DroppedWindow {
-        count: get_u64(data, pos)?,
-        first_time: get_opt_f64(data, pos)?,
-        last_time: get_opt_f64(data, pos)?,
-    })
-}
-
 /// Encodes a [`DroppedWindow`] (shed-record payloads reuse this).
 pub(crate) fn encode_window(out: &mut Vec<u8>, w: &DroppedWindow) {
     put_window(out, w);
 }
 
 /// Decodes a [`DroppedWindow`].
-pub(crate) fn decode_window(data: &[u8], pos: &mut usize) -> Result<DroppedWindow, TraceError> {
-    get_window(data, pos)
+pub(crate) fn decode_window(r: &mut Reader) -> Result<DroppedWindow, TraceError> {
+    Ok(DroppedWindow {
+        count: r.varint()?,
+        first_time: get_opt_f64(r)?,
+        last_time: get_opt_f64(r)?,
+    })
 }
 
 fn put_decayed(out: &mut Vec<u8>, d: &DecayedWindow) {
@@ -165,15 +139,15 @@ fn put_decayed(out: &mut Vec<u8>, d: &DecayedWindow) {
     }
 }
 
-fn get_decayed(data: &[u8], pos: &mut usize) -> Result<DecayedWindow, TraceError> {
-    let total = get_f64(data, pos)?;
-    let decayed = get_f64(data, pos)?;
-    let last = get_f64(data, pos)?;
-    let n = checked_len(data, pos, 2)?;
+fn get_decayed(r: &mut Reader) -> Result<DecayedWindow, TraceError> {
+    let total = r.f64_bits()?;
+    let decayed = r.f64_bits()?;
+    let last = r.f64_bits()?;
+    let n = r.count("decayed samples", 2, UNCAPPED)?;
     let mut samples = VecDeque::with_capacity(n);
     for _ in 0..n {
-        let t = get_f64(data, pos)?;
-        let w = get_f64(data, pos)?;
+        let t = r.f64_bits()?;
+        let w = r.f64_bits()?;
         samples.push_back((t, w));
     }
     Ok(DecayedWindow { total, decayed, last, samples })
@@ -187,8 +161,8 @@ fn put_policy(out: &mut Vec<u8>, p: DegradationPolicy) {
     });
 }
 
-fn get_policy(data: &[u8], pos: &mut usize) -> Result<DegradationPolicy, TraceError> {
-    match get_varint(data, pos)? {
+fn get_policy(r: &mut Reader) -> Result<DegradationPolicy, TraceError> {
+    match r.varint()? {
         0 => Ok(DegradationPolicy::Strict),
         1 => Ok(DegradationPolicy::Warn),
         2 => Ok(DegradationPolicy::BestEffort),
@@ -205,14 +179,14 @@ fn put_online_cfg(out: &mut Vec<u8>, cfg: &OnlineConfig) {
     put_f64(out, cfg.hysteresis);
 }
 
-fn get_online_cfg(data: &[u8], pos: &mut usize) -> Result<OnlineConfig, TraceError> {
+fn get_online_cfg(r: &mut Reader) -> Result<OnlineConfig, TraceError> {
     Ok(OnlineConfig {
-        window: get_opt_f64(data, pos)?,
-        half_life: get_opt_f64(data, pos)?,
-        epoch_phases: get_u64(data, pos)? as u32,
-        migration_overhead: get_f64(data, pos)?,
-        channel_capacity: get_u64(data, pos)? as usize,
-        hysteresis: get_f64(data, pos)?,
+        window: get_opt_f64(r)?,
+        half_life: get_opt_f64(r)?,
+        epoch_phases: r.field("epoch phases")?,
+        migration_overhead: r.f64_bits()?,
+        channel_capacity: r.field("channel capacity")?,
+        hysteresis: r.f64_bits()?,
     })
 }
 
@@ -353,51 +327,51 @@ fn object_slot(ing: &StreamIngestor, raw: u64) -> Result<u32, TraceError> {
 }
 
 /// Rebuilds the ingestor encoded by [`encode_ingestor`].
-pub fn decode_ingestor(data: &[u8], pos: &mut usize) -> Result<StreamIngestor, TraceError> {
-    let header = TraceFile::from_json(&get_str(data, pos)?)?;
+pub fn decode_ingestor(r: &mut Reader) -> Result<StreamIngestor, TraceError> {
+    let header = TraceFile::from_json(r.str("stream header")?)?;
     let meta = StreamMeta {
         app_name: header.app_name,
-        sampling_hz: get_f64(data, pos)?,
-        load_sample_period: get_f64(data, pos)?,
-        store_sample_period: get_f64(data, pos)?,
+        sampling_hz: r.f64_bits()?,
+        load_sample_period: r.f64_bits()?,
+        store_sample_period: r.f64_bits()?,
         stacks: std::sync::Arc::new(header.stacks),
         binmap: std::sync::Arc::new(header.binmap),
     };
-    let cfg = get_online_cfg(data, pos)?;
-    let policy = get_policy(data, pos)?;
+    let cfg = get_online_cfg(r)?;
+    let policy = get_policy(r)?;
     let mut ing = StreamIngestor::new(meta, policy, cfg);
 
     let v = &mut ing.integrity;
-    for _ in 0..checked_len(data, pos, 1)? {
-        v.live.insert(ObjectId(get_u64(data, pos)?));
+    for _ in 0..r.count("live object ids", 1, UNCAPPED)? {
+        v.live.insert(ObjectId(r.varint()?));
     }
-    for _ in 0..checked_len(data, pos, 1)? {
-        v.freed.insert(ObjectId(get_u64(data, pos)?));
+    for _ in 0..r.count("freed object ids", 1, UNCAPPED)? {
+        v.freed.insert(ObjectId(r.varint()?));
     }
-    v.last_t = get_f64(data, pos)?;
-    v.seen = get_u64(data, pos)?;
-    v.dropped = get_u64(data, pos)?;
-    for _ in 0..checked_len(data, pos, 3)? {
-        let idx = get_u64(data, pos)? as usize;
+    v.last_t = r.f64_bits()?;
+    v.seen = r.varint()?;
+    v.dropped = r.varint()?;
+    for _ in 0..r.count("warning tallies", 3, UNCAPPED)? {
+        let idx: usize = r.field("warning kind")?;
         let kind = *WARNING_KINDS.get(idx).ok_or_else(|| corrupt("warning kind out of range"))?;
-        let n = get_u64(data, pos)?;
-        let first = get_u64(data, pos)?;
+        let n = r.varint()?;
+        let first = r.varint()?;
         v.tallies.push((kind, n, first));
     }
-    v.window = get_window(data, pos)?;
+    v.window = decode_window(r)?;
 
-    for _ in 0..checked_len(data, pos, 9)? {
-        let id = ObjectId(get_u64(data, pos)?);
+    for _ in 0..r.count("objects", 9, UNCAPPED)? {
+        let id = ObjectId(r.varint()?);
         let acc = ObjAcc {
             id,
-            site: site_slot(&ing, get_u64(data, pos)?)?,
-            size: get_u64(data, pos)?,
-            address: get_u64(data, pos)?,
-            alloc_time: get_f64(data, pos)?,
-            free_time: get_opt_f64(data, pos)?,
-            load_samples: get_u64(data, pos)?,
-            store_samples: get_u64(data, pos)?,
-            store_l1d_miss_samples: get_u64(data, pos)?,
+            site: site_slot(&ing, r.varint()?)?,
+            size: r.varint()?,
+            address: r.varint()?,
+            alloc_time: r.f64_bits()?,
+            free_time: get_opt_f64(r)?,
+            load_samples: r.varint()?,
+            store_samples: r.varint()?,
+            store_l1d_miss_samples: r.varint()?,
         };
         let slot = u32::try_from(ing.objects.len()).map_err(|_| corrupt("too many objects"))?;
         if ing.object_slots.insert(id, slot).is_some() {
@@ -406,11 +380,11 @@ pub fn decode_ingestor(data: &[u8], pos: &mut usize) -> Result<StreamIngestor, T
         ing.objects.push(acc);
     }
 
-    for _ in 0..checked_len(data, pos, 4)? {
-        let slot = site_slot(&ing, get_u64(data, pos)?)?;
+    for _ in 0..r.count("sites", 4, UNCAPPED)? {
+        let slot = site_slot(&ing, r.varint()?)?;
         let mut objects = Vec::new();
-        for _ in 0..checked_len(data, pos, 1)? {
-            objects.push(object_slot(&ing, get_u64(data, pos)?)?);
+        for _ in 0..r.count("site objects", 1, UNCAPPED)? {
+            objects.push(object_slot(&ing, r.varint()?)?);
         }
         let all = &ing.objects;
         let acc = &mut ing.sites[slot as usize];
@@ -418,27 +392,27 @@ pub fn decode_ingestor(data: &[u8], pos: &mut usize) -> Result<StreamIngestor, T
         acc.sweep = PeakSweep::of(all, &objects);
         acc.objects = objects;
         acc.present = true;
-        acc.load_stat = get_decayed(data, pos)?;
-        acc.store_stat = get_decayed(data, pos)?;
+        acc.load_stat = get_decayed(r)?;
+        acc.store_stat = get_decayed(r)?;
     }
 
-    for _ in 0..checked_len(data, pos, 3)? {
-        let start = get_u64(data, pos)?;
-        let end = get_u64(data, pos)?;
-        let slot = object_slot(&ing, get_u64(data, pos)?)?;
+    for _ in 0..r.count("live ranges", 3, UNCAPPED)? {
+        let start = r.varint()?;
+        let end = r.varint()?;
+        let slot = object_slot(&ing, r.varint()?)?;
         ing.live.insert(start, end, slot);
     }
-    for _ in 0..checked_len(data, pos, 4)? {
-        let start = get_u64(data, pos)?;
-        let end = get_u64(data, pos)?;
-        let slot = object_slot(&ing, get_u64(data, pos)?)?;
-        let free_time = get_f64(data, pos)?;
+    for _ in 0..r.count("grace entries", 4, UNCAPPED)? {
+        let start = r.varint()?;
+        let end = r.varint()?;
+        let slot = object_slot(&ing, r.varint()?)?;
+        let free_time = r.f64_bits()?;
         ing.grace.push((start, end, slot, free_time));
     }
-    ing.unmatched_samples = get_u64(data, pos)?;
+    ing.unmatched_samples = r.varint()?;
 
-    for _ in 0..checked_len(data, pos, 1)? {
-        let slot = site_slot(&ing, get_u64(data, pos)?)?;
+    for _ in 0..r.count("dirty sites", 1, UNCAPPED)? {
+        let slot = site_slot(&ing, r.varint()?)?;
         let s = &mut ing.sites[slot as usize];
         if !s.dirty {
             s.dirty = true;
@@ -446,17 +420,17 @@ pub fn decode_ingestor(data: &[u8], pos: &mut usize) -> Result<StreamIngestor, T
         }
     }
 
-    for _ in 0..checked_len(data, pos, 1)? {
-        ing.bins.push(get_f64(data, pos)?);
+    for _ in 0..r.count("bandwidth bins", 1, UNCAPPED)? {
+        ing.bins.push(r.f64_bits()?);
     }
-    for _ in 0..checked_len(data, pos, 1)? {
-        ing.bin_load.push(get_u64(data, pos)?);
+    for _ in 0..r.count("load bin counts", 1, UNCAPPED)? {
+        ing.bin_load.push(r.varint()?);
     }
-    for _ in 0..checked_len(data, pos, 1)? {
-        ing.bin_store_miss.push(get_u64(data, pos)?);
+    for _ in 0..r.count("store-miss bin counts", 1, UNCAPPED)? {
+        ing.bin_store_miss.push(r.varint()?);
     }
-    ing.pending_load = get_u64(data, pos)?;
-    ing.pending_store_miss = get_u64(data, pos)?;
+    ing.pending_load = r.varint()?;
+    ing.pending_store_miss = r.varint()?;
     Ok(ing)
 }
 
@@ -466,8 +440,8 @@ fn put_tier(out: &mut Vec<u8>, t: TierId) {
     put_u64(out, t.0 as u64);
 }
 
-fn get_tier(data: &[u8], pos: &mut usize) -> Result<TierId, TraceError> {
-    Ok(TierId(get_u64(data, pos)? as u8))
+fn get_tier(r: &mut Reader) -> Result<TierId, TraceError> {
+    Ok(TierId(r.field("tier id")?))
 }
 
 fn put_site_profile(
@@ -506,37 +480,37 @@ fn put_site_profile(
     }
 }
 
-fn get_site_profile(data: &[u8], pos: &mut usize) -> Result<SiteProfile, TraceError> {
-    let site = SiteId(get_u64(data, pos)? as u32);
+fn get_site_profile(r: &mut Reader) -> Result<SiteProfile, TraceError> {
+    let site = SiteId(r.field("site id")?);
     let mut frames = Vec::new();
-    for _ in 0..checked_len(data, pos, 2)? {
-        let module = memtrace::ModuleId(get_u64(data, pos)? as u16);
-        let offset = get_u64(data, pos)?;
+    for _ in 0..r.count("stack frames", 2, UNCAPPED)? {
+        let module = memtrace::ModuleId(r.field("module id")?);
+        let offset = r.varint()?;
         frames.push(memtrace::Frame::new(module, offset));
     }
     let stack = memtrace::CallStack::new(frames);
-    let alloc_count = get_u64(data, pos)?;
-    let max_size = get_u64(data, pos)?;
-    let total_bytes = get_u64(data, pos)?;
-    let peak_live_bytes = get_u64(data, pos)?;
-    let load_misses_est = get_f64(data, pos)?;
-    let store_misses_est = get_f64(data, pos)?;
-    let has_stores = get_bool(data, pos)?;
-    let first_alloc = get_f64(data, pos)?;
-    let last_free = get_f64(data, pos)?;
-    let bw_at_alloc = get_f64(data, pos)?;
-    let avg_bw = get_f64(data, pos)?;
+    let alloc_count = r.varint()?;
+    let max_size = r.varint()?;
+    let total_bytes = r.varint()?;
+    let peak_live_bytes = r.varint()?;
+    let load_misses_est = r.f64_bits()?;
+    let store_misses_est = r.f64_bits()?;
+    let has_stores = get_bool(r)?;
+    let first_alloc = r.f64_bits()?;
+    let last_free = r.f64_bits()?;
+    let bw_at_alloc = r.f64_bits()?;
+    let avg_bw = r.f64_bits()?;
     let mut objects = Vec::new();
-    for _ in 0..checked_len(data, pos, 8)? {
+    for _ in 0..r.count("object lifetimes", 8, UNCAPPED)? {
         objects.push(ObjectLifetime {
-            object: ObjectId(get_u64(data, pos)?),
-            size: get_u64(data, pos)?,
-            alloc_time: get_f64(data, pos)?,
-            free_time: get_f64(data, pos)?,
-            load_samples: get_u64(data, pos)?,
-            store_samples: get_u64(data, pos)?,
-            store_l1d_miss_samples: get_u64(data, pos)?,
-            bw_at_alloc: get_f64(data, pos)?,
+            object: ObjectId(r.varint()?),
+            size: r.varint()?,
+            alloc_time: r.f64_bits()?,
+            free_time: r.f64_bits()?,
+            load_samples: r.varint()?,
+            store_samples: r.varint()?,
+            store_l1d_miss_samples: r.varint()?,
+            bw_at_alloc: r.f64_bits()?,
         });
     }
     Ok(SiteProfile {
@@ -573,18 +547,18 @@ fn put_assignment(out: &mut Vec<u8>, a: &Assignment) {
     }
 }
 
-fn get_assignment(data: &[u8], pos: &mut usize) -> Result<Assignment, TraceError> {
+fn get_assignment(r: &mut Reader) -> Result<Assignment, TraceError> {
     let mut tiers = std::collections::HashMap::new();
-    for _ in 0..checked_len(data, pos, 2)? {
-        let s = SiteId(get_u64(data, pos)? as u32);
-        let t = get_tier(data, pos)?;
+    for _ in 0..r.count("assigned sites", 2, UNCAPPED)? {
+        let s = SiteId(r.field("site id")?);
+        let t = get_tier(r)?;
         tiers.insert(s, t);
     }
-    let fallback = get_tier(data, pos)?;
+    let fallback = get_tier(r)?;
     let mut charged = Vec::new();
-    for _ in 0..checked_len(data, pos, 2)? {
-        let t = get_tier(data, pos)?;
-        let b = get_u64(data, pos)?;
+    for _ in 0..r.count("charged tiers", 2, UNCAPPED)? {
+        let t = get_tier(r)?;
+        let b = r.varint()?;
         charged.push((t, b));
     }
     Ok(Assignment { tiers, fallback, charged })
@@ -627,37 +601,34 @@ pub fn encode_advisor(adv: &IncrementalAdvisor, out: &mut Vec<u8>) {
 }
 
 /// Rebuilds the advisor encoded by [`encode_advisor`].
-pub fn decode_advisor(data: &[u8], pos: &mut usize) -> Result<IncrementalAdvisor, TraceError> {
+pub fn decode_advisor(r: &mut Reader) -> Result<IncrementalAdvisor, TraceError> {
     let mut tiers = Vec::new();
-    for _ in 0..checked_len(data, pos, 4)? {
+    for _ in 0..r.count("tier budgets", 4, UNCAPPED)? {
         tiers.push(TierBudget {
-            tier: get_tier(data, pos)?,
-            capacity: get_u64(data, pos)?,
-            load_coeff: get_f64(data, pos)?,
-            store_coeff: get_f64(data, pos)?,
+            tier: get_tier(r)?,
+            capacity: r.varint()?,
+            load_coeff: r.f64_bits()?,
+            store_coeff: r.f64_bits()?,
         });
     }
-    let fallback = get_tier(data, pos)?;
+    let fallback = get_tier(r)?;
     let config = AdvisorConfig { tiers, fallback };
-    let algorithm = match get_u64(data, pos)? {
+    let algorithm = match r.varint()? {
         0 => Algorithm::Base,
         1 => Algorithm::BandwidthAware,
         _ => return Err(corrupt("algorithm out of range")),
     };
-    let thresholds = BwThresholds {
-        t_alloc: get_u64(data, pos)?,
-        low_frac: get_f64(data, pos)?,
-        high_frac: get_f64(data, pos)?,
-    };
-    let hysteresis = get_f64(data, pos)?;
-    let epoch = get_u64(data, pos)?;
-    let rebuilt_sites = get_u64(data, pos)?;
+    let thresholds =
+        BwThresholds { t_alloc: r.varint()?, low_frac: r.f64_bits()?, high_frac: r.f64_bits()? };
+    let hysteresis = r.f64_bits()?;
+    let epoch = r.varint()?;
+    let rebuilt_sites = r.varint()?;
     let mut cache = std::collections::BTreeMap::new();
-    for _ in 0..checked_len(data, pos, 8)? {
-        let p = get_site_profile(data, pos)?;
+    for _ in 0..r.count("site profiles", 8, UNCAPPED)? {
+        let p = get_site_profile(r)?;
         cache.insert(p.site, p);
     }
-    let assignment = if get_bool(data, pos)? { Some(get_assignment(data, pos)?) } else { None };
+    let assignment = if get_bool(r)? { Some(get_assignment(r)?) } else { None };
     let estimates = cache.values().map(|p| (p.load_misses_est, p.store_misses_est)).collect();
     Ok(IncrementalAdvisor {
         config,
@@ -694,18 +665,15 @@ pub fn encode_revisions(revs: &[PlacementRevision], out: &mut Vec<u8>) {
 }
 
 /// Decodes the revision log.
-pub fn decode_revisions(
-    data: &[u8],
-    pos: &mut usize,
-) -> Result<Vec<PlacementRevision>, TraceError> {
+pub fn decode_revisions(r: &mut Reader) -> Result<Vec<PlacementRevision>, TraceError> {
     let mut revs = Vec::new();
-    for _ in 0..checked_len(data, pos, 5)? {
+    for _ in 0..r.count("revisions", 5, UNCAPPED)? {
         revs.push(PlacementRevision {
-            epoch: get_u64(data, pos)?,
-            time: get_f64(data, pos)?,
-            site: SiteId(get_u64(data, pos)? as u32),
-            from: get_tier(data, pos)?,
-            to: get_tier(data, pos)?,
+            epoch: r.varint()?,
+            time: r.f64_bits()?,
+            site: SiteId(r.field("site id")?),
+            from: get_tier(r)?,
+            to: get_tier(r)?,
         });
     }
     Ok(revs)
@@ -780,9 +748,9 @@ mod tests {
             let original = busy_ingestor(policy);
             let mut buf = Vec::new();
             encode_ingestor(&original, &mut buf);
-            let mut pos = 0;
-            let mut restored = decode_ingestor(&buf, &mut pos).unwrap();
-            assert_eq!(pos, buf.len(), "decoder consumed the whole payload");
+            let mut r = Reader::new(&buf);
+            let mut restored = decode_ingestor(&mut r).unwrap();
+            assert_eq!(r.remaining(), 0, "decoder consumed the whole payload");
             assert_eq!(original.snapshot(2.0), restored.snapshot(2.0));
             assert_eq!(original.events_seen(), restored.events_seen());
             assert_eq!(original.dropped(), restored.dropped());
@@ -799,8 +767,7 @@ mod tests {
         let mut original = busy_ingestor(DegradationPolicy::Strict);
         let mut buf = Vec::new();
         encode_ingestor(&original, &mut buf);
-        let mut pos = 0;
-        let mut restored = decode_ingestor(&buf, &mut pos).unwrap();
+        let mut restored = decode_ingestor(&mut Reader::new(&buf)).unwrap();
         // Feed both the same suffix; the profiles must stay identical —
         // including the grace-list window behavior around the free at 0.9.
         let suffix = vec![
@@ -827,9 +794,9 @@ mod tests {
         let revs = adv.tick(&mut ing, 1.0);
         let mut buf = Vec::new();
         encode_advisor(&adv, &mut buf);
-        let mut pos = 0;
-        let restored = decode_advisor(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
+        let mut r = Reader::new(&buf);
+        let restored = decode_advisor(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
         assert_eq!(restored.epochs(), adv.epochs());
         assert_eq!(restored.rebuilt_sites(), adv.rebuilt_sites());
         assert_eq!(
@@ -842,8 +809,7 @@ mod tests {
         // Revisions codec.
         let mut rbuf = Vec::new();
         encode_revisions(&revs, &mut rbuf);
-        let mut rpos = 0;
-        assert_eq!(decode_revisions(&rbuf, &mut rpos).unwrap(), revs);
+        assert_eq!(decode_revisions(&mut Reader::new(&rbuf)).unwrap(), revs);
     }
 
     #[test]
@@ -852,8 +818,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_ingestor(&ing, &mut buf);
         for cut in [0, 1, buf.len() / 2, buf.len() - 1] {
-            let mut pos = 0;
-            assert!(decode_ingestor(&buf[..cut], &mut pos).is_err(), "cut at {cut}");
+            assert!(decode_ingestor(&mut Reader::new(&buf[..cut])).is_err(), "cut at {cut}");
         }
     }
 }

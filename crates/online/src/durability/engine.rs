@@ -26,6 +26,7 @@ use crate::config::OnlineConfig;
 use crate::incremental::{IncrementalAdvisor, PlacementRevision};
 use crate::ingest::{StreamIngestor, StreamMeta};
 use advisor::{AdvisorConfig, Algorithm};
+use memtrace::wire::Reader;
 use memtrace::{DegradationPolicy, DroppedWindow, EventBatch, TraceError, TraceEvent};
 use std::path::{Path, PathBuf};
 
@@ -127,18 +128,14 @@ impl DurableEngine {
         let (ingestor, advisor, revisions, shed_events, shed_window, applied, next_seq) =
             match payload {
                 Some(data) => {
-                    let mut pos = 0;
-                    let applied = codec::get_u64(&data, &mut pos)?;
-                    let shed_events = codec::get_u64(&data, &mut pos)?;
-                    let shed_window = codec::decode_window(&data, &mut pos)?;
-                    let ingestor = codec::decode_ingestor(&data, &mut pos)?;
-                    let advisor = codec::decode_advisor(&data, &mut pos)?;
-                    let revisions = codec::decode_revisions(&data, &mut pos)?;
-                    if pos != data.len() {
-                        return Err(TraceError::Malformed(
-                            "checkpoint payload has trailing bytes".into(),
-                        ));
-                    }
+                    let mut r = Reader::new(&data);
+                    let applied = r.varint()?;
+                    let shed_events = r.varint()?;
+                    let shed_window = codec::decode_window(&mut r)?;
+                    let ingestor = codec::decode_ingestor(&mut r)?;
+                    let advisor = codec::decode_advisor(&mut r)?;
+                    let revisions = codec::decode_revisions(&mut r)?;
+                    r.expect_end(|_, _| "checkpoint payload has trailing bytes".into())?;
                     report.resumed = true;
                     let seq = load.seq.map_or(0, |s| s + 1);
                     (ingestor, advisor, revisions, shed_events, shed_window, applied, seq)

@@ -26,6 +26,7 @@
 
 use super::codec;
 use memtrace::binfmt::{crc32, read_frame, write_frame};
+use memtrace::wire::Reader;
 use memtrace::{DroppedWindow, EventBatch, TraceError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -62,7 +63,9 @@ pub enum Record {
 }
 
 impl Record {
-    fn encode(&self) -> Vec<u8> {
+    /// The record's payload: the bytes a journal frame length-prefixes and
+    /// CRC-guards.
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             Record::Events(events) => {
@@ -81,20 +84,19 @@ impl Record {
         out
     }
 
-    fn decode(payload: &[u8]) -> Result<Record, TraceError> {
-        let mut pos = 0;
-        let tag = codec::get_u64(payload, &mut pos)? as u8;
+    /// Decodes a payload written by [`Record::encode`].
+    pub fn decode(payload: &[u8]) -> Result<Record, TraceError> {
+        let mut r = Reader::new(payload);
+        let tag: u8 = r.field("journal record tag")?;
         let rec = match tag {
-            REC_EVENTS => Record::Events(read_frame(payload, &mut pos)?),
-            REC_TICK => Record::Tick { now: codec::get_f64(payload, &mut pos)? },
-            REC_SHED => Record::Shed { window: codec::decode_window(payload, &mut pos)? },
+            REC_EVENTS => Record::Events(read_frame(&mut r)?),
+            REC_TICK => Record::Tick { now: r.f64_bits()? },
+            REC_SHED => Record::Shed { window: codec::decode_window(&mut r)? },
             _ => {
                 return Err(TraceError::Malformed(format!("unknown journal record tag {tag}")));
             }
         };
-        if pos != payload.len() {
-            return Err(TraceError::Malformed("journal record has trailing bytes".into()));
-        }
+        r.expect_end(|_, _| "journal record has trailing bytes".into())?;
         Ok(rec)
     }
 }
@@ -402,6 +404,18 @@ mod tests {
         }
         assert_eq!(collect(&j, 2).len(), 1, "suffix replay starts at the cursor");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_tag_too_wide_for_a_byte_is_refused() {
+        // Tag 257 once narrowed to 1, an Events record.
+        let mut payload = Vec::new();
+        memtrace::binfmt::put_varint(&mut payload, 257);
+        write_frame(&EventBatch::from_events(&[ev(0.1, 1)]), &mut payload);
+        let err = Record::decode(&payload).unwrap_err().to_string();
+        assert!(err.contains("journal record tag 257 out of range"), "{err}");
+        payload.splice(..2, [REC_EVENTS]);
+        assert!(matches!(Record::decode(&payload), Ok(Record::Events(_))));
     }
 
     #[test]

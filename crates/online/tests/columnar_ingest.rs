@@ -23,6 +23,7 @@ use ecohmem_online::{
     StreamMeta,
 };
 use memsim::{ExecMode, FixedTier, MachineConfig};
+use memtrace::wire::Reader;
 use memtrace::{
     BinaryMap, CallStack, DegradationPolicy, EventBatch, FaultKind, FaultSpec, FaultTarget, Frame,
     FuncId, ModuleId, ObjectId, SiteId, TierId, TraceError, TraceEvent, TraceFile,
@@ -394,11 +395,11 @@ const FIXTURE_TICK: f64 = 0.8;
 #[test]
 fn a_checkpoint_from_the_previous_encoder_restores_and_continues() {
     let fixture: &[u8] = include_bytes!("fixtures/ingest_checkpoint.bin");
-    let mut pos = 0;
-    let mut ing = decode_ingestor(fixture, &mut pos).unwrap();
-    let adv_start = pos;
-    let mut adv = decode_advisor(fixture, &mut pos).unwrap();
-    assert_eq!(pos, fixture.len(), "the fixture decodes completely");
+    let mut r = Reader::new(fixture);
+    let mut ing = decode_ingestor(&mut r).unwrap();
+    let adv_start = r.pos();
+    let mut adv = decode_advisor(&mut r).unwrap();
+    assert_eq!(r.remaining(), 0, "the fixture decodes completely");
 
     // Re-encoding reproduces the previous encoder's bytes.
     let mut again = Vec::new();

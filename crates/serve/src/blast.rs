@@ -268,10 +268,10 @@ fn pump_reads(sess: &mut Session, t: &BlastTenant, out: &mut BlastOutcome) -> bo
                                     }
                                 }
                             }
-                            TAG_SHED => match memtrace::binfmt::get_varint(body, &mut 0) {
-                                Ok(dropped) => out.shed += dropped,
-                                Err(_) => {
-                                    fail(out, t, "decode: truncated shed frame");
+                            TAG_SHED => match proto::decode(payload) {
+                                Ok(Frame::Shed { dropped }) => out.shed += dropped,
+                                _ => {
+                                    fail(out, t, "decode: garbled shed frame");
                                     return true;
                                 }
                             },

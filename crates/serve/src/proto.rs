@@ -10,8 +10,11 @@
 //! `len` covers the tag byte plus the body, so a reader can size its
 //! buffer from the fixed four-byte prefix alone. `len` is bounded by
 //! [`MAX_FRAME_BYTES`]; a frame declaring more is rejected *before* any
-//! allocation, mirroring the caps in `memtrace::binfmt` — a four-byte
-//! header must never be able to command a multi-gigabyte allocation.
+//! allocation — a four-byte header must never be able to command a
+//! multi-gigabyte allocation. Bodies are decoded through
+//! [`memtrace::wire::Reader`], the cursor every decoder of untrusted bytes
+//! shares: it bounds each declared count before allocating, refuses a
+//! value too wide for its field, and refuses a body with trailing bytes.
 //!
 //! The conversation:
 //!
@@ -27,12 +30,14 @@
 //!    [`Frame::Bye`] with the total revision count, and closes.
 //!
 //! Event bodies reuse the `memtrace` codecs verbatim: [`Mode::Bin`]
-//! frames are `binfmt::write_frame` bytes (varint + CRC, the on-disk v2
-//! bucket format), [`Mode::Jsonl`] frames are newline-separated compact
-//! JSON events via `memtrace::jsonio` — the thin debugging encoding.
+//! frames are `binfmt::write_frame` bytes (varints, times as exact `f64`
+//! bits: the bytes the durability journal records), [`Mode::Jsonl`]
+//! frames are newline-separated compact JSON events via
+//! `memtrace::jsonio` — the thin debugging encoding.
 
 use ecohmem_online::PlacementRevision;
-use memtrace::binfmt::{self, get_varint, put_varint};
+use memtrace::binfmt::{self, put_varint};
+use memtrace::wire::Reader;
 use memtrace::{EventBatch, SiteId, TierId, TraceError, TraceEvent, TraceFile};
 use std::io::{Read, Write};
 
@@ -51,7 +56,7 @@ pub const MAX_FRAME_BYTES: usize = 8 << 20;
 /// How a tenant encodes its event stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// `binfmt::write_frame` bytes — compact, CRC-guarded, the default.
+    /// `binfmt::write_frame` bytes — compact and exact, the default.
     Bin,
     /// Newline-separated compact JSON events — human-greppable, slow.
     Jsonl,
@@ -164,34 +169,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(data: &[u8], pos: &mut usize) -> Result<String, ServeError> {
-    let len = get_varint(data, pos)? as usize;
-    if data.len() - *pos < len {
-        return Err(ServeError::Protocol(format!(
-            "string declares {len} bytes, {} remain",
-            data.len() - *pos
-        )));
-    }
-    let s = std::str::from_utf8(&data[*pos..*pos + len])
-        .map_err(|e| ServeError::Protocol(format!("invalid utf-8 in string: {e}")))?
-        .to_string();
-    *pos += len;
-    Ok(s)
-}
-
-fn get_bytes(data: &[u8], pos: &mut usize) -> Result<Vec<u8>, ServeError> {
-    let len = get_varint(data, pos)? as usize;
-    if data.len() - *pos < len {
-        return Err(ServeError::Protocol(format!(
-            "byte blob declares {len} bytes, {} remain",
-            data.len() - *pos
-        )));
-    }
-    let b = data[*pos..*pos + len].to_vec();
-    *pos += len;
-    Ok(b)
-}
-
 /// Encodes a revision list — the same varint layout the durability
 /// journal uses, so a revision log is byte-stable across both seams.
 pub fn encode_revisions(revs: &[PlacementRevision], out: &mut Vec<u8>) {
@@ -205,30 +182,27 @@ pub fn encode_revisions(revs: &[PlacementRevision], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes [`encode_revisions`] output.
+/// Decodes [`encode_revisions`] output at `pos`, advancing it.
 pub fn decode_revisions(
     data: &[u8],
     pos: &mut usize,
 ) -> Result<Vec<PlacementRevision>, ServeError> {
-    let n = get_varint(data, pos)? as usize;
-    // Each revision is ≥ 5 bytes; reject a poisoned count up front.
-    if data.len() - *pos < n.saturating_mul(5) {
-        return Err(ServeError::Protocol(format!(
-            "revision list declares {n} entries, only {} bytes remain",
-            data.len() - *pos
-        )));
-    }
+    let mut r = Reader::new(data.get(*pos..).unwrap_or_default());
+    let revs = read_revisions(&mut r)?;
+    *pos += r.pos();
+    Ok(revs)
+}
+
+fn read_revisions(r: &mut Reader) -> Result<Vec<PlacementRevision>, TraceError> {
+    // Each revision is ≥ 5 bytes.
+    let n = r.count("revisions", 5, usize::MAX)?;
     let mut revs = Vec::with_capacity(n);
     for _ in 0..n {
-        let epoch = get_varint(data, pos)?;
-        let time = f64::from_bits(get_varint(data, pos)?);
-        let site = SiteId(get_varint(data, pos)? as u32);
-        if data.len() - *pos < 2 {
-            return Err(ServeError::Protocol("truncated revision tiers".into()));
-        }
-        let from = TierId(data[*pos]);
-        let to = TierId(data[*pos + 1]);
-        *pos += 2;
+        let epoch = r.varint()?;
+        let time = r.f64_bits()?;
+        let site = SiteId(r.field("site id")?);
+        let from = TierId(r.byte()?);
+        let to = TierId(r.byte()?);
         revs.push(PlacementRevision { epoch, time, site, from, to });
     }
     Ok(revs)
@@ -273,24 +247,12 @@ fn encode_events(events: &EventBatch, mode: Mode, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_events(body: &[u8]) -> Result<EventBatch, ServeError> {
-    let Some((&mode_byte, rest)) = body.split_first() else {
-        return Err(ServeError::Protocol("empty Events body".into()));
-    };
-    match Mode::from_byte(mode_byte)? {
-        Mode::Bin => {
-            let mut pos = 0;
-            let events = binfmt::read_frame(rest, &mut pos).map_err(ServeError::Trace)?;
-            if pos != rest.len() {
-                return Err(ServeError::Protocol(format!(
-                    "{} trailing bytes after event frame",
-                    rest.len() - pos
-                )));
-            }
-            Ok(events)
-        }
+fn decode_events(r: &mut Reader) -> Result<EventBatch, ServeError> {
+    match Mode::from_byte(r.byte()?)? {
+        Mode::Bin => Ok(binfmt::read_frame(r)?),
         Mode::Jsonl => {
-            let text = std::str::from_utf8(rest)
+            let rest = r.remaining();
+            let text = std::str::from_utf8(r.bytes(rest)?)
                 .map_err(|e| ServeError::Protocol(format!("invalid utf-8 in jsonl body: {e}")))?;
             let mut events = EventBatch::default();
             for line in text.lines().filter(|l| !l.trim().is_empty()) {
@@ -380,35 +342,27 @@ pub fn decode(data: &[u8]) -> Result<Frame, ServeError> {
     let Some((&tag, body)) = data.split_first() else {
         return Err(ServeError::Protocol("empty frame".into()));
     };
-    let mut pos = 0;
+    let mut r = Reader::new(body);
     let frame = match tag {
         TAG_HELLO => {
-            let version = get_varint(body, &mut pos)? as u32;
-            let tenant = get_str(body, &mut pos)?;
-            if pos >= body.len() {
-                return Err(ServeError::Protocol("truncated Hello".into()));
-            }
-            let mode = Mode::from_byte(body[pos])?;
-            pos += 1;
-            let header = get_bytes(body, &mut pos)?;
+            let version = r.field("protocol version")?;
+            let tenant = r.str("tenant name")?.to_string();
+            let mode = Mode::from_byte(r.byte()?)?;
+            let header_len = r.field("hello header length")?;
+            let header = r.bytes(header_len)?.to_vec();
             Frame::Hello { version, tenant, mode, header }
         }
-        TAG_HELLO_ACK => Frame::HelloAck { tenant_id: get_varint(body, &mut pos)? },
-        TAG_EVENTS => return Ok(Frame::Events(decode_events(body)?)),
-        TAG_TICK => Frame::Tick { now: f64::from_bits(get_varint(body, &mut pos)?) },
+        TAG_HELLO_ACK => Frame::HelloAck { tenant_id: r.varint()? },
+        TAG_EVENTS => Frame::Events(decode_events(&mut r)?),
+        TAG_TICK => Frame::Tick { now: r.f64_bits()? },
         TAG_SHUTDOWN => Frame::Shutdown,
-        TAG_REVISIONS => Frame::Revisions(decode_revisions(body, &mut pos)?),
-        TAG_SHED => Frame::Shed { dropped: get_varint(body, &mut pos)? },
-        TAG_BYE => Frame::Bye { revisions: get_varint(body, &mut pos)? },
-        TAG_ERROR => Frame::Error { message: get_str(body, &mut pos)? },
+        TAG_REVISIONS => Frame::Revisions(read_revisions(&mut r)?),
+        TAG_SHED => Frame::Shed { dropped: r.varint()? },
+        TAG_BYE => Frame::Bye { revisions: r.varint()? },
+        TAG_ERROR => Frame::Error { message: r.str("error message")?.to_string() },
         other => return Err(ServeError::Protocol(format!("unknown frame tag {other}"))),
     };
-    if pos != data.len() - 1 {
-        return Err(ServeError::Protocol(format!(
-            "{} trailing bytes after tag-{tag} frame",
-            data.len() - 1 - pos
-        )));
-    }
+    r.expect_end(|pos, len| format!("{} trailing bytes after tag-{tag} frame", len - pos))?;
     Ok(frame)
 }
 
@@ -704,6 +658,33 @@ mod tests {
         bytes.push(0);
         let err = decode_header(&bytes).unwrap_err().to_string();
         assert!(err.contains(&format!("ends at byte {}", bytes.len() - 1)), "{err}");
+    }
+
+    #[test]
+    fn values_too_wide_for_their_field_are_refused() {
+        let hello = |version: u64| {
+            let mut body = vec![TAG_HELLO];
+            put_varint(&mut body, version);
+            put_str(&mut body, "t0");
+            body.push(Mode::Bin.to_byte());
+            put_varint(&mut body, 0);
+            body
+        };
+        assert!(matches!(decode(&hello(1)), Ok(Frame::Hello { version: 1, .. })));
+        let err = decode(&hello((1 << 32) + 1)).unwrap_err().to_string();
+        assert!(err.contains("protocol version 4294967297 out of range"), "{err}");
+
+        let revision = |site: u64| {
+            let mut body = vec![TAG_REVISIONS];
+            for v in [1, 3, 1.25f64.to_bits(), site] {
+                put_varint(&mut body, v);
+            }
+            body.extend([TierId::PMEM.0, TierId::DRAM.0]);
+            body
+        };
+        assert!(matches!(decode(&revision(9)), Ok(Frame::Revisions(r)) if r[0].site == SiteId(9)));
+        let err = decode(&revision(1 << 32)).unwrap_err().to_string();
+        assert!(err.contains("site id 4294967296 out of range"), "{err}");
     }
 
     #[test]

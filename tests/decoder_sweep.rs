@@ -1,0 +1,153 @@
+//! A deterministic no-panic sweep over every decoder of untrusted bytes.
+//!
+//! One encoded instance of each input — a v1 and a v2 binary trace, the
+//! serve protocol's Hello, Events, Revisions and Error frames, a journal
+//! record and the committed ingest checkpoint fixture — is cut at every
+//! byte, has each bit flipped, and has each byte set to 0x00, 0x7f, 0x80
+//! and 0xff. Every decode must return `Ok` or `Err`; a panic fails the
+//! test. Single-byte mutations cannot build a 10-byte varint, so the
+//! overflow and narrowing cases that need one are unit tests beside
+//! their decoders (`binfmt`, `proto`, `journal`).
+
+use ecohmem_online::durability::codec::{decode_advisor, decode_ingestor};
+use ecohmem_online::durability::Record;
+use ecohmem_online::PlacementRevision;
+use ecohmem_serve::proto::{self, encode, encode_header, Frame, Mode, PROTO_VERSION};
+use memtrace::wire::Reader;
+use memtrace::{
+    BinaryMap, CallStack, EventBatch, Frame as StackFrame, FuncId, ModuleId, ObjectId, SiteId,
+    TierId, TraceEvent, TraceFile,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+fn trace() -> TraceFile {
+    let events = [
+        TraceEvent::PhaseMarker { time: 0.0, phase: 0 },
+        TraceEvent::Alloc {
+            time: 0.25,
+            object: ObjectId(1),
+            site: SiteId(0),
+            size: 1 << 20,
+            address: 1 << 44,
+        },
+        TraceEvent::LoadMissSample {
+            time: 0.5,
+            address: (1 << 44) + 128,
+            latency_cycles: 412.0,
+            function: FuncId(3),
+        },
+        TraceEvent::StoreSample {
+            time: 1.0,
+            address: (1 << 44) + 256,
+            l1d_miss: true,
+            function: FuncId(3),
+        },
+        TraceEvent::Free { time: 2.5, object: ObjectId(1) },
+    ];
+    TraceFile {
+        app_name: "sweep".into(),
+        seed: 9,
+        ranks: 1,
+        sampling_hz: 100.0,
+        load_sample_period: 10.0,
+        store_sample_period: 20.0,
+        duration: 3.0,
+        stacks: vec![(SiteId(0), CallStack::new(vec![StackFrame::new(ModuleId(0), 0x40)]))],
+        binmap: BinaryMap::default(),
+        events: EventBatch::from_events(&events),
+    }
+}
+
+type Decode = fn(&[u8]) -> bool;
+
+fn read_trace(b: &[u8]) -> bool {
+    memtrace::read_trace(b).is_ok()
+}
+
+fn read_frame(b: &[u8]) -> bool {
+    matches!(proto::read_frame_from(&mut std::io::Cursor::new(b)), Ok(Some(_)))
+}
+
+fn read_record(b: &[u8]) -> bool {
+    Record::decode(b).is_ok()
+}
+
+fn read_checkpoint(b: &[u8]) -> bool {
+    let mut r = Reader::new(b);
+    decode_ingestor(&mut r).is_ok()
+        && decode_advisor(&mut r).is_ok()
+        && r.expect_end(|_, _| String::new()).is_ok()
+}
+
+/// Every mutated copy of `bytes` the sweep decodes.
+fn mutations(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let cuts = (0..bytes.len()).map(|k| bytes[..k].to_vec());
+    let flips = (0..bytes.len() * 8).map(|b| {
+        let mut m = bytes.to_vec();
+        m[b / 8] ^= 1 << (b % 8);
+        m
+    });
+    let sets = (0..bytes.len() * 4).map(|k| {
+        let mut m = bytes.to_vec();
+        m[k / 4] = [0x00, 0x7f, 0x80, 0xff][k % 4];
+        m
+    });
+    cuts.chain(flips).chain(sets)
+}
+
+#[test]
+fn no_decoder_panics_on_a_cut_flipped_or_overwritten_byte() {
+    let t = trace();
+    let (mut v1, mut v2) = (Vec::new(), Vec::new());
+    memtrace::write_trace(&t, &mut v1).unwrap();
+    memtrace::write_trace_v2(&t, &mut v2).unwrap();
+    let hello = encode(&Frame::Hello {
+        version: PROTO_VERSION,
+        tenant: "t0".into(),
+        mode: Mode::Bin,
+        header: encode_header(&t.header()).unwrap(),
+    });
+    let revision = |epoch, site| PlacementRevision {
+        epoch,
+        time: 0.75,
+        site: SiteId(site),
+        from: TierId::PMEM,
+        to: TierId::DRAM,
+    };
+    let inputs: [(&str, Vec<u8>, Decode); 8] = [
+        ("v1 trace", v1, read_trace),
+        ("v2 trace", v2, read_trace),
+        ("Hello frame", hello, read_frame),
+        ("Events frame", encode(&Frame::Events(t.events.clone())), read_frame),
+        (
+            "Revisions frame",
+            encode(&Frame::Revisions(vec![revision(1, 0), revision(2, 300)])),
+            read_frame,
+        ),
+        ("Error frame", encode(&Frame::Error { message: "no room".into() }), read_frame),
+        ("journal record", Record::Events(t.events.clone()).encode(), read_record),
+        (
+            "checkpoint fixture",
+            include_bytes!("../crates/online/tests/fixtures/ingest_checkpoint.bin").to_vec(),
+            read_checkpoint,
+        ),
+    ];
+
+    let (mut cases, mut panics) = (0usize, Vec::new());
+    for (name, bytes, decode) in &inputs {
+        assert!(decode(bytes), "the unmutated {name} decodes");
+        for (i, m) in mutations(bytes).enumerate() {
+            cases += 1;
+            if catch_unwind(AssertUnwindSafe(|| decode(&m))).is_err() {
+                panics.push(format!("{name} mutation {i}: {m:02x?}"));
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} of {cases} cases panicked:\n{}",
+        panics.len(),
+        panics.join("\n")
+    );
+    assert!(cases > 10_000, "the sweep ran {cases} cases");
+}
