@@ -23,20 +23,13 @@ use ecohmem_online::{
     Admission, DurabilityConfig, DurableEngine, OnlineConfig, PlacementRevision, StreamMeta,
     Supervisor, SupervisorConfig,
 };
+use memtrace::rng::SplitMix64;
 use memtrace::{
     BinaryMap, BinaryMapBuilder, CallStack, DegradationPolicy, EventBatch, Frame, FuncId, ModuleId,
     ObjectId, ProcessFaultKind, SiteId, TraceEvent, TraceFile,
 };
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("ecohmem-chaos-{tag}-{}", std::process::id()));
@@ -53,11 +46,11 @@ fn image() -> BinaryMap {
 /// Deterministic synthetic stream: four sites with distinct heat so the
 /// advisor has real placement decisions to revise.
 fn fixture_trace(seed: u64) -> TraceFile {
-    let mut rng = seed;
+    let mut rng = SplitMix64::new(seed);
     let mut events = Vec::new();
     let mut t = 0.0;
     for i in 0..400u64 {
-        t += 0.01 + (splitmix(&mut rng) % 10) as f64 * 0.001;
+        t += 0.01 + (rng.next_u64() % 10) as f64 * 0.001;
         let site = (i % 4) as u32;
         events.push(TraceEvent::Alloc {
             time: t,
@@ -71,8 +64,8 @@ fn fixture_trace(seed: u64) -> TraceFile {
             t += 0.002;
             events.push(TraceEvent::LoadMissSample {
                 time: t,
-                address: (1 << 44) + i * (1 << 24) + (splitmix(&mut rng) % 4096),
-                latency_cycles: 200.0 + (splitmix(&mut rng) % 300) as f64,
+                address: (1 << 44) + i * (1 << 24) + (rng.next_u64() % 4096),
+                latency_cycles: 200.0 + (rng.next_u64() % 300) as f64,
                 function: FuncId((i % 8) as u16),
             });
         }
@@ -199,11 +192,11 @@ fn check(name: &'static str, ok: bool, detail: String) -> Outcome {
 }
 
 /// kill-at-offset: N seeded kills; recovery must be invisible in the log.
-fn scenario_kill_at_offset(trace: &TraceFile, rng: &mut u64) -> Outcome {
+fn scenario_kill_at_offset(trace: &TraceFile, rng: &mut SplitMix64) -> Outcome {
     let reference = reference(trace, DegradationPolicy::Strict);
     let n = plan_len(trace);
     for _ in 0..3 {
-        let kill_at = 1 + (splitmix(rng) as usize) % (n - 1);
+        let kill_at = 1 + (rng.next_u64() as usize) % (n - 1);
         let (revs, report) = crashed_run(trace, DegradationPolicy::Strict, kill_at, |_| {});
         if !report.resumed {
             return check("kill-at-offset", false, format!("kill@{kill_at}: not resumed"));
@@ -221,11 +214,11 @@ fn scenario_kill_at_offset(trace: &TraceFile, rng: &mut u64) -> Outcome {
 
 /// wal-torn-tail: truncate the newest segment mid-record; recovery must
 /// drop the torn suffix and the re-fed stream must still converge.
-fn scenario_wal_torn_tail(trace: &TraceFile, rng: &mut u64) -> Outcome {
+fn scenario_wal_torn_tail(trace: &TraceFile, rng: &mut SplitMix64) -> Outcome {
     let reference = reference(trace, DegradationPolicy::Strict);
     let n = plan_len(trace);
     let kill_at = n / 2;
-    let chop = 1 + (splitmix(rng) as usize) % 64;
+    let chop = 1 + (rng.next_u64() as usize) % 64;
     let (revs, report) = crashed_run(trace, DegradationPolicy::Strict, kill_at, |dir| {
         let seg = newest_file(&dir.join("wal"), "seg").expect("a wal segment exists");
         let len = std::fs::metadata(&seg).unwrap().len();
@@ -249,11 +242,11 @@ fn scenario_wal_torn_tail(trace: &TraceFile, rng: &mut u64) -> Outcome {
 
 /// ckpt-corrupt-crc: flip a payload byte in the newest checkpoint; load
 /// must fall back to the previous one and replay further.
-fn scenario_ckpt_corrupt(trace: &TraceFile, rng: &mut u64) -> Outcome {
+fn scenario_ckpt_corrupt(trace: &TraceFile, rng: &mut SplitMix64) -> Outcome {
     let reference = reference(trace, DegradationPolicy::Strict);
     let n = plan_len(trace);
     let kill_at = (2 * n) / 3;
-    let flip = splitmix(rng);
+    let flip = rng.next_u64();
     let (revs, report) = crashed_run(trace, DegradationPolicy::Strict, kill_at, |dir| {
         if let Some(ck) = newest_file(&dir.join("ckpt"), "ck") {
             let mut data = std::fs::read(&ck).unwrap();
@@ -282,7 +275,7 @@ fn scenario_ckpt_corrupt(trace: &TraceFile, rng: &mut u64) -> Outcome {
 
 /// mid-checkpoint-crash: a junk `.tmp` from an interrupted checkpoint
 /// write must be swept, previous state intact.
-fn scenario_mid_checkpoint(trace: &TraceFile, _rng: &mut u64) -> Outcome {
+fn scenario_mid_checkpoint(trace: &TraceFile, _rng: &mut SplitMix64) -> Outcome {
     let reference = reference(trace, DegradationPolicy::Strict);
     let n = plan_len(trace);
     let (revs, report) = crashed_run(trace, DegradationPolicy::Strict, n / 2, |dir| {
@@ -297,7 +290,7 @@ fn scenario_mid_checkpoint(trace: &TraceFile, _rng: &mut u64) -> Outcome {
 
 /// stalled-consumer: the worker sleeps; deadline admission must shed
 /// explicitly and account every dropped batch.
-fn scenario_stalled_consumer(trace: &TraceFile, _rng: &mut u64) -> Outcome {
+fn scenario_stalled_consumer(trace: &TraceFile, _rng: &mut SplitMix64) -> Outcome {
     let dir = tmpdir("stalled");
     let sup = SupervisorConfig {
         queue_capacity: 1,
@@ -349,18 +342,18 @@ fn scenario_stalled_consumer(trace: &TraceFile, _rng: &mut u64) -> Outcome {
 
 /// clock-skew: timestamps jump backwards mid-stream; BestEffort salvage
 /// plus crash recovery must replay to the identical salvaged state.
-fn scenario_clock_skew(trace: &TraceFile, rng: &mut u64) -> Outcome {
+fn scenario_clock_skew(trace: &TraceFile, rng: &mut SplitMix64) -> Outcome {
     let mut skewed = trace.clone();
     let n_ev = skewed.events.len();
     for _ in 0..5 {
-        let i = 1 + (splitmix(rng) as usize) % (n_ev - 1);
+        let i = 1 + (rng.next_u64() as usize) % (n_ev - 1);
         let (prev, op) = (skewed.events.ops[i - 1], skewed.events.ops[i]);
         let earlier = skewed.events.time_of(prev) - 2.0;
         skewed.events.set_time(op, earlier);
     }
     let reference = reference(&skewed, DegradationPolicy::BestEffort);
     let n = plan_len(&skewed);
-    let kill_at = 1 + (splitmix(rng) as usize) % (n - 1);
+    let kill_at = 1 + (rng.next_u64() as usize) % (n - 1);
     let (revs, _) = crashed_run(&skewed, DegradationPolicy::BestEffort, kill_at, |_| {});
     if revs != reference {
         return check("clock-skew", false, format!("kill@{kill_at}: salvage diverged"));
@@ -370,7 +363,7 @@ fn scenario_clock_skew(trace: &TraceFile, rng: &mut u64) -> Outcome {
 
 /// panic-storm: repeated injected panics within the restart budget; every
 /// recovery must land on the uninterrupted log.
-fn scenario_panic_storm(trace: &TraceFile, _rng: &mut u64) -> Outcome {
+fn scenario_panic_storm(trace: &TraceFile, _rng: &mut SplitMix64) -> Outcome {
     let reference = reference(trace, DegradationPolicy::Strict);
     let dir = tmpdir("storm");
     let sup = SupervisorConfig {
@@ -431,7 +424,7 @@ fn scenario_panic_storm(trace: &TraceFile, _rng: &mut u64) -> Outcome {
 
 /// restart-budget: one panic past the budget; Strict must fail fast (an
 /// *unrecoverable* fault must be loud, not absorbed).
-fn scenario_restart_budget(trace: &TraceFile, _rng: &mut u64) -> Outcome {
+fn scenario_restart_budget(trace: &TraceFile, _rng: &mut SplitMix64) -> Outcome {
     let dir = tmpdir("budget");
     let sup = SupervisorConfig {
         restart_budget: 1,
@@ -463,7 +456,7 @@ fn scenario_restart_budget(trace: &TraceFile, _rng: &mut u64) -> Outcome {
 /// sim-kill-point: an armed simulator kill point crashes the run at a
 /// deterministic phase; after disarm, the rerun is bit-identical to a
 /// never-crashed run (the injection leaves no residue).
-fn scenario_sim_kill_point(_trace: &TraceFile, rng: &mut u64) -> Outcome {
+fn scenario_sim_kill_point(_trace: &TraceFile, rng: &mut SplitMix64) -> Outcome {
     use memsim::{ExecMode, FixedTier, MachineConfig};
     let app = workloads::minife::model();
     let machine = MachineConfig::optane_pmem6();
@@ -473,7 +466,7 @@ fn scenario_sim_kill_point(_trace: &TraceFile, rng: &mut u64) -> Outcome {
         ExecMode::MemoryMode,
         &mut FixedTier::new(memtrace::TierId::PMEM),
     );
-    let phase = (splitmix(rng) as usize) % app.phases.len().max(1);
+    let phase = (rng.next_u64() as usize) % app.phases.len().max(1);
     memsim::arm_kill_point(phase as u64);
     let crash = std::panic::catch_unwind(|| {
         let mut p = FixedTier::new(memtrace::TierId::PMEM);
@@ -500,7 +493,7 @@ fn scenario_sim_kill_point(_trace: &TraceFile, rng: &mut u64) -> Outcome {
 
 /// soak: crash on *every* cycle of a long feed; the final state must
 /// still equal the uninterrupted run's.
-fn scenario_soak(trace: &TraceFile, rng: &mut u64) -> Outcome {
+fn scenario_soak(trace: &TraceFile, rng: &mut SplitMix64) -> Outcome {
     let reference = reference(trace, DegradationPolicy::Strict);
     let dir = tmpdir("soak");
     let n = plan_len(trace);
@@ -512,7 +505,7 @@ fn scenario_soak(trace: &TraceFile, rng: &mut u64) -> Outcome {
         let stop = if c == cycles - 1 {
             n
         } else {
-            (at + 1 + (splitmix(rng) as usize) % ((n - at).max(2) / 2).max(1)).min(n)
+            (at + 1 + (rng.next_u64() as usize) % ((n - at).max(2) / 2).max(1)).min(n)
         };
         feed(&mut engine, trace, at, stop);
         at = stop;
@@ -578,7 +571,7 @@ fn main() {
         covered.join(", ")
     );
 
-    type Scenario = (&'static str, fn(&TraceFile, &mut u64) -> Outcome);
+    type Scenario = (&'static str, fn(&TraceFile, &mut SplitMix64) -> Outcome);
     let scenarios: [Scenario; 9] = [
         ("kill-at-offset", scenario_kill_at_offset),
         ("wal-torn-tail", scenario_wal_torn_tail),
@@ -592,7 +585,7 @@ fn main() {
     ];
 
     let trace = fixture_trace(seed);
-    let mut rng = seed;
+    let mut rng = SplitMix64::new(seed);
     let start = Instant::now();
     let mut failures = 0;
     let mut skipped = 0;

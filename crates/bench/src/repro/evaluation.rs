@@ -384,11 +384,31 @@ pub(super) fn fig7_bw_aware(runner: &Runner) -> Report {
 /// per-process debug information needed for translation shrinks the DRAM
 /// available to the application (11 GB → 9 GB across 16 ranks), plus the
 /// per-allocation translation cost. BOM (contribution VI) avoids both.
-pub(super) fn secd_callstack_format(_: &Runner) -> Report {
+pub(super) fn secd_callstack_format(runner: &Runner) -> Report {
     let app = workloads::openfoam::model();
     let debug_bytes = app.binmap.total_debug_info_bytes() * app.ranks as u64;
     let debug_gib = debug_bytes.div_ceil(1 << 30);
 
+    let formats = vec![
+        (StackFormat::Bom, 11u64),
+        // HR mode: the Advisor limit must leave room for the per-rank debug
+        // info (the paper's 11 → 9 GB adjustment).
+        (StackFormat::HumanReadable, 11 - debug_gib.max(1)),
+    ];
+    let rows = runner.map(formats, |(format, gib)| {
+        let mut cfg = PipelineConfig::paper_default();
+        cfg.advisor = AdvisorConfig::loads_and_stores(gib);
+        cfg.algorithm = Algorithm::BandwidthAware;
+        cfg.stack_format = format;
+        let out = run_pipeline(&app, &cfg).unwrap();
+        vec![
+            format.to_string(),
+            gib.to_string(),
+            format!("{:.3}", out.speedup()),
+            format!("{:.3}", out.placed.alloc_overhead),
+            format!("{:.2}", debug_bytes as f64 / (1u64 << 30) as f64),
+        ]
+    });
     let mut t = Table::new(&[
         "format",
         "advisor_dram_gib",
@@ -396,24 +416,8 @@ pub(super) fn secd_callstack_format(_: &Runner) -> Report {
         "match_overhead_s",
         "resident_debug_gib",
     ]);
-    for (format, gib) in [
-        (StackFormat::Bom, 11u64),
-        // HR mode: the Advisor limit must leave room for the per-rank debug
-        // info (the paper's 11 → 9 GB adjustment).
-        (StackFormat::HumanReadable, 11 - debug_gib.max(1)),
-    ] {
-        let mut cfg = PipelineConfig::paper_default();
-        cfg.advisor = AdvisorConfig::loads_and_stores(gib);
-        cfg.algorithm = Algorithm::BandwidthAware;
-        cfg.stack_format = format;
-        let out = run_pipeline(&app, &cfg).unwrap();
-        t.row(vec![
-            format.to_string(),
-            gib.to_string(),
-            format!("{:.3}", out.speedup()),
-            format!("{:.3}", out.placed.alloc_overhead),
-            format!("{:.2}", debug_bytes as f64 / (1u64 << 30) as f64),
-        ]);
+    for row in rows {
+        t.row(row);
     }
     Report::from_text(t.render() + "\n\npaper: BOM ≈ 1.061, human-readable ≈ 0.66\n")
 }

@@ -275,10 +275,10 @@ pub(super) fn ablation_granularity(runner: &Runner) -> Report {
 /// its true occupancy, recovering part of the bandwidth-aware algorithm's
 /// win *within* the base knapsack — but only the part that comes from
 /// capacity packing, not the bandwidth-burst awareness.
-pub(super) fn ablation_value_function(_: &Runner) -> Report {
+pub(super) fn ablation_value_function(runner: &Runner) -> Report {
     let machine = MachineConfig::optane_pmem6();
-    let mut t = Table::new(&["app", "miss_density(paper)", "raw_misses", "temporal_density"]);
-    for name in ["minife", "hpcg", "cloverleaf3d", "lulesh", "openfoam"] {
+    let apps = vec!["minife", "hpcg", "cloverleaf3d", "lulesh", "openfoam"];
+    let rows = runner.map(apps, |name| {
         let app = workloads::model_by_name(name).unwrap();
         let gib = if name == "openfoam" { 11 } else { 12 };
         let profile = profile(&app, &machine);
@@ -293,6 +293,10 @@ pub(super) fn ablation_value_function(_: &Runner) -> Report {
             let report = report_of(&profile, &cfg, &knapsack::assign_with(&profile, &cfg, vf));
             row.push(format!("{:.3}", speedup_with(&report, &app, &machine)));
         }
+        row
+    });
+    let mut t = Table::new(&["app", "miss_density(paper)", "raw_misses", "temporal_density"]);
+    for row in rows {
         t.row(row);
     }
     Report::from_text(format!(
@@ -307,13 +311,13 @@ pub(super) fn ablation_value_function(_: &Runner) -> Report {
 /// At object granularity the paper's applications have tens of sites, so
 /// the exact DP is tractable; we compare both the knapsack objective
 /// (planned first-tier value) and the resulting end-to-end runtime.
-pub(super) fn ablation_greedy_optimal(_: &Runner) -> Report {
+pub(super) fn ablation_greedy_optimal(runner: &Runner) -> Report {
     let machine = MachineConfig::optane_pmem6();
-    let mut t =
-        Table::new(&["app", "dram_gib", "value_gap_%", "greedy_speedup", "optimal_speedup"]);
-    for name in ["minife", "hpcg", "cloverleaf3d", "lulesh", "openfoam"] {
+    let apps = vec!["minife", "hpcg", "cloverleaf3d", "lulesh", "openfoam"];
+    let rows = runner.map(apps, |name| {
         let app = workloads::model_by_name(name).unwrap();
         let profile = profile(&app, &machine);
+        let mut rows = Vec::new();
         for gib in [4u64, 12] {
             let cfg = AdvisorConfig::loads_only(gib);
             let greedy = knapsack::assign(&profile, &cfg);
@@ -323,7 +327,7 @@ pub(super) fn ablation_greedy_optimal(_: &Runner) -> Report {
             let gap = if ov > 0.0 { 100.0 * (ov - gv) / ov } else { 0.0 };
             let speedup_of =
                 |assignment| speedup_with(&report_of(&profile, &cfg, assignment), &app, &machine);
-            t.row(vec![
+            rows.push(vec![
                 name.into(),
                 gib.to_string(),
                 format!("{gap:.2}"),
@@ -331,6 +335,12 @@ pub(super) fn ablation_greedy_optimal(_: &Runner) -> Report {
                 format!("{:.3}", speedup_of(&optimal)),
             ]);
         }
+        rows
+    });
+    let mut t =
+        Table::new(&["app", "dram_gib", "value_gap_%", "greedy_speedup", "optimal_speedup"]);
+    for row in rows.into_iter().flatten() {
+        t.row(row);
     }
     let mut out = String::new();
     outln!(out, "{}", t.render());

@@ -16,7 +16,7 @@
 //! salvage-and-warn with `--lenient`.
 
 use advisor::{Advisor, AdvisorConfig, Algorithm};
-use cli::{ok_or_die, usage_error, Args, MetricsOut};
+use cli::{ok_or_die, usage_error, Args, Flags, MetricsOut};
 use ecohmem_online::{stream_profile, DegradationPolicy, OnlineConfig};
 use memtrace::{StackFormat, TierId};
 
@@ -24,8 +24,13 @@ const USAGE: &str = "ecohmem-advise <trace.json> [--dram-gib N] [--config adviso
                      [--stores] [--bw-aware] [--format bom|hr] [--text] [--out FILE] \
                      [--stream] [--lenient] [--metrics-out FILE]";
 
+const FLAGS: Flags = Flags {
+    options: &["dram-gib", "config", "format", "out", "metrics-out"],
+    switches: &["stores", "bw-aware", "text", "stream", "lenient"],
+};
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&FLAGS);
     let metrics = MetricsOut::from_args("ecohmem-advise", &args);
     let Some(path) = args.positional.first() else {
         usage_error("ecohmem-advise", "missing trace file", USAGE);

@@ -11,7 +11,7 @@
 //! prints the full deterministic fleet document; the default output is a
 //! human summary plus a per-node table.
 
-use cli::{machine_by_name, ok_or_die, usage_error, Args, MetricsOut};
+use cli::{machine_by_name, ok_or_die, usage_error, Args, Flags, MetricsOut};
 use memsim::fleet::{self, ChurnConfig, FleetConfig, SchedulerPolicy};
 use memsim::TenantSpec;
 use workloads::colocations;
@@ -20,6 +20,21 @@ const TOOL: &str = "ecohmem-fleet";
 const USAGE: &str = "ecohmem-fleet [--nodes N] [--colocate MIX|mixed[:K]] \
 [--scheduler priority|proportional-share|paper-greedy] [--machine pmem6|pmem2|hbm] \
 [--seed S] [--spread SECONDS] [--quantum-mib M] [--jobs N] [--json] [--metrics-out PATH]";
+
+const FLAGS: Flags = Flags {
+    options: &[
+        "nodes",
+        "colocate",
+        "scheduler",
+        "machine",
+        "seed",
+        "spread",
+        "quantum-mib",
+        "jobs",
+        "metrics-out",
+    ],
+    switches: &["json"],
+};
 
 fn build_tenants(nodes: u32, spec: &str) -> Result<Vec<TenantSpec>, String> {
     if let Some(rest) = spec.strip_prefix("mixed") {
@@ -38,7 +53,7 @@ fn build_tenants(nodes: u32, spec: &str) -> Result<Vec<TenantSpec>, String> {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&FLAGS);
     let metrics = MetricsOut::from_args(TOOL, &args);
 
     let nodes = args.opt_or("nodes", 4u32);

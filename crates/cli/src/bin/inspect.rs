@@ -5,13 +5,16 @@
 //! ecohmem-inspect <trace.json> [--top N] [--bw-series]
 //! ```
 
-use cli::{ok_or_die, usage_error, Args, MetricsOut};
+use cli::{ok_or_die, usage_error, Args, Flags, MetricsOut};
 
 const USAGE: &str = "ecohmem-inspect <trace.json> [--top N] [--bw-series] [--timeline] \
                      [--lenient] [--metrics-out FILE]";
 
+const FLAGS: Flags =
+    Flags { options: &["top", "metrics-out"], switches: &["bw-series", "timeline", "lenient"] };
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&FLAGS);
     let metrics = MetricsOut::from_args("ecohmem-inspect", &args);
     let Some(path) = args.positional.first() else {
         usage_error("ecohmem-inspect", "missing trace file", USAGE);

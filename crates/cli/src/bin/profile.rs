@@ -10,15 +10,18 @@
 //! time-bucket via `memtrace::TraceBuf`); without it the JSON encoding is
 //! used.
 
-use cli::{machine_by_name, ok_or_die, usage_error, Args, MetricsOut};
+use cli::{machine_by_name, ok_or_die, usage_error, Args, Flags, MetricsOut};
 use memsim::{ExecMode, FixedTier};
 use profiler::{synthesize_trace, ProfilerConfig};
 
 const USAGE: &str = "ecohmem-profile <app> [--machine pmem6|pmem2|hbm] [--rate HZ] \
                      [--seed N] [--out FILE] [--binary] [--metrics-out FILE]";
 
+const FLAGS: Flags =
+    Flags { options: &["machine", "rate", "seed", "out", "metrics-out"], switches: &["binary"] };
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&FLAGS);
     let metrics = MetricsOut::from_args("ecohmem-profile", &args);
     let Some(app_name) = args.positional.first() else {
         usage_error("ecohmem-profile", "missing application name", USAGE);

@@ -18,7 +18,7 @@
 //! run itself and migrates objects across tiers at phase boundaries, each
 //! migration paying bytes/bandwidth plus a fixed overhead.
 
-use cli::{machine_by_name, ok_or_die, usage_error, Args, MetricsOut};
+use cli::{machine_by_name, ok_or_die, usage_error, Args, Flags, MetricsOut};
 use ecohmem_online::{
     Admission, DurabilityConfig, OnlineConfig, OnlinePolicy, Supervisor, SupervisorConfig,
 };
@@ -32,8 +32,23 @@ const USAGE: &str = "ecohmem-run <app> --report FILE [--machine pmem6|pmem2|hbm]
                      [--no-baseline] [--jobs N] [--metrics-out FILE] [--journal-dir DIR \
                      [--checkpoint-every N] [--lenient]]";
 
+const FLAGS: Flags = Flags {
+    options: &[
+        "report",
+        "machine",
+        "aslr",
+        "jobs",
+        "metrics-out",
+        "dram-gib",
+        "epoch-phases",
+        "journal-dir",
+        "checkpoint-every",
+    ],
+    switches: &["online", "no-baseline", "lenient"],
+};
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&FLAGS);
     let metrics = MetricsOut::from_args("ecohmem-run", &args);
     let Some(app_name) = args.positional.first() else {
         usage_error("ecohmem-run", "missing application name", USAGE);

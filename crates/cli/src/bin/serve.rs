@@ -21,15 +21,30 @@
 //! `--idle-timeout-secs` bounds how long a silent connection may hold
 //! its slot (default 120).
 
-use cli::{ok_or_die, Args, MetricsOut};
+use cli::{ok_or_die, Args, Flags, MetricsOut};
 use ecohmem_serve::{ServeConfig, Server, ServerConfig};
 
 const USAGE: &str = "ecohmem-serve [--listen ADDR] [--io-threads N] [--workers N] \
                      [--max-tenants N] [--journal-dir DIR] [--dram-gib N] [--bw-aware] \
                      [--once N] [--idle-timeout-secs N] [--metrics-out FILE]";
 
+const FLAGS: Flags = Flags {
+    options: &[
+        "listen",
+        "io-threads",
+        "workers",
+        "max-tenants",
+        "journal-dir",
+        "dram-gib",
+        "once",
+        "idle-timeout-secs",
+        "metrics-out",
+    ],
+    switches: &["bw-aware"],
+};
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&FLAGS);
     let metrics = MetricsOut::from_args("ecohmem-serve", &args);
     if !args.positional.is_empty() {
         cli::usage_error("ecohmem-serve", "unexpected positional argument", USAGE);
@@ -48,7 +63,7 @@ fn main() {
 
     let cfg = ServerConfig {
         listen: args.opt("listen").unwrap_or("127.0.0.1:7878").to_string(),
-        once: args.opt("once").and_then(|v| v.parse().ok()),
+        once: args.opt("once").map(|_| args.opt_or("once", 0)),
         io_threads: args.opt_or("io-threads", 0usize),
         idle_timeout: std::time::Duration::from_secs(args.opt_or("idle-timeout-secs", 120u64)),
         serve,

@@ -18,7 +18,7 @@
 //! pushes back are written as JSONL to `--revisions-out` (stdout
 //! summary otherwise).
 
-use cli::{machine_by_name, ok_or_die, usage_error, Args, MetricsOut};
+use cli::{machine_by_name, ok_or_die, usage_error, Args, Flags, MetricsOut};
 use ecohmem_obs::Json;
 use ecohmem_serve::{Mode, StreamClient};
 use memsim::{ExecMode, FixedTier};
@@ -30,6 +30,20 @@ use std::time::Duration;
 const USAGE: &str = "ecohmem-stream <app|trace-file> [--connect ADDR] [--tenant NAME] \
                      [--mode bin|jsonl] [--batch N] [--tick-stride N] \
                      [--machine pmem6|pmem2|hbm] [--revisions-out FILE] [--metrics-out FILE]";
+
+const FLAGS: Flags = Flags {
+    options: &[
+        "connect",
+        "tenant",
+        "mode",
+        "batch",
+        "tick-stride",
+        "machine",
+        "revisions-out",
+        "metrics-out",
+    ],
+    switches: &[],
+};
 
 fn load_or_profile(args: &Args, source: &str) -> TraceFile {
     if std::path::Path::new(source).is_file() {
@@ -67,7 +81,7 @@ fn revision_json(r: &ecohmem_online::PlacementRevision) -> Json {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&FLAGS);
     let metrics = MetricsOut::from_args("ecohmem-stream", &args);
     let Some(source) = args.positional.first() else {
         usage_error("ecohmem-stream", "missing application or trace file", USAGE);

@@ -6,10 +6,10 @@
 //! crate mirrors that workflow with on-disk artifacts:
 //!
 //! ```text
-//! ecohmem-profile minife -o minife.trace.json        # Extrae
+//! ecohmem-profile minife --out minife.trace.json     # Extrae
 //! ecohmem-inspect minife.trace.json                  # Paramedir
 //! ecohmem-advise  minife.trace.json --dram-gib 12 \
-//!                 -o minife.report.json              # HMem Advisor
+//!                 --out minife.report.json           # HMem Advisor
 //! ecohmem-run     minife --report minife.report.json # FlexMalloc
 //! ```
 //!
@@ -21,8 +21,18 @@ use memsim::MachineConfig;
 use memtrace::{TraceError, TraceFile, Warning};
 use std::collections::HashMap;
 
-/// Minimal flag parser: positional arguments plus `--key value` /
-/// `--switch` options. No external dependency needed for four tools.
+/// The flags one tool accepts.
+#[derive(Debug, Clone, Copy)]
+pub struct Flags {
+    /// `--key value` options.
+    pub options: &'static [&'static str],
+    /// Bare `--switch` flags.
+    pub switches: &'static [&'static str],
+}
+
+/// Minimal flag parser: positional arguments plus the tool's declared
+/// `--key value` options and `--switch` flags. No external dependency
+/// needed for a handful of tools.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// Positional arguments, in order.
@@ -34,31 +44,39 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses an argument list. A token starting with `--` consumes the
-    /// next token as its value unless the next token also starts with `--`
-    /// (or is absent), in which case it is a switch.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Args {
+    /// Parses an argument list against the tool's declared flags: a
+    /// declared option takes the next token as its value, a declared
+    /// switch stands alone, and any other token is positional. An
+    /// undeclared `--flag`, or an option without a value, is an error
+    /// naming the flag.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I, flags: &Flags) -> Result<Args, String> {
         let mut out = Args::default();
-        let mut iter = args.into_iter().peekable();
+        let mut iter = args.into_iter();
         while let Some(tok) = iter.next() {
-            if let Some(key) = tok.strip_prefix("--") {
-                match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        let value = iter.next().expect("peeked");
+            let Some(key) = tok.strip_prefix("--") else {
+                out.positional.push(tok);
+                continue;
+            };
+            if flags.switches.contains(&key) {
+                out.switches.push(key.to_string());
+            } else if flags.options.contains(&key) {
+                match iter.next() {
+                    Some(value) if !value.starts_with("--") => {
                         out.options.insert(key.to_string(), value);
                     }
-                    _ => out.switches.push(key.to_string()),
+                    _ => return Err(format!("missing value for --{key}")),
                 }
             } else {
-                out.positional.push(tok);
+                return Err(format!("unknown flag --{key}"));
             }
         }
-        out
+        Ok(out)
     }
 
-    /// Parses the process's own arguments (skipping `argv[0]`).
-    pub fn from_env() -> Args {
-        Self::parse(std::env::args().skip(1))
+    /// Parses the process's own arguments (skipping `argv[0]`). A usage
+    /// error exits with status 2, like [`Self::opt_or`].
+    pub fn from_env(flags: &Flags) -> Args {
+        Self::parse(std::env::args().skip(1), flags).unwrap_or_else(|msg| exit_usage(&msg))
     }
 
     /// An option value, if present.
@@ -81,14 +99,7 @@ impl Args {
     pub fn opt_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         match self.opt_parse(key) {
             Ok(v) => v.unwrap_or(default),
-            Err(msg) => {
-                let argv0 = std::env::args().next().unwrap_or_default();
-                let tool = std::path::Path::new(&argv0)
-                    .file_name()
-                    .map_or(argv0.clone(), |n| n.to_string_lossy().into_owned());
-                eprintln!("{tool}: {msg}");
-                std::process::exit(2);
-            }
+            Err(msg) => exit_usage(&msg),
         }
     }
 
@@ -107,6 +118,17 @@ impl Args {
             None => memsim::jobs_from_env(),
         }
     }
+}
+
+/// Prints `tool: msg` to stderr, naming the tool after `argv[0]`, and
+/// exits with status 2 (usage error).
+fn exit_usage(msg: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let tool = std::path::Path::new(&argv0)
+        .file_name()
+        .map_or(argv0.clone(), |n| n.to_string_lossy().into_owned());
+    eprintln!("{tool}: {msg}");
+    std::process::exit(2);
 }
 
 /// Handles the shared `--metrics-out PATH` flag: when the flag is present,
@@ -212,12 +234,19 @@ pub fn ok_or_die<T, E: std::fmt::Display>(tool: &str, r: Result<T, E>) -> T {
 mod tests {
     use super::*;
 
+    const FLAGS: Flags = Flags {
+        options: &["dram-gib", "out", "jobs", "metrics-out"],
+        switches: &["stores", "bw-aware", "fast"],
+    };
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|a| a.to_string()), &FLAGS)
+    }
+
     #[test]
     fn parses_positionals_options_and_switches() {
-        let a = Args::parse(
-            ["minife", "--dram-gib", "12", "--stores", "--out", "r.json", "extra"]
-                .map(String::from),
-        );
+        let a =
+            parse(&["minife", "--dram-gib", "12", "--stores", "--out", "r.json", "extra"]).unwrap();
         assert_eq!(a.positional, vec!["minife", "extra"]);
         assert_eq!(a.opt("dram-gib"), Some("12"));
         assert_eq!(a.opt("out"), Some("r.json"));
@@ -225,7 +254,7 @@ mod tests {
         assert!(!a.has("bw-aware"));
         assert_eq!(a.opt_or("dram-gib", 0u64), 12);
         assert_eq!(a.opt_or("missing", 7u64), 7);
-        let a = Args::parse(["--dram-gib", "12x"].map(String::from));
+        let a = parse(&["--dram-gib", "12x"]).unwrap();
         assert_eq!(
             a.opt_parse::<u64>("dram-gib"),
             Err("invalid value `12x` for --dram-gib".into())
@@ -234,28 +263,32 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_flags_are_refused_by_name() {
+        assert_eq!(parse(&["t.json", "--dram-gb", "12"]).unwrap_err(), "unknown flag --dram-gb");
+        assert_eq!(parse(&["--stores", "--lenient"]).unwrap_err(), "unknown flag --lenient");
+    }
+
+    #[test]
+    fn an_option_needs_a_value() {
+        assert_eq!(parse(&["--dram-gib"]).unwrap_err(), "missing value for --dram-gib");
+        assert_eq!(parse(&["--out", "--stores"]).unwrap_err(), "missing value for --out");
+    }
+
+    #[test]
+    fn a_switch_never_takes_the_next_token() {
+        let a = parse(&["--fast", "minife", "--bw-aware"]).unwrap();
+        assert!(a.has("fast") && a.has("bw-aware"));
+        assert!(a.opt("fast").is_none());
+        assert_eq!(a.positional, vec!["minife"]);
+    }
+
+    #[test]
     fn jobs_prefers_the_flag_and_clamps() {
-        let a = Args::parse(["--jobs", "3"].map(String::from));
-        assert_eq!(a.jobs(), 3);
-        let a = Args::parse(["--jobs", "0"].map(String::from));
-        assert_eq!(a.jobs(), 1);
+        assert_eq!(parse(&["--jobs", "3"]).unwrap().jobs(), 3);
+        assert_eq!(parse(&["--jobs", "0"]).unwrap().jobs(), 1);
         // Without the flag it falls back to the environment/parallelism
         // default, which is always at least one worker.
         assert!(Args::default().jobs() >= 1);
-    }
-
-    #[test]
-    fn trailing_switch_has_no_value() {
-        let a = Args::parse(["--fast"].map(String::from));
-        assert!(a.has("fast"));
-        assert!(a.opt("fast").is_none());
-    }
-
-    #[test]
-    fn double_dash_value_becomes_switch_pair() {
-        let a = Args::parse(["--a", "--b"].map(String::from));
-        assert!(a.has("a"));
-        assert!(a.has("b"));
     }
 
     #[test]
@@ -265,7 +298,7 @@ mod tests {
 
         let path = std::env::temp_dir().join(format!("ecohmem-cli-metrics-{}", std::process::id()));
         let path_str = path.to_string_lossy().into_owned();
-        let a = Args::parse(["--metrics-out", path_str.as_str()].map(String::from));
+        let a = parse(&["--metrics-out", path_str.as_str()]).unwrap();
         let m = MetricsOut::from_args("unit", &a);
         ecohmem_obs::incr("cli.metrics.test");
         m.finish();

@@ -17,6 +17,8 @@ fn bin(name: &str) -> Command {
         "advise" => env!("CARGO_BIN_EXE_ecohmem-advise"),
         "run" => env!("CARGO_BIN_EXE_ecohmem-run"),
         "fleet" => env!("CARGO_BIN_EXE_ecohmem-fleet"),
+        "serve" => env!("CARGO_BIN_EXE_ecohmem-serve"),
+        "stream" => env!("CARGO_BIN_EXE_ecohmem-stream"),
         _ => unreachable!(),
     };
     Command::new(path)
@@ -135,6 +137,22 @@ fn usage_errors_exit_with_status_2() {
     assert_eq!(out.status.code(), Some(1), "missing file is a runtime error");
     let out = bin("run").args(["minife"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "missing --report");
+
+    // An undeclared flag is refused by name before any work starts — a
+    // typo must never fall back to a default silently.
+    let refused = |tool: &str, args: &[&str], flag: &str| {
+        let out = bin(tool).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{tool} {args:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag --{flag}")), "{tool}: {stderr}");
+    };
+    refused("advise", &["minife.trace.json", "--dram-gb", "12"], "dram-gb");
+    refused("profile", &["minife", "--sampling-hz", "50"], "sampling-hz");
+    refused("inspect", &["minife.trace.json", "--head", "3"], "head");
+    refused("run", &["minife", "--report", "r.json", "--baseline"], "baseline");
+    refused("fleet", &["--node", "4"], "node");
+    refused("serve", &["--port", "7878"], "port");
+    refused("stream", &["minife", "--address", "127.0.0.1:7878"], "address");
 }
 
 /// A numeric flag that is present but does not parse is a usage error
@@ -168,5 +186,6 @@ fn malformed_numeric_flags_exit_with_status_2() {
         "x",
     );
     rejected(bin("fleet").args(["--nodes", "4q"]).output().unwrap(), "nodes", "4q");
+    rejected(bin("serve").args(["--once", "1x"]).output().unwrap(), "once", "1x");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,6 +9,7 @@
 //! simulation tables, byte for byte.
 
 use crate::stablehash::{Hasher, StableHash};
+use memtrace::rng::SplitMix64;
 
 /// Churn configuration: when tenants show up.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,20 +36,11 @@ impl StableHash for ChurnConfig {
     }
 }
 
-/// splitmix64: full-avalanche mixer over a 64-bit counter.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform `[0, 1)` draw keyed by `(seed, node, canonical index)`.
+/// Uniform `[0, 1)` draw keyed by `(seed, node, canonical index)`: the
+/// first draw of a splitmix64 stream seeded from the key.
 fn unit(seed: u64, node: u32, canonical_idx: u64) -> f64 {
-    let mixed =
-        splitmix64(seed ^ splitmix64(node as u64 ^ 0xA5A5).wrapping_add(canonical_idx << 1));
-    // 53 high bits → an exact double in [0, 1).
-    (mixed >> 11) as f64 / (1u64 << 53) as f64
+    let node_key = SplitMix64::new(node as u64 ^ 0xA5A5).next_u64();
+    SplitMix64::new(seed ^ node_key.wrapping_add(canonical_idx << 1)).next_f64()
 }
 
 impl ChurnConfig {

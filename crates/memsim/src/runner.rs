@@ -12,7 +12,10 @@
 //!   run shared across tables is simulated exactly once per process;
 //! * a work-stealing [`parallel_map`] built on `std::thread::scope`, used by
 //!   `ecohmem-core::experiments` and the bench runner to spread independent
-//!   sweep cells over `--jobs N` / `ECOHMEM_JOBS` worker threads.
+//!   sweep cells, and by [`crate::fleet`] to spread fleet nodes, over
+//!   `--jobs N` / `ECOHMEM_JOBS` worker threads. Its items are whole
+//!   independent requests: one profiling request (synthesize, analyze)
+//!   runs on one thread.
 //!
 //! Determinism guarantees: the engine is a pure deterministic function, so a
 //! cached result is bit-identical to a fresh `engine::run` with the same

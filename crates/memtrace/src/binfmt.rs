@@ -11,10 +11,10 @@
 //! previous event — a lossy (µs-granular) but faithful representation of
 //! what a real tracer records. Delta coding requires time-sorted input:
 //! [`write_trace`] rejects out-of-order events (a silent `saturating_sub`
-//! would decode them *reordered*), and [`write_trace_lenient`] sorts a
-//! copy first. [`read_trace`] rejects wrong magics, wrong versions, and
-//! truncated streams; every reader here decodes through
-//! [`crate::wire::Reader`].
+//! would decode them *reordered*; [`TraceFile::sanitize`] first drops
+//! the events of a damaged trace that break the order). [`read_trace`]
+//! rejects wrong magics, wrong versions, and truncated streams; every
+//! reader here decodes through [`crate::wire::Reader`].
 //!
 //! Two on-disk versions share the magic and header encoding:
 //!
@@ -23,9 +23,9 @@
 //!   `(count, byte length, base timestamp)` index section up front; delta
 //!   coding restarts at each bucket's base. [`TraceBuf`] keeps the file
 //!   bytes as one owned buffer (the moral equivalent of an `mmap`) and
-//!   decodes buckets lazily into [`EventBatch`]es — analyze/ingest can
-//!   consume a recorded trace without an upfront parse-and-alloc pass,
-//!   and buckets decode independently (in parallel upstream).
+//!   decodes buckets lazily into [`EventBatch`]es; any bucket decodes
+//!   without the ones before it. [`read_trace`] decodes a v2 file
+//!   through it.
 
 use crate::columns::{EventBatch, OpKind, MAX_ROWS};
 use crate::error::TraceError;
@@ -177,12 +177,12 @@ fn decode_record(r: &mut Reader, last_us: &mut u64) -> Result<TraceEvent, TraceE
 fn order_error(i: usize, t: f64) -> TraceError {
     TraceError::Malformed(format!(
         "event {i} at t={t} precedes the previous event: delta coding requires time-sorted \
-         input (sort first, or use write_trace_lenient)"
+         input (sort first, or use TraceFile::sanitize)"
     ))
 }
 
 /// Serializes a trace to the v1 binary format. Fails on out-of-order
-/// events — see [`write_trace_lenient`] for the sanitizing variant.
+/// events — [`TraceFile::sanitize`] drops them from a damaged trace first.
 pub fn write_trace<W: Write>(trace: &TraceFile, mut w: W) -> Result<(), TraceError> {
     let mut out = Vec::with_capacity(trace.events.len() * 8 + 4096);
     out.extend_from_slice(MAGIC);
@@ -207,17 +207,6 @@ pub fn write_trace<W: Write>(trace: &TraceFile, mut w: W) -> Result<(), TraceErr
     }
     w.write_all(&out)?;
     Ok(())
-}
-
-/// [`write_trace`] for damaged input: drops non-finite timestamps and
-/// stable-sorts a copy by time (ties keep emission order, like
-/// `TraceFile::sanitize`) before encoding, so the write cannot fail on
-/// ordering and the round trip is order-faithful for what survives.
-pub fn write_trace_lenient<W: Write>(trace: &TraceFile, w: W) -> Result<(), TraceError> {
-    let mut events = trace.events.to_events();
-    events.retain(|e| e.time().is_finite());
-    events.sort_by(|a, b| a.time().total_cmp(&b.time()));
-    write_trace(&TraceFile { events: EventBatch::from_events(&events), ..trace.header() }, w)
 }
 
 /// Serializes a trace to the v2 (bucketed) binary format. Same strict
@@ -901,20 +890,6 @@ mod tests {
         assert!(err.contains("time-sorted"), "unexpected error: {err}");
         let err = write_trace_v2(&t, &mut Vec::new()).unwrap_err().to_string();
         assert!(err.contains("time-sorted"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn lenient_write_sorts_and_drops_non_finite() {
-        let mut events = sample_events();
-        events.swap(2, 4);
-        events.push(TraceEvent::PhaseMarker { time: f64::NAN, phase: 1 });
-        let t = trace_of(&events);
-        let mut buf = Vec::new();
-        write_trace_lenient(&t, &mut buf).unwrap();
-        let back = read_trace(&buf[..]).unwrap();
-        assert_eq!(back.events.len(), sample_trace().events.len());
-        let times: Vec<f64> = back.events.iter_events().map(|e| e.time()).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "not sorted: {times:?}");
     }
 
     #[test]

@@ -1093,41 +1093,32 @@ mod tests {
         assert_eq!(idx.lookup(0x1000, 2.0), Some(1), "larger id wins the tie");
     }
 
-    /// splitmix64 step, for the seeded layout loops below.
-    fn mix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     #[test]
     fn cursor_lookup_equals_lookup_on_recycled_layouts() {
         for seed in 0..200u64 {
-            let mut rng = seed;
+            let mut rng = crate::rng::SplitMix64::new(seed);
             // A small address pool forces heavy recycling: many blocks
             // share a start, sizes differ, lifetimes overlap or not.
-            let n = 1 + (mix(&mut rng) % 40) as usize;
-            let pool = 1 + mix(&mut rng) % 8;
+            let n = 1 + (rng.next_u64() % 40) as usize;
+            let pool = 1 + rng.next_u64() % 8;
             let mut objects = ObjectTable::default();
             for _ in 0..n {
-                let t0 = (mix(&mut rng) % 100) as f64 / 10.0;
-                objects.ids.push(ObjectId(mix(&mut rng) % 64));
+                let t0 = (rng.next_u64() % 100) as f64 / 10.0;
+                objects.ids.push(ObjectId(rng.next_u64() % 64));
                 objects.sites.push(0);
-                objects.sizes.push(64 * (1 + mix(&mut rng) % 4));
+                objects.sizes.push(64 * (1 + rng.next_u64() % 4));
                 // Some blocks sit in a second tier, 2^44 bytes up.
-                let tier = (mix(&mut rng) % 2) << 44;
-                objects.addresses.push(tier + 0x1000 + 0x80 * (mix(&mut rng) % pool));
+                let tier = (rng.next_u64() % 2) << 44;
+                objects.addresses.push(tier + 0x1000 + 0x80 * (rng.next_u64() % pool));
                 objects.alloc_times.push(t0);
-                objects.free_times.push(t0 + (mix(&mut rng) % 50) as f64 / 10.0);
+                objects.free_times.push(t0 + (rng.next_u64() % 50) as f64 / 10.0);
             }
             let index = ObjectIndex::build(&objects);
             let mut samples: Vec<(u64, f64)> = (0..300)
                 .map(|_| {
-                    let tier = (mix(&mut rng) % 2) << 44;
-                    let a = tier + 0xf80 + mix(&mut rng) % (0x80 * (pool + 3));
-                    (a, (mix(&mut rng) % 160) as f64 / 10.0)
+                    let tier = (rng.next_u64() % 2) << 44;
+                    let a = tier + 0xf80 + rng.next_u64() % (0x80 * (pool + 3));
+                    (a, (rng.next_u64() % 160) as f64 / 10.0)
                 })
                 .collect();
             samples.extend([(0, 1.0), (u64::MAX, 1.0), (u64::MAX, 2.0), (0x1000, f64::NAN)]);

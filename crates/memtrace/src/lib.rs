@@ -25,12 +25,13 @@ pub mod ids;
 pub mod integrity;
 pub mod jsonio;
 pub mod report;
+pub mod rng;
 pub mod textfmt;
 pub mod trace;
 pub mod warn;
 pub mod wire;
 
-pub use binfmt::{read_trace, write_trace, write_trace_lenient, write_trace_v2, TraceBuf};
+pub use binfmt::{read_trace, write_trace, write_trace_v2, TraceBuf};
 pub use binmap::{BinaryMap, BinaryMapBuilder, LoadMap, ModuleInfo};
 pub use callstack::{CallStack, CodeLocation, Frame, HumanStack, StackFormat};
 pub use columns::{EventBatch, ObjectIndex, TraceColumns, SAME_TIER_SPAN};

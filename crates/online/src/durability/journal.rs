@@ -20,9 +20,11 @@
 //! starts with a 20-byte header (`magic || version || base`) followed by
 //! records framed as `[len: u32 LE][crc32(payload): u32 LE][payload]`.
 //! On open, every segment is scanned; the first record that fails its
-//! length or CRC check marks a torn tail — the file is truncated there
-//! and any later segments (unreachable past the tear) are deleted. A
-//! `kill -9` mid-append therefore costs at most the record being written.
+//! length or CRC check, or does not decode, marks a torn tail — the file
+//! is truncated there and any later segments (unreachable past the tear)
+//! are deleted. A `kill -9` mid-append therefore costs at most the record
+//! being written. Replay walks the same frames and decodes only the
+//! records past its cursor.
 
 use super::codec;
 use memtrace::binfmt::{crc32, read_frame, write_frame};
@@ -144,10 +146,9 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, TraceError> {
     Ok(segs)
 }
 
-/// Scans one segment: returns `(valid_records, clean_bytes)` where
-/// `clean_bytes` is the offset of the first torn/corrupt byte (== file
-/// length when the segment is clean). Errors only on I/O or a bad header.
-fn scan_segment(path: &Path, expect_base: u64) -> Result<(u64, u64, Vec<u8>), TraceError> {
+/// Reads one segment and checks its header. Errors only on I/O or a bad
+/// header.
+fn read_segment(path: &Path, expect_base: u64) -> Result<Vec<u8>, TraceError> {
     let mut data = Vec::new();
     File::open(path)?.read_to_end(&mut data)?;
     if data.len() < SEG_HEADER as usize
@@ -162,25 +163,38 @@ fn scan_segment(path: &Path, expect_base: u64) -> Result<(u64, u64, Vec<u8>), Tr
             "journal segment {path:?} claims base {base}, expected {expect_base}"
         )));
     }
-    let mut off = SEG_HEADER as usize;
-    let mut records = 0u64;
-    loop {
-        if data.len() - off < 8 {
-            break; // torn or clean end
-        }
-        let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-        if data.len() - off - 8 < len {
-            break; // torn mid-payload
-        }
-        let payload = &data[off + 8..off + 8 + len];
-        if crc32(payload) != crc || Record::decode(payload).is_err() {
-            break; // torn or corrupted record
-        }
-        off += 8 + len;
-        records += 1;
+    Ok(data)
+}
+
+/// The record frames of a segment, in order: yields each payload whose
+/// frame fits in the file and whose CRC matches, and stops at the first
+/// that does not (a torn or corrupted tail). Decodes nothing.
+struct Frames<'a> {
+    data: &'a [u8],
+    /// Offset of the next frame: after the walk, the clean prefix.
+    off: usize,
+}
+
+impl<'a> Frames<'a> {
+    fn new(segment: &'a [u8]) -> Frames<'a> {
+        Frames { data: segment, off: SEG_HEADER as usize }
     }
-    Ok((records, off as u64, data))
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let frame = &self.data[self.off..];
+        let word = |at: usize| Some(u32::from_le_bytes(frame.get(at..at + 4)?.try_into().ok()?));
+        let (len, crc) = (word(0)? as usize, word(4)?);
+        let payload = frame[8..].get(..len)?;
+        if crc32(payload) != crc {
+            return None;
+        }
+        self.off += 8 + len;
+        Some(payload)
+    }
 }
 
 impl Journal {
@@ -205,7 +219,18 @@ impl Journal {
                     )));
                 }
             }
-            let (records, clean, data) = scan_segment(path, *base)?;
+            let data = read_segment(path, *base)?;
+            // A CRC-valid record that does not decode is cut like a torn
+            // one: replay must never meet a record it cannot apply.
+            let mut frames = Frames::new(&data);
+            let (mut records, mut clean) = (0u64, frames.off as u64);
+            while let Some(payload) = frames.next() {
+                if Record::decode(payload).is_err() {
+                    break;
+                }
+                records += 1;
+                clean = frames.off as u64;
+            }
             let torn = data.len() as u64 - clean;
             if torn > 0 {
                 // Truncate the tear; everything after it (including whole
@@ -291,28 +316,25 @@ impl Journal {
         Ok(())
     }
 
-    /// Replays every valid record with index ≥ `from`, in order.
+    /// Replays every valid record with index ≥ `from`, in order. Only
+    /// those records are decoded; a segment that ends below `from` is not
+    /// read at all.
     pub fn replay_from(
         &self,
         from: u64,
         mut f: impl FnMut(u64, Record) -> Result<(), TraceError>,
     ) -> Result<(), TraceError> {
-        for (base, path) in list_segments(&self.dir)? {
-            if base >= self.next_index {
+        let segs = list_segments(&self.dir)?;
+        for (k, (base, path)) in segs.iter().enumerate() {
+            let end = segs.get(k + 1).map_or(self.next_index, |(next, _)| *next);
+            if end <= from || *base >= self.next_index {
                 continue;
             }
-            let (records, _, data) = scan_segment(&path, base)?;
-            if base + records <= from {
-                continue;
-            }
-            let mut off = SEG_HEADER as usize;
-            for i in 0..records {
-                let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-                let payload = &data[off + 8..off + 8 + len];
-                if base + i >= from {
-                    f(base + i, Record::decode(payload)?)?;
+            let data = read_segment(path, *base)?;
+            for (index, payload) in (*base..end).zip(Frames::new(&data)) {
+                if index >= from {
+                    f(index, Record::decode(payload)?)?;
                 }
-                off += 8 + len;
             }
         }
         Ok(())
@@ -466,6 +488,40 @@ mod tests {
         let (_, r) = Journal::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
         assert_eq!(r.records, 2, "the corrupted record and everything after it are gone");
         assert!(r.torn_bytes > 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_crc_valid_record_that_does_not_decode_is_cut_as_a_torn_tail() {
+        let dir = tmpdir("undecodable");
+        {
+            let (mut j, _) = Journal::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+            for i in 0..3 {
+                j.append(&Record::Tick { now: i as f64 }).unwrap();
+            }
+            j.sync().unwrap();
+        }
+        // A well-framed record with a matching CRC and an unknown tag,
+        // then a valid record the tear makes unreachable.
+        let seg = seg_path(&dir, 0);
+        let mut data = fs::read(&seg).unwrap();
+        let clean = data.len() as u64;
+        for payload in [vec![0x7e, 1, 2, 3], Record::Tick { now: 9.0 }.encode()] {
+            data.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            data.extend_from_slice(&crc32(&payload).to_le_bytes());
+            data.extend_from_slice(&payload);
+        }
+        assert!(Record::decode(&[0x7e, 1, 2, 3]).is_err());
+        fs::write(&seg, &data).unwrap();
+
+        let (mut j, r) = Journal::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+        assert_eq!(r.records, 3);
+        assert_eq!(r.torn_bytes, data.len() as u64 - clean);
+        assert_eq!(fs::metadata(&seg).unwrap().len(), clean, "the file is cut at the record");
+        assert_eq!(j.append(&Record::Tick { now: 3.0 }).unwrap(), 3);
+        let replayed: Vec<Record> = collect(&j, 0).into_iter().map(|(_, r)| r).collect();
+        let want: Vec<Record> = (0..4).map(|i| Record::Tick { now: i as f64 }).collect();
+        assert_eq!(replayed, want);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,10 +14,10 @@
 //! the samples are never copied. An [`memtrace::columns::ObjectIndex`]
 //! whose entries inline the liveness window gives zero hash lookups per
 //! sample, and sample attribution is fused with bandwidth binning into one
-//! pass over the batch's own sample columns, sharded into fixed-size
-//! chunks and run through [`memsim::parallel_map`]. Every shard
-//! accumulates integer sample *counts*; the merge is a sum of `u64`s, so
-//! the result is bit-identical for any worker count.
+//! pass over each of the batch's own sample columns, accumulating integer
+//! sample *counts*. One analysis runs on one thread; parallelism lives
+//! where requests are independent (sweep cells, fleet nodes, serve
+//! workers).
 //!
 //! The original event-at-a-time walk over the AoS view
 //! ([`memtrace::EventBatch::iter_events`]) survives only as the test
@@ -28,7 +28,6 @@
 //! fault-injected traces after sanitization.
 
 use crate::profile::{ObjectLifetime, ProfileSet, SiteProfile};
-use memtrace::binfmt::TraceBuf;
 use memtrace::columns::{ObjectIndex, TraceColumns};
 use memtrace::{BinaryMap, CallStack, EventBatch, ObjectId, SiteId, TraceError, TraceEvent};
 use memtrace::{TraceFile, Warning, WarningKind};
@@ -38,29 +37,15 @@ use std::collections::HashMap;
 /// module (see there for the derivation from the heap layout).
 pub use memtrace::columns::SAME_TIER_SPAN;
 
-/// Samples per scan shard. Fixed — not derived from the worker count — so
-/// the shard layout, the obs counters and (via `u64` merges) the analysis
-/// result are identical no matter what `ECOHMEM_JOBS` says.
-const SAMPLE_SHARD: usize = 1 << 15;
-
-/// Analyzes a trace into per-site profiles. Fails on malformed traces.
-///
-/// Runs the columnar engine with the worker count from
-/// [`memsim::jobs_from_env`].
+/// Analyzes a trace into per-site profiles with the columnar engine.
+/// Fails on malformed traces.
 pub fn analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
-    analyze_with_jobs(trace, memsim::jobs_from_env())
-}
-
-/// [`analyze`] with an explicit worker count for the sharded scans. The
-/// result does not depend on `jobs` (property-tested); only wall-clock
-/// does.
-pub fn analyze_with_jobs(trace: &TraceFile, jobs: usize) -> Result<ProfileSet, TraceError> {
     let _span = ecohmem_obs::span("analyzer.analyze");
     let cols = {
         let _span = ecohmem_obs::span("analyzer.columns.build");
         TraceColumns::build(trace)?
     };
-    Ok(analyze_cols(trace, &cols, jobs))
+    Ok(analyze_cols(trace, &cols))
 }
 
 /// [`analyze`] under its old name: a forward kept for perfbench, which
@@ -68,32 +53,6 @@ pub fn analyze_with_jobs(trace: &TraceFile, jobs: usize) -> Result<ProfileSet, T
 #[doc(hidden)]
 pub fn analyze_columnar(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
     analyze(trace)
-}
-
-/// Analyzes a v2 binary trace straight from its [`TraceBuf`]: buckets
-/// decode lazily (in parallel for `jobs > 1`) into one columnar batch,
-/// which then takes the same path as [`analyze`] — recorded
-/// traces feed the analyzer without an upfront whole-file
-/// parse-into-`Vec<TraceEvent>` pass.
-pub fn analyze_stream(buf: &TraceBuf) -> Result<ProfileSet, TraceError> {
-    analyze_stream_with_jobs(buf, memsim::jobs_from_env())
-}
-
-/// [`analyze_stream`] with an explicit worker count for bucket decoding
-/// and the sharded scans.
-pub fn analyze_stream_with_jobs(buf: &TraceBuf, jobs: usize) -> Result<ProfileSet, TraceError> {
-    let trace = {
-        let _span = ecohmem_obs::span("analyzer.stream.decode");
-        let decoded =
-            memsim::parallel_map((0..buf.bucket_count()).collect(), jobs, |i| buf.bucket(i));
-        let mut trace = buf.header().clone();
-        trace.events.ops.reserve(buf.event_count());
-        for bucket in decoded {
-            trace.events.append(&bucket?);
-        }
-        trace
-    };
-    analyze_with_jobs(&trace, jobs)
 }
 
 /// The scalar reference analyzer: event-at-a-time over the trace's AoS
@@ -241,10 +200,8 @@ impl<'a> BinCursor<'a> {
 // Columnar engine
 // ---------------------------------------------------------------------------
 
-/// Per-shard scan accumulator: integer sample counts per dense object and
-/// per bandwidth bin. Merging is elementwise `u64` addition — associative
-/// and order-insensitive, which is what makes the sharded scan
-/// deterministic under any scheduling.
+/// Scan accumulator: integer sample counts per dense object and per
+/// bandwidth bin.
 struct ScanAcc {
     obj_load: Vec<u64>,
     obj_store: Vec<u64>,
@@ -254,98 +211,45 @@ struct ScanAcc {
     unmatched: u64,
 }
 
-impl ScanAcc {
-    fn new(n_objs: usize, n_bins: usize) -> ScanAcc {
-        ScanAcc {
-            obj_load: vec![0; n_objs],
-            obj_store: vec![0; n_objs],
-            obj_store_miss: vec![0; n_objs],
-            bin_load: vec![0; n_bins],
-            bin_store_miss: vec![0; n_bins],
-            unmatched: 0,
-        }
-    }
-
-    fn merge(&mut self, other: &ScanAcc) {
-        for (a, b) in self.obj_load.iter_mut().zip(&other.obj_load) {
-            *a += b;
-        }
-        for (a, b) in self.obj_store.iter_mut().zip(&other.obj_store) {
-            *a += b;
-        }
-        for (a, b) in self.obj_store_miss.iter_mut().zip(&other.obj_store_miss) {
-            *a += b;
-        }
-        for (a, b) in self.bin_load.iter_mut().zip(&other.bin_load) {
-            *a += b;
-        }
-        for (a, b) in self.bin_store_miss.iter_mut().zip(&other.bin_store_miss) {
-            *a += b;
-        }
-        self.unmatched += other.unmatched;
-    }
-}
-
-/// One fixed-size slice of a sample column.
-#[derive(Clone, Copy)]
-struct ShardTask {
-    store: bool,
-    lo: usize,
-    hi: usize,
-}
-
-fn shard_tasks(n_loads: usize, n_stores: usize) -> Vec<ShardTask> {
-    let mut tasks = Vec::new();
-    let mut lo = 0;
-    while lo < n_loads {
-        tasks.push(ShardTask { store: false, lo, hi: (lo + SAMPLE_SHARD).min(n_loads) });
-        lo += SAMPLE_SHARD;
-    }
-    lo = 0;
-    while lo < n_stores {
-        tasks.push(ShardTask { store: true, lo, hi: (lo + SAMPLE_SHARD).min(n_stores) });
-        lo += SAMPLE_SHARD;
-    }
-    tasks
-}
-
-fn scan_shard(
-    events: &EventBatch,
-    n_objs: usize,
-    index: &ObjectIndex,
-    bins: &[f64],
-    task: ShardTask,
-) -> ScanAcc {
-    let mut acc = ScanAcc::new(n_objs, bins.len());
+/// Attributes every sample to its object and bins it for the bandwidth
+/// series: one pass over each sample column.
+fn scan(events: &EventBatch, n_objs: usize, index: &ObjectIndex, bins: &[f64]) -> ScanAcc {
+    let mut acc = ScanAcc {
+        obj_load: vec![0; n_objs],
+        obj_store: vec![0; n_objs],
+        obj_store_miss: vec![0; n_objs],
+        bin_load: vec![0; bins.len()],
+        bin_store_miss: vec![0; bins.len()],
+        unmatched: 0,
+    };
     // Consecutive samples mostly share a phase bin and often an address
     // gap — time neighbours in a recorded trace, same-object runs in a
     // synthesized one, whose columns are in emission order — so both
     // searches are memoized.
     let mut bin = BinCursor::new(bins);
     let mut objects = index.cursor();
-    if task.store {
-        for i in task.lo..task.hi {
-            let t = events.store_times[i];
-            let miss = events.store_l1d_miss[i];
-            if miss {
-                acc.bin_store_miss[bin.bin(t)] += 1;
-            }
-            match objects.lookup(events.store_addresses[i], t) {
-                Some(d) => {
-                    acc.obj_store[d as usize] += 1;
-                    acc.obj_store_miss[d as usize] += u64::from(miss);
-                }
-                None => acc.unmatched += 1,
-            }
+    for i in 0..events.load_times.len() {
+        let t = events.load_times[i];
+        acc.bin_load[bin.bin(t)] += 1;
+        match objects.lookup(events.load_addresses[i], t) {
+            Some(d) => acc.obj_load[d as usize] += 1,
+            None => acc.unmatched += 1,
         }
-    } else {
-        for i in task.lo..task.hi {
-            let t = events.load_times[i];
-            acc.bin_load[bin.bin(t)] += 1;
-            match objects.lookup(events.load_addresses[i], t) {
-                Some(d) => acc.obj_load[d as usize] += 1,
-                None => acc.unmatched += 1,
+    }
+    let mut bin = BinCursor::new(bins);
+    let mut objects = index.cursor();
+    for i in 0..events.store_times.len() {
+        let t = events.store_times[i];
+        let miss = events.store_l1d_miss[i];
+        if miss {
+            acc.bin_store_miss[bin.bin(t)] += 1;
+        }
+        match objects.lookup(events.store_addresses[i], t) {
+            Some(d) => {
+                acc.obj_store[d as usize] += 1;
+                acc.obj_store_miss[d as usize] += u64::from(miss);
             }
+            None => acc.unmatched += 1,
         }
     }
     acc
@@ -353,7 +257,7 @@ fn scan_shard(
 
 /// The columnar analysis core. The trace is already validated and its
 /// tables built; the samples are scanned in the trace's own columns.
-fn analyze_cols(trace: &TraceFile, cols: &TraceColumns, jobs: usize) -> ProfileSet {
+fn analyze_cols(trace: &TraceFile, cols: &TraceColumns) -> ProfileSet {
     let events = &trace.events;
     let n_objs = cols.objects.len();
     ecohmem_obs::count("analyzer.columns.objects", n_objs as u64);
@@ -364,20 +268,10 @@ fn analyze_cols(trace: &TraceFile, cols: &TraceColumns, jobs: usize) -> ProfileS
     let bins = sorted_bins(events.phase_times.clone());
 
     // Fused passes 2+3: attribute samples to objects and bin them for the
-    // bandwidth series, one shard at a time.
-    let tasks = shard_tasks(events.load_times.len(), events.store_times.len());
-    ecohmem_obs::count("analyzer.columns.shards", tasks.len() as u64);
+    // bandwidth series.
     let total = {
         let _span = ecohmem_obs::span("analyzer.columns.scan");
-        let (index_ref, bins_ref) = (&index, &bins[..]);
-        let accs = memsim::parallel_map(tasks, jobs, move |task| {
-            scan_shard(events, n_objs, index_ref, bins_ref, task)
-        });
-        let mut total = ScanAcc::new(n_objs, bins.len());
-        for acc in &accs {
-            total.merge(acc);
-        }
-        total
+        scan(events, n_objs, &index, &bins)
     };
     ecohmem_obs::count("analyzer.samples.unmatched", total.unmatched); // not fatal
 
@@ -759,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_scalar_and_sharded_paths_agree() {
+    fn columnar_and_scalar_paths_agree() {
         let app = workloads::minife::model();
         let mach = MachineConfig::optane_pmem6();
         let (trace, _) = profile_run(
@@ -769,44 +663,32 @@ mod tests {
             &mut FixedTier::new(TierId::PMEM),
             &ProfilerConfig::default(),
         );
-        let scalar = analyze_legacy(&trace).unwrap();
-        let serial = analyze_with_jobs(&trace, 1).unwrap();
-        let sharded = analyze_with_jobs(&trace, 4).unwrap();
-        assert_eq!(scalar, serial);
-        assert_eq!(serial, sharded);
+        assert_eq!(analyze_legacy(&trace).unwrap(), analyze(&trace).unwrap());
     }
 
     #[test]
-    fn stream_entry_point_agrees_with_analyze() {
+    fn a_v2_round_trip_keeps_the_site_structure() {
         let app = workloads::minife::model();
         let mach = MachineConfig::optane_pmem6();
-        let cfg = ProfilerConfig::default();
-        let result = memsim::run(
+        let (trace, _) = profile_run(
             &app,
             &mach,
             ExecMode::MemoryMode,
-            &mut FixedTier::new(memtrace::TierId::PMEM),
+            &mut FixedTier::new(TierId::PMEM),
+            &ProfilerConfig::default(),
         );
-        let trace = crate::sampler::synthesize_trace_with_jobs(&app, &result, &cfg, 2);
-        let from_trace = analyze_with_jobs(&trace, 2).unwrap();
-
+        let original = analyze(&trace).unwrap();
         let mut bin = Vec::new();
         memtrace::binfmt::write_trace_v2(&trace, &mut bin).unwrap();
-        let buf = TraceBuf::from_bytes(bin).unwrap();
-        let from_stream = analyze_stream_with_jobs(&buf, 2).unwrap();
-        // µs quantization makes the stream path *nearly* identical; pin
-        // the structure exactly and the estimates byte-for-byte (counts
-        // are integers scaled by the shared periods).
-        assert_eq!(from_trace.sites.len(), from_stream.sites.len());
-        for (a, s) in from_trace.sites.iter().zip(&from_stream.sites) {
-            assert_eq!(a.site, s.site);
-            assert_eq!(a.alloc_count, s.alloc_count);
-            assert_eq!(a.total_bytes, s.total_bytes);
+        let quantized = analyze(&memtrace::read_trace(&bin[..]).unwrap()).unwrap();
+        // µs quantization makes the estimates *nearly* identical; pin the
+        // structure exactly.
+        assert_eq!(original.sites.len(), quantized.sites.len());
+        for (a, q) in original.sites.iter().zip(&quantized.sites) {
+            assert_eq!(a.site, q.site);
+            assert_eq!(a.alloc_count, q.alloc_count);
+            assert_eq!(a.total_bytes, q.total_bytes);
         }
-        // And the quantized whole-file read agrees exactly with the stream
-        // path.
-        let quantized = buf.to_trace_file().unwrap();
-        assert_eq!(analyze_with_jobs(&quantized, 2).unwrap(), from_stream);
     }
 
     #[test]

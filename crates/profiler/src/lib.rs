@@ -25,12 +25,10 @@ pub mod sampler;
 pub mod timeline;
 
 pub use analyzer::{
-    analyze, analyze_columnar, analyze_legacy, analyze_lenient, analyze_stream,
-    analyze_stream_with_jobs, analyze_with_jobs, bandwidth_series, profile_or_empty,
+    analyze, analyze_columnar, analyze_legacy, analyze_lenient, bandwidth_series, profile_or_empty,
 };
 pub use profile::{ObjectLifetime, ProfileSet, SiteIndex, SiteProfile};
 pub use sampler::{
-    profile_run, profile_run_cached, synthesize_columns, synthesize_trace,
-    synthesize_trace_with_jobs, ProfilerConfig,
+    profile_run, profile_run_cached, synthesize_columns, synthesize_trace, ProfilerConfig,
 };
 pub use timeline::{timeline, to_csv, TimelineRow};

@@ -14,12 +14,12 @@
 //! the analyzer's address-interval matching.
 //!
 //! Synthesis is batched per object: every object draws from its own
-//! splitmix64 stream seeded from `(cfg.seed, ObjectId)`, so the event
-//! stream for an object is a pure function of the configuration — chunks
-//! of objects can be generated on any number of workers (via
-//! [`memsim::parallel_map`]) and concatenated in submission order without
-//! changing a single byte of the trace. Events are emitted *straight into*
-//! columnar storage ([`memtrace::EventBatch`]): the batch's own
+//! splitmix64 stream ([`memtrace::rng`]) seeded from `(cfg.seed,
+//! ObjectId)`, so the event stream for an object is a pure function of
+//! the configuration. One request runs on one thread; parallelism lives
+//! where requests are independent (sweep cells, fleet nodes, serve
+//! workers). Events are emitted *straight into* columnar storage
+//! ([`memtrace::EventBatch`]): the batch's own
 //! emission-order `ops` stream plus one time bucket per event is the key
 //! log, 8 bytes per event, over one shared column arena. Finalizing the
 //! trace scatters each op straight into its time bucket of the final
@@ -35,6 +35,7 @@
 use memsim::RunResult;
 use memsim::{AppModel, ExecMode, MachineConfig, ObjectRecord, PhaseStats, PlacementPolicy};
 use memtrace::columns::{BatchOp, TimeColumns};
+use memtrace::rng::{self, SplitMix64};
 use memtrace::{EventBatch, FuncId, ObjectId, SiteId, TierId, TraceEvent, TraceFile};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -103,49 +104,11 @@ pub(crate) fn site_functions(app: &AppModel) -> HashMap<SiteId, FuncId> {
     best.into_iter().map(|(s, (_, f))| (s, f)).collect()
 }
 
-/// A splitmix64 counter stream — the sampler's noise source. Statistically
-/// strong for this purpose (uniform timestamp jitter, address picks,
-/// randomized rounding), an order of magnitude cheaper per draw than a
-/// cryptographic generator, and trivially seedable per object.
-pub(crate) struct SampleRng(u64);
-
-impl SampleRng {
-    pub(crate) fn new(seed: u64) -> SampleRng {
-        SampleRng(seed)
-    }
-
-    #[inline]
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` with 53 bits of precision.
-    #[inline]
-    pub(crate) fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform in `[0, n)` by multiply-shift (`n` ≥ 1). The modulo bias is
-    /// ~2⁻⁶⁴ per draw — far below the sampling noise being modeled.
-    #[inline]
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
-        ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
-    }
-}
-
-/// Seed of one object's sample stream: a splitmix64 finalizer over the
-/// run seed and the object id. Object-granularity seeding is what makes
-/// any partition of the object list into generation chunks produce the
-/// identical trace.
-pub(crate) fn object_seed(seed: u64, object: u64) -> u64 {
-    let mut z = seed ^ object.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// Seed of one object's sample stream: the splitmix64 finalizer over the
+/// run seed and the object id, so an object's samples do not depend on
+/// the objects emitted before it.
+fn object_seed(seed: u64, object: u64) -> u64 {
+    rng::mix(seed ^ object.wrapping_mul(rng::GOLDEN))
 }
 
 /// Maps a (non-NaN) `f64` to a `u64` whose unsigned order is the float's
@@ -184,10 +147,6 @@ const KEYS_PER_BUCKET: usize = 8;
 /// order, so the choice never shows in the trace.
 const SMALL_BUCKET: usize = 32;
 
-/// Below this many buckets the finalize sweep runs serially: a parallel
-/// split would cost more in thread hand-off than the sweep takes.
-const PARALLEL_FINALIZE_BUCKETS: usize = 512;
-
 /// Bucket-count ceiling (the offset table stays a few MiB at most).
 const MAX_BUCKETS: usize = 1 << 20;
 
@@ -201,11 +160,9 @@ const MAX_BUCKETS: usize = 1 << 20;
 ///
 /// Emission order already is the total tie-break order: phase markers
 /// come first, objects follow in index order (each object's events in
-/// draw order), and parallel shards are absorbed in chunk order. The
-/// bucket map is monotone in time, so the result is the *identical*
-/// permutation a stable sort by timestamp over the emission stream would
-/// produce — independent of bucket geometry and of how emission was
-/// chunked.
+/// draw order). The bucket map is monotone in time, so the result is the
+/// *identical* permutation a stable sort by timestamp over the emission
+/// stream would produce, independent of bucket geometry.
 struct ColumnSink {
     scale: f64,
     buckets: usize,
@@ -232,21 +189,20 @@ thread_local! {
 }
 
 impl ColumnSink {
-    /// `expected` fixes the bucket geometry (all sinks that will be
-    /// folded together must share it); `fill` is the share of `expected`
-    /// this particular sink will receive, used only to pre-size storage.
-    /// The arena is this thread's spare batch and the scratch its spare
-    /// scratch, so a thread that synthesizes trace after trace reuses the
-    /// storage of the last one instead of mapping fresh pages.
-    fn new(expected: usize, fill: usize, duration: f64) -> ColumnSink {
+    /// `expected` (the event count the budget predicts) fixes the bucket
+    /// geometry and pre-sizes storage. The arena is this thread's spare
+    /// batch and the scratch its spare scratch, so a thread that
+    /// synthesizes trace after trace reuses the storage of the last one
+    /// instead of mapping fresh pages.
+    fn new(expected: usize, duration: f64) -> ColumnSink {
         let buckets = (expected / KEYS_PER_BUCKET).next_power_of_two().clamp(1, MAX_BUCKETS);
         // Loads and stores dominate synthesized traces (alloc/free/phase
-        // are one-per-object or one-per-phase); splitting the fill hint
+        // are one-per-object or one-per-phase); splitting the expectation
         // between the two sample kinds keeps the arena from doubling
         // mid-emission without over-reserving the rare columns.
-        let sample = fill / 2 + fill / 8;
-        let meta = fill / 16;
-        let keys = fill + fill / 8;
+        let sample = expected / 2 + expected / 8;
+        let meta = expected / 16;
+        let keys = expected + expected / 8;
         let mut cols = EventBatch::take_spare();
         cols.ops.reserve(keys);
         cols.load_times.reserve(sample);
@@ -281,26 +237,15 @@ impl ColumnSink {
         self.scratch.bucket_of.push(b as u32);
     }
 
-    /// Folds a sink of identical geometry into this one: the arenas
-    /// concatenate (rows rebased past this sink's columns) and so do the
-    /// bucket logs. Absorbing shards in chunk order keeps the key log in
-    /// emission order.
-    fn absorb(&mut self, other: ColumnSink) {
-        self.cols.append(&other.cols);
-        self.scratch.bucket_of.extend_from_slice(&other.scratch.bucket_of);
-    }
-
     /// Scatters the emission-order ops into their time buckets, straight
     /// into the final `ops` array (a counting sort on the bucket, stable,
     /// so each bucket holds its ops in emission order), then sweeps every
     /// bucket into stable time order in place. The arena itself never
-    /// moves. Buckets are mutually independent, so with `jobs > 1`
-    /// disjoint ranges of buckets are swept in parallel, each on its own
-    /// slice of `ops`; the output does not depend on `jobs`.
+    /// moves.
     ///
     /// The final `ops` is the scratch's op buffer, and the emission-order
     /// ops become the op buffer of the scratch this thread keeps.
-    fn into_sorted(mut self, jobs: usize) -> EventBatch {
+    fn into_sorted(mut self) -> EventBatch {
         let Scratch { bucket_of, mut ops, mut starts } = self.scratch;
         // `starts[b]..starts[b + 1]` is bucket `b`'s range of `ops`.
         starts.resize(self.buckets + 1, 0);
@@ -329,22 +274,7 @@ impl ColumnSink {
         starts.copy_within(..self.buckets, 1);
         starts[0] = 0;
 
-        let times = self.cols.time_columns();
-        if jobs <= 1 || self.buckets < PARALLEL_FINALIZE_BUCKETS {
-            sweep(&mut ops, &starts, times);
-        } else {
-            let group = self.buckets.div_ceil(jobs * 4);
-            let mut runs = Vec::with_capacity(self.buckets.div_ceil(group));
-            let mut rest: &mut [BatchOp] = &mut ops;
-            for g in (0..self.buckets).step_by(group) {
-                let bounds = &starts[g..=(g + group).min(self.buckets)];
-                let len = (bounds[bounds.len() - 1] - bounds[0]) as usize;
-                let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
-                rest = tail;
-                runs.push((run, bounds));
-            }
-            memsim::parallel_map(runs, jobs, |(run, bounds)| sweep(run, bounds, times));
-        }
+        sweep(&mut ops, &starts, self.cols.time_columns());
         self.cols.ops = ops;
         let mut spare = Scratch { bucket_of, ops: emitted, starts };
         spare.bucket_of.clear();
@@ -359,10 +289,10 @@ impl ColumnSink {
 /// the buckets they belong to.
 const SWEEP_CHUNK: usize = 256;
 
-/// Sorts each bucket of `ops` (bucket `i` spans `bounds[i]..bounds[i + 1]`,
-/// offset by `bounds[0]`) stably by timestamp, reading each op's time
-/// through the batch's kind-indexed time columns. No op leaves its bucket:
-/// the bucket map is monotone in time.
+/// Sorts each bucket of `ops` (bucket `i` spans `bounds[i]..bounds[i + 1]`)
+/// stably by timestamp, reading each op's time through the batch's
+/// kind-indexed time columns. No op leaves its bucket: the bucket map is
+/// monotone in time.
 ///
 /// The rows an op stream in time order points at are scattered over the
 /// columns, so nearly every time read misses the cache. The sweep
@@ -376,7 +306,7 @@ const SWEEP_CHUNK: usize = 256;
 /// higher.
 fn sweep(ops: &mut [BatchOp], bounds: &[u32], times: TimeColumns<'_>) {
     let key = |op: BatchOp| time_bits(times.at(op));
-    let at = |b: usize| (bounds[b] - bounds[0]) as usize;
+    let at = |b: usize| bounds[b] as usize;
     let n_buckets = bounds.len() - 1;
     let mut keys = [0u64; SWEEP_CHUNK];
     let mut src = [BatchOp::alloc(0); SWEEP_CHUNK];
@@ -450,16 +380,11 @@ impl EventSink for ColumnSink {
 
 /// Rounds an expectation to an integer count without bias.
 #[inline]
-fn randomized_count(expected: f64, rng: &mut SampleRng) -> u64 {
+fn randomized_count(expected: f64, rng: &mut SplitMix64) -> u64 {
     let base = expected.floor();
     let frac = expected - base;
     base as u64 + u64::from(rng.next_f64() < frac)
 }
-
-/// Objects per generation chunk on the parallel path. Chunking is fixed
-/// (not derived from the worker count), but determinism does not depend
-/// on it: per-object seeding makes any split produce the same events.
-const OBJ_CHUNK: usize = 64;
 
 /// Shared inputs of per-object event generation.
 struct EmitCtx<'a> {
@@ -470,11 +395,9 @@ struct EmitCtx<'a> {
     phases: &'a [PhaseStats],
 }
 
-/// Emits alloc/free events and randomized samples for a run of objects,
+/// Emits alloc/free events and randomized samples for the objects,
 /// returning `(load_samples, store_samples)` counts. Each object's events
-/// are emitted consecutively and depend only on that object, so
-/// concatenating the emissions of consecutive object chunks reproduces
-/// the serial emission order exactly.
+/// are emitted consecutively and depend only on that object.
 fn emit_objects<S: EventSink>(objs: &[ObjectRecord], ctx: &EmitCtx, sink: &mut S) -> (u64, u64) {
     let mut n_loads = 0u64;
     let mut n_stores = 0u64;
@@ -485,7 +408,7 @@ fn emit_objects<S: EventSink>(objs: &[ObjectRecord], ctx: &EmitCtx, sink: &mut S
         let func = ctx.funcs.get(&o.site).copied().unwrap_or(FuncId(u16::MAX));
         let tier_lat_cycles = 300.0; // nominal; refined by the engine stats
         let span = o.size.max(1);
-        let mut rng = SampleRng::new(object_seed(ctx.seed, o.object.0));
+        let mut rng = SplitMix64::new(object_seed(ctx.seed, o.object.0));
 
         // Samples are placed inside the phases where the object's accesses
         // actually happened — PEBS fires while the code runs, not smeared
@@ -555,34 +478,11 @@ fn budget(app: &AppModel, result: &RunResult, cfg: &ProfilerConfig) -> Budget {
 
 /// Builds the trace from an engine result.
 pub fn synthesize_trace(app: &AppModel, result: &RunResult, cfg: &ProfilerConfig) -> TraceFile {
-    synthesize_trace_with_jobs(app, result, cfg, memsim::jobs_from_env())
-}
-
-/// [`synthesize_trace`] under its old name: a forward kept for perfbench,
-/// which still calls it. ROADMAP item 1 deletes it.
-#[doc(hidden)]
-pub fn synthesize_columns(app: &AppModel, result: &RunResult, cfg: &ProfilerConfig) -> TraceFile {
-    synthesize_trace(app, result, cfg)
-}
-
-/// [`synthesize_trace`] with an explicit worker count. The trace does
-/// not depend on `jobs` (unit-tested); only wall-clock does.
-pub fn synthesize_trace_with_jobs(
-    app: &AppModel,
-    result: &RunResult,
-    cfg: &ProfilerConfig,
-    jobs: usize,
-) -> TraceFile {
     let _span = ecohmem_obs::span("profiler.synthesize");
-    // The chunked path pays a fold pass that only parallelism repays; with
-    // fewer cores than requested jobs it is strictly overhead, and the
-    // trace is jobs-invariant, so clamp to what the machine can run.
-    let jobs = jobs.min(std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1));
     let funcs = site_functions(app);
     let b = budget(app, result, cfg);
 
-    let mut sink =
-        ColumnSink::new(b.expected, if jobs <= 1 { b.expected } else { 0 }, result.total_time);
+    let mut sink = ColumnSink::new(b.expected, result.total_time);
 
     for (i, phase) in result.phases.iter().enumerate() {
         sink.push_phase(phase.start, i as u32);
@@ -595,36 +495,13 @@ pub fn synthesize_trace_with_jobs(
         funcs: &funcs,
         phases: &result.phases,
     };
-    let emit_span = ecohmem_obs::span("profiler.synthesize.emit");
-    let (n_loads, n_stores) = if jobs <= 1 || result.objects.len() <= OBJ_CHUNK {
+    let (n_loads, n_stores) = {
+        let _span = ecohmem_obs::span("profiler.synthesize.emit");
         emit_objects(&result.objects, &ctx, &mut sink)
-    } else {
-        // Per-object seeding makes every chunk independent, and shards
-        // are absorbed in chunk order, so the folded key log is the
-        // serial emission order for *any* chunking — the chunk size is
-        // free to follow the worker count without affecting the trace
-        // (pinned by the jobs-invariance test).
-        let chunk = (result.objects.len().div_ceil(jobs * 4)).max(OBJ_CHUNK);
-        let n_chunks = result.objects.len().div_ceil(chunk);
-        let chunks: Vec<&[ObjectRecord]> = result.objects.chunks(chunk).collect();
-        let parts = memsim::parallel_map(chunks, jobs, |objs| {
-            let mut shard = ColumnSink::new(b.expected, b.expected / n_chunks, result.total_time);
-            let counts = emit_objects(objs, &ctx, &mut shard);
-            (shard, counts)
-        });
-        let (mut loads, mut stores) = (0u64, 0u64);
-        for (shard, (l, s)) in parts {
-            sink.absorb(shard);
-            loads += l;
-            stores += s;
-        }
-        (loads, stores)
     };
-
-    drop(emit_span);
     let events = {
         let _span = ecohmem_obs::span("profiler.synthesize.finalize");
-        sink.into_sorted(jobs)
+        sink.into_sorted()
     };
 
     ecohmem_obs::count("profiler.events.emitted", events.len() as u64);
@@ -644,6 +521,13 @@ pub fn synthesize_trace_with_jobs(
         binmap: app.binmap.clone(),
         events,
     }
+}
+
+/// [`synthesize_trace`] under its old name: a forward kept for perfbench,
+/// which still calls it. ROADMAP item 1 deletes it.
+#[doc(hidden)]
+pub fn synthesize_columns(app: &AppModel, result: &RunResult, cfg: &ProfilerConfig) -> TraceFile {
+    synthesize_trace(app, result, cfg)
 }
 
 /// The AoS generator kept as the differential-testing oracle for the
@@ -761,25 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_is_chunking_invariant() {
-        // The same trace must come out whether objects are emitted on one
-        // worker or many — per-object seeding and in-order shard absorption
-        // are what guarantee it.
-        let app = workloads::minife::model();
-        let mach = MachineConfig::optane_pmem6();
-        let cfg = ProfilerConfig { sampling_hz: 100.0, seed: 11 };
-        let result =
-            memsim::run(&app, &mach, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM));
-        let serial = synthesize_trace_with_jobs(&app, &result, &cfg, 1);
-        for jobs in [1, 4] {
-            let trace = synthesize_trace_with_jobs(&app, &result, &cfg, jobs);
-            // The column layout agrees too, not just the event sequence.
-            assert_eq!(trace.events.ops, serial.events.ops, "jobs={jobs}");
-            assert_eq!(trace, serial, "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn columnar_matches_the_aos_reference() {
         let app = workloads::minife::model();
         let mach = MachineConfig::optane_pmem6();
@@ -787,9 +652,7 @@ mod tests {
         let result =
             memsim::run(&app, &mach, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM));
         let reference = reference::synthesize_trace_reference(&app, &result, &cfg);
-        for jobs in [1, 4] {
-            assert_eq!(synthesize_trace_with_jobs(&app, &result, &cfg, jobs), reference, "{jobs}");
-        }
+        assert_eq!(synthesize_trace(&app, &result, &cfg), reference);
     }
 
     #[test]
@@ -804,25 +667,21 @@ mod tests {
         let (a, b) = (workloads::lulesh::model(), workloads::hpcg::model());
         let (run_a, run_b) = (engine(&a), engine(&b));
         let reference = reference::synthesize_trace_reference(&b, &run_b, &cfg);
-        for jobs in [1, 2] {
-            let fresh = std::thread::scope(|s| {
-                s.spawn(|| synthesize_trace_with_jobs(&b, &run_b, &cfg, jobs)).join().unwrap()
-            });
-            let (recycled, a_loads) = std::thread::scope(|s| {
-                s.spawn(|| {
-                    let a_loads =
-                        synthesize_trace_with_jobs(&a, &run_a, &cfg, jobs).events.load_times.len();
-                    (synthesize_trace_with_jobs(&b, &run_b, &cfg, jobs), a_loads)
-                })
-                .join()
-                .unwrap()
-            });
-            assert!(a_loads > fresh.events.load_times.len(), "A is the larger trace");
-            assert!(recycled.events.load_times.capacity() >= a_loads, "B reused A's arena");
-            assert_eq!(recycled.events.ops, fresh.events.ops, "jobs={jobs}");
-            assert_eq!(recycled, fresh, "jobs={jobs}");
-            assert_eq!(recycled, reference, "jobs={jobs}");
-        }
+        let fresh =
+            std::thread::scope(|s| s.spawn(|| synthesize_trace(&b, &run_b, &cfg)).join().unwrap());
+        let (recycled, a_loads) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let a_loads = synthesize_trace(&a, &run_a, &cfg).events.load_times.len();
+                (synthesize_trace(&b, &run_b, &cfg), a_loads)
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(a_loads > fresh.events.load_times.len(), "A is the larger trace");
+        assert!(recycled.events.load_times.capacity() >= a_loads, "B reused A's arena");
+        assert_eq!(recycled.events.ops, fresh.events.ops);
+        assert_eq!(recycled, fresh);
+        assert_eq!(recycled, reference);
     }
 
     #[test]
@@ -844,7 +703,7 @@ mod tests {
             s.spawn(|| {
                 let mut largest = 0;
                 for (i, (app, run)) in runs.iter().chain(&runs).enumerate() {
-                    let trace = synthesize_trace_with_jobs(app, run, &cfg, 2);
+                    let trace = synthesize_trace(app, run, &cfg);
                     largest = largest.max(trace.events.ops.len());
                     let cap = trace.events.ops.capacity();
                     assert!(
@@ -872,16 +731,6 @@ mod tests {
         let t = trace_for(1);
         assert!(t.load_sample_period >= 1.0);
         assert!(t.store_sample_period >= 1.0);
-    }
-
-    #[test]
-    fn sample_rng_is_uniform_enough() {
-        let mut rng = SampleRng::new(42);
-        let n = 100_000;
-        let mean = (0..n).map(|_| rng.next_f64()).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-        let below = (0..n).filter(|_| rng.below(10) < 5).count();
-        assert!((below as f64 / n as f64 - 0.5).abs() < 0.01);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential guarantees of the columnar analyzer.
 //!
 //! The columnar engine is a performance rewrite, not a semantic change:
-//! for every trace the scalar path accepts, `analyze` (columnar, at any
-//! shard count) must produce the *identical* [`profiler::ProfileSet`] —
+//! for every trace the scalar path accepts, `analyze` (columnar) must
+//! produce the *identical* [`profiler::ProfileSet`] —
 //! same sample attribution under the same tie-breaks, same bandwidth
 //! series to the last bit, same site ordering. This suite pins that
 //! contract on three fronts: arbitrary generated traces, traces damaged
@@ -14,9 +14,7 @@ use memtrace::{
     BinaryMap, BinaryMapBuilder, CallStack, EventBatch, Frame, FuncId, ModuleId, ObjectId, SiteId,
     TierId, TraceEvent, TraceFile,
 };
-use profiler::{
-    analyze_legacy, analyze_with_jobs, profile_run, synthesize_trace_with_jobs, ProfilerConfig,
-};
+use profiler::{analyze, analyze_legacy, profile_run, synthesize_trace, ProfilerConfig};
 use proptest::prelude::*;
 
 fn image() -> BinaryMap {
@@ -128,16 +126,14 @@ fn roundtrip(t: &TraceFile) -> TraceFile {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The hard differential guarantee: columnar analysis, serial or
-    /// sharded, equals the scalar fallback on arbitrary valid traces.
+    /// The hard differential guarantee: columnar analysis equals the
+    /// scalar fallback on arbitrary valid traces.
     #[test]
     fn columnar_matches_legacy_on_arbitrary_traces(events in arb_events()) {
         let trace = trace_with(events);
         let legacy = analyze_legacy(&trace).expect("generated traces are valid");
-        let serial = analyze_with_jobs(&trace, 1).expect("columnar serial");
-        let sharded = analyze_with_jobs(&trace, 4).expect("columnar sharded");
-        prop_assert_eq!(&legacy, &serial);
-        prop_assert_eq!(&legacy, &sharded);
+        let columnar = analyze(&trace).expect("columnar");
+        prop_assert_eq!(&legacy, &columnar);
     }
 
     /// Same contract after fault injection + sanitize: either both paths
@@ -157,7 +153,7 @@ proptest! {
         let mut trace = trace_with(events);
         let _ = FaultSpec::with_seed(kind, severity, seed).apply_to_trace(&mut trace);
         let _ = trace.sanitize();
-        match (analyze_legacy(&trace), analyze_with_jobs(&trace, 4)) {
+        match (analyze_legacy(&trace), analyze(&trace)) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(
@@ -173,7 +169,7 @@ proptest! {
 /// The pipeline's own path — a synthesized trace straight into the
 /// columnar analyzer, whose sample columns keep emission order rather
 /// than time order — equals the scalar analyzer walking the same trace's
-/// events for every shipped workload, serial and sharded.
+/// events for every shipped workload.
 #[test]
 fn synthesized_columns_analyze_like_the_legacy_path() {
     use memsim::{ExecMode, FixedTier, MachineConfig};
@@ -183,12 +179,10 @@ fn synthesized_columns_analyze_like_the_legacy_path() {
     for app in &apps {
         let result =
             memsim::run(app, &machine, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM));
-        let trace = synthesize_trace_with_jobs(app, &result, &ProfilerConfig::default(), 1);
+        let trace = synthesize_trace(app, &result, &ProfilerConfig::default());
         let legacy = analyze_legacy(&trace).expect("synthesized traces are valid");
-        for jobs in [1, 4] {
-            let profile = analyze_with_jobs(&trace, jobs).expect("valid");
-            assert!(profile == legacy, "{} jobs {jobs}: columnar profile differs", app.name);
-        }
+        let profile = analyze(&trace).expect("valid");
+        assert!(profile == legacy, "{}: columnar profile differs", app.name);
     }
 }
 
@@ -205,7 +199,7 @@ fn fault_injected_profiled_traces_agree_after_sanitize() {
             let mut t = trace.clone();
             let _ = FaultSpec::with_seed(kind, severity, 0xec0).apply_to_trace(&mut t);
             let _ = t.sanitize();
-            match (analyze_legacy(&t), analyze_with_jobs(&t, 4)) {
+            match (analyze_legacy(&t), analyze(&t)) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "{kind} severity {severity}"),
                 (Err(_), Err(_)) => {}
                 (a, b) => panic!(
@@ -229,13 +223,13 @@ fn binfmt_quantization_leaves_analysis_invariant() {
     let q1 = roundtrip(&trace);
     let q2 = roundtrip(&q1);
 
-    let a1 = analyze_with_jobs(&q1, 2).expect("quantized trace analyzes");
-    let a2 = analyze_with_jobs(&q2, 2).expect("double-quantized trace analyzes");
+    let a1 = analyze(&q1).expect("quantized trace analyzes");
+    let a2 = analyze(&q2).expect("double-quantized trace analyzes");
     assert_eq!(a1, a2, "µs quantization must be idempotent under analysis");
 
     // One quantization step can flip samples sitting exactly on interval
     // boundaries, so compare the original within sampling tolerance.
-    let a0 = analyze_with_jobs(&trace, 2).expect("original trace analyzes");
+    let a0 = analyze(&trace).expect("original trace analyzes");
     assert_eq!(a0.sites.len(), a1.sites.len());
     for (s0, s1) in a0.sites.iter().zip(&a1.sites) {
         assert_eq!(s0.site, s1.site);

@@ -1,13 +1,11 @@
 //! Differential guarantees of the columnar trace generator.
 //!
 //! The columnar sink is a performance rewrite of synthesis, not a
-//! semantic change: for any engine result, the columnar path at any
-//! worker count must produce the *identical* trace the AoS reference
-//! generator produces (serial emission, one stable sort by time) — same
-//! events, same order, same bytes. This suite pins that contract over
-//! every shipped workload and arbitrary small application models, pins
-//! jobs-invariance (jobs ∈ {1, 2, 4} → equal events in equal column
-//! layouts, hence byte-identical encodings), and pins the sample-window
+//! semantic change: for any engine result, the columnar path must
+//! produce the *identical* trace the AoS reference generator produces
+//! (emission order, one stable sort by time) — same events, same order,
+//! same bytes. This suite pins that contract over every shipped workload
+//! and arbitrary small application models, and pins the sample-window
 //! property: every sample timestamp falls inside its object's
 //! `[alloc_time, free_time]` ∩ phase window.
 
@@ -17,7 +15,7 @@ use memsim::{
 };
 use memtrace::{BinaryMapBuilder, CallStack, Frame, FuncId, ModuleId, SiteId, TierId, TraceEvent};
 use profiler::sampler::reference::synthesize_trace_reference;
-use profiler::{synthesize_trace_with_jobs, ProfilerConfig};
+use profiler::{synthesize_trace, ProfilerConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -111,7 +109,7 @@ fn arb_model() -> impl Strategy<Value = AppModel> {
 
 /// Every shipped workload, at three scales and two seeds: the bucketed
 /// columnar sink reproduces the AoS oracle (serial emission order plus a
-/// stable time sort) byte for byte, serial and chunked.
+/// stable time sort) byte for byte.
 #[test]
 fn every_workload_matches_the_aos_reference() {
     let machine = MachineConfig::optane_pmem6();
@@ -130,13 +128,11 @@ fn every_workload_matches_the_aos_reference() {
             for seed in [3u64, 0xec04_eed0] {
                 let cfg = ProfilerConfig { sampling_hz: 100.0, seed };
                 let reference = synthesize_trace_reference(&app, &result, &cfg);
-                for jobs in [1usize, 4] {
-                    assert!(
-                        synthesize_trace_with_jobs(&app, &result, &cfg, jobs) == reference,
-                        "{} seed {seed} jobs {jobs}: columnar trace differs from the oracle",
-                        app.name
-                    );
-                }
+                assert!(
+                    synthesize_trace(&app, &result, &cfg) == reference,
+                    "{} seed {seed}: columnar trace differs from the oracle",
+                    app.name
+                );
             }
         }
     }
@@ -207,32 +203,25 @@ fn tie_heavy_result() -> (AppModel, memsim::RunResult) {
     (app, result)
 }
 
-/// Ties everywhere, at jobs 1, 2 and 4: the in-place finalize sweep keeps
-/// emission order among equal timestamps exactly like the oracle's stable
-/// sort, and lays down the same `ops` at every worker count.
+/// Ties everywhere: the in-place finalize sweep keeps emission order among
+/// equal timestamps exactly like the oracle's stable sort.
 #[test]
-fn tie_heavy_synthesis_matches_the_reference_at_any_jobs() {
+fn tie_heavy_synthesis_matches_the_reference() {
     let (app, result) = tie_heavy_result();
     let cfg = ProfilerConfig { sampling_hz: 100.0, seed: 17 };
     let reference = synthesize_trace_reference(&app, &result, &cfg);
     let times: Vec<f64> = reference.events.iter_events().map(|e| e.time()).collect();
     let tied = |t: f64| times.iter().filter(|&&x| x == t).count();
     assert!(tied(2.0) > 1000 && tied(8.0) > 1000, "want heavy ties: {} {}", tied(2.0), tied(8.0));
-    assert!(times.len() > 8 * 512, "want the parallel sweep path: {} events", times.len());
-    let serial = synthesize_trace_with_jobs(&app, &result, &cfg, 1);
-    for jobs in [1usize, 2, 4] {
-        let trace = synthesize_trace_with_jobs(&app, &result, &cfg, jobs);
-        assert_eq!(trace.events, reference.events, "jobs {jobs}: events differ from the oracle");
-        assert_eq!(trace.events.ops, serial.events.ops, "jobs {jobs}: ops differ from jobs 1");
-    }
+    let trace = synthesize_trace(&app, &result, &cfg);
+    assert_eq!(trace.events, reference.events, "events differ from the oracle");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The hard differential guarantee: columnar synthesis, serial or
-    /// chunked, reproduces the pre-columnar AoS generator event for
-    /// event — and the column layout itself is jobs-invariant.
+    /// The hard differential guarantee: columnar synthesis reproduces the
+    /// pre-columnar AoS generator event for event.
     #[test]
     fn columnar_synthesize_matches_the_aos_reference(
         model in arb_model(),
@@ -243,32 +232,19 @@ proptest! {
             memsim::run(&model, &machine, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM));
         let cfg = ProfilerConfig { sampling_hz: 100.0, seed };
         let reference = synthesize_trace_reference(&model, &result, &cfg);
-        for jobs in [1usize, 4] {
-            prop_assert_eq!(
-                &synthesize_trace_with_jobs(&model, &result, &cfg, jobs),
-                &reference,
-                "jobs={}", jobs
-            );
-        }
-        let c1 = synthesize_trace_with_jobs(&model, &result, &cfg, 1);
-        let c2 = synthesize_trace_with_jobs(&model, &result, &cfg, 2);
-        let c4 = synthesize_trace_with_jobs(&model, &result, &cfg, 4);
-        // Equal events under equal ops means equal rows: every row is
-        // referenced by exactly one op.
-        prop_assert_eq!(&c1, &c2);
-        prop_assert_eq!(&c1, &c4);
-        prop_assert_eq!(&c1.events.ops, &c2.events.ops);
-        prop_assert_eq!(&c1.events.ops, &c4.events.ops);
+        let trace = synthesize_trace(&model, &result, &cfg);
+        prop_assert_eq!(&trace, &reference);
 
-        // Equal traces serialize to byte-identical v2 files, and the
-        // encoding round-trips through the lazily-decoded TraceBuf.
+        // Equal traces serialize to byte-identical v2 files, whatever
+        // their row layout, and the encoding round-trips through the
+        // lazily-decoded TraceBuf.
         let mut bytes = Vec::new();
-        memtrace::write_trace_v2(&c1, &mut bytes).unwrap();
-        let mut bytes4 = Vec::new();
-        memtrace::write_trace_v2(&c4, &mut bytes4).unwrap();
-        prop_assert_eq!(&bytes, &bytes4);
+        memtrace::write_trace_v2(&trace, &mut bytes).unwrap();
+        let mut reference_bytes = Vec::new();
+        memtrace::write_trace_v2(&reference, &mut reference_bytes).unwrap();
+        prop_assert_eq!(&bytes, &reference_bytes);
         let buf = memtrace::TraceBuf::from_bytes(bytes).unwrap();
-        prop_assert_eq!(buf.event_count(), c1.len());
+        prop_assert_eq!(buf.event_count(), trace.len());
     }
 
     /// The clipped-window property (the satellite bugfix): every sample
@@ -284,7 +260,7 @@ proptest! {
         let result =
             memsim::run(&model, &machine, ExecMode::MemoryMode, &mut FixedTier::new(TierId::PMEM));
         let cfg = ProfilerConfig { sampling_hz: 100.0, seed };
-        let trace = synthesize_trace_with_jobs(&model, &result, &cfg, 2);
+        let trace = synthesize_trace(&model, &result, &cfg);
         for e in trace.events.iter_events() {
             let (time, address) = match e {
                 TraceEvent::LoadMissSample { time, address, .. } => (time, address),

@@ -1,6 +1,6 @@
 //! End-to-end differential check of the columnar analyzer on the three
-//! reference workloads: the scalar fallback, the serial columnar path,
-//! and the sharded columnar path must produce identical profiles, and
+//! reference workloads: the scalar fallback and the columnar path must
+//! produce identical profiles, and
 //! those profiles must drive the Advisor to byte-identical placement
 //! reports. This is the integration-level twin of
 //! `crates/profiler/tests/columnar_differential.rs` — real traces, real
@@ -25,10 +25,8 @@ fn columnar_and_legacy_paths_ship_identical_artifacts() {
         );
 
         let legacy = ecohmem::profiler::analyze_legacy(&trace).unwrap();
-        let serial = ecohmem::profiler::analyze_with_jobs(&trace, 1).unwrap();
-        let sharded = ecohmem::profiler::analyze_with_jobs(&trace, 4).unwrap();
-        assert_eq!(legacy, serial, "{app_name}: serial columnar profile drifted from scalar");
-        assert_eq!(legacy, sharded, "{app_name}: sharded columnar profile drifted from scalar");
+        let columnar = ecohmem::profiler::analyze(&trace).unwrap();
+        assert_eq!(legacy, columnar, "{app_name}: columnar profile drifted from scalar");
 
         // The profiles being equal, the advisor must emit byte-identical
         // placement reports — the artifact FlexMalloc actually consumes.
@@ -36,26 +34,7 @@ fn columnar_and_legacy_paths_ship_identical_artifacts() {
         let from_legacy =
             advisor.advise(&legacy, cfg.algorithm, cfg.stack_format).unwrap().to_json().unwrap();
         let from_columnar =
-            advisor.advise(&sharded, cfg.algorithm, cfg.stack_format).unwrap().to_json().unwrap();
+            advisor.advise(&columnar, cfg.algorithm, cfg.stack_format).unwrap().to_json().unwrap();
         assert_eq!(from_legacy, from_columnar, "{app_name}: placement report drifted");
-    }
-}
-
-#[test]
-fn shard_count_never_changes_the_profile() {
-    let app = ecohmem::workloads::model_by_name("minife").unwrap();
-    let cfg = PipelineConfig::paper_default();
-    let backing = cfg.machine.largest_tier();
-    let (trace, _) = ecohmem::profiler::profile_run_cached(
-        &app,
-        &cfg.machine,
-        ExecMode::MemoryMode,
-        backing,
-        &cfg.profiler,
-    );
-    let reference = ecohmem::profiler::analyze_with_jobs(&trace, 1).unwrap();
-    for jobs in [2, 3, 8, 16] {
-        let p = ecohmem::profiler::analyze_with_jobs(&trace, jobs).unwrap();
-        assert_eq!(reference, p, "profile changed at jobs={jobs}");
     }
 }

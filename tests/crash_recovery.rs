@@ -10,6 +10,7 @@ use ecohmem_online::{
     SupervisorConfig,
 };
 use memsim::{ExecMode, FixedTier, MachineConfig};
+use memtrace::rng::SplitMix64;
 use memtrace::{DegradationPolicy, TraceEvent, TraceFile};
 use profiler::{profile_run, ProfilerConfig};
 use std::path::PathBuf;
@@ -85,14 +86,6 @@ fn apply(engine: &mut DurableEngine, op: &Op) {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[test]
 fn kill_and_restart_is_invisible_in_the_revision_log() {
     for (ai, app_name) in ["minife", "lulesh", "hpcg"].iter().enumerate() {
@@ -112,10 +105,10 @@ fn kill_and_restart_is_invisible_in_the_revision_log() {
         std::fs::remove_dir_all(&base_dir).unwrap();
 
         // Seeded kill offsets: ≥3 distinct interior points per workload.
-        let mut rng = 0xC0FF_EE00u64 + ai as u64;
+        let mut rng = SplitMix64::new(0xC0FF_EE00u64 + ai as u64);
         let mut offsets = Vec::new();
         while offsets.len() < 3 {
-            let k = 1 + (splitmix(&mut rng) as usize) % (ops.len() - 1);
+            let k = 1 + (rng.next_u64() as usize) % (ops.len() - 1);
             if !offsets.contains(&k) {
                 offsets.push(k);
             }

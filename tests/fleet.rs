@@ -22,6 +22,7 @@
 
 use memsim::fleet::{self, ChurnConfig, FleetConfig, SchedulerPolicy};
 use memsim::{ExecMode, MachineConfig, RunCache, RunResult, TenantSpec};
+use memtrace::rng::SplitMix64;
 use proptest::prelude::*;
 use workloads::colocations;
 
@@ -127,16 +128,10 @@ fn invariance_scenario(policy: SchedulerPolicy, seed: u64) -> (FleetConfig, Vec<
 
 /// Deterministic Fisher–Yates driven by splitmix64, so proptest shrinking
 /// stays reproducible.
-fn shuffle<T>(items: &mut [T], mut seed: u64) {
-    let mut next = || {
-        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut rng = SplitMix64::new(seed);
     for i in (1..items.len()).rev() {
-        items.swap(i, (next() % (i as u64 + 1)) as usize);
+        items.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
     }
 }
 
