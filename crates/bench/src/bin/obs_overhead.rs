@@ -12,6 +12,8 @@
 //! cargo run --release -p bench --bin obs_overhead
 //! ```
 //!
+//! It takes no arguments; any argument exits with status 2.
+//!
 //! Output is a table of ns/call for `count`, `incr`, `gauge_raise`,
 //! `observe` and `span` in both the disabled and the enabled state. The
 //! disabled numbers are the budget quoted in DESIGN.md §11.
@@ -49,6 +51,14 @@ fn probe_all() -> Vec<(&'static str, f64)> {
 }
 
 fn main() {
+    // The probe takes no arguments: refuse any rather than run a
+    // measurement the caller did not ask for.
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("obs_overhead: unexpected argument `{arg}`");
+        eprintln!("usage: obs_overhead");
+        std::process::exit(2);
+    }
+
     // Loop calibration overhead: the same loop around a pure black_box.
     let baseline = measure(|i| {
         black_box(i);

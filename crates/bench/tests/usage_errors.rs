@@ -53,6 +53,15 @@ fn chaos_soak_rejects_malformed_values() {
 }
 
 #[test]
+fn obs_overhead_refuses_any_argument() {
+    let obs = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_obs_overhead")).args(args).output().unwrap()
+    };
+    assert_usage_error(obs(&["--calls", "10"]), "unexpected argument `--calls`");
+    assert_usage_error(obs(&["fast"]), "unexpected argument `fast`");
+}
+
+#[test]
 fn well_formed_flags_still_run() {
     let out = repro(&["table5_apps", "--jobs", "1"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));

@@ -105,6 +105,10 @@ impl PlacementPolicy for FlexMalloc {
         // data is loaded in each MPI process, 16 in this case").
         self.matcher.debug_info_bytes() * self.ranks as u64
     }
+
+    fn observes_phases(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -16,9 +16,15 @@
 //!    Memory Mode;
 //! 4. solve `duration = max(compute, memory)` where the memory time is the
 //!    larger of the latency-bound term (Σ misses × loaded-latency / MLP)
-//!    and the bandwidth-bound term (volume / peak);
+//!    and the bandwidth-bound term (volume / peak). The solve relaxes for
+//!    at most 12 steps and stops at the first step that leaves the
+//!    duration bit-identical: each step is a pure function of the
+//!    duration, so every later step would repeat it exactly;
 //! 5. attribute instructions/cycles/latencies to functions and accesses to
-//!    objects, then free what the phase frees.
+//!    objects;
+//! 6. hand per-object heat to a policy that observes phases
+//!    ([`PlacementPolicy::observes_phases`]), then free what the phase
+//!    frees.
 //!
 //! Live objects are dense: object ids are handed out in the order their
 //! records are pushed, so a record's index is its object's id minus one,
@@ -193,12 +199,49 @@ pub fn run_invocations() -> u64 {
     RUN_INVOCATIONS.load(Ordering::Relaxed)
 }
 
+/// How far [`solve_phase`] iterates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Iterations {
+    /// Stop at the first step that leaves the duration bit-identical:
+    /// each step is a pure function of the duration, so every later step
+    /// would repeat it exactly.
+    UntilFixed,
+    /// Always take all [`FIXED_POINT_ITERS`] steps: the reference the
+    /// early exit is pinned against.
+    #[cfg(debug_assertions)]
+    All,
+}
+
 /// Runs an application model to completion.
 pub fn run(
     app: &AppModel,
     machine: &MachineConfig,
     mode: ExecMode,
     policy: &mut dyn PlacementPolicy,
+) -> RunResult {
+    run_iterating(app, machine, mode, policy, Iterations::UntilFixed)
+}
+
+/// [`run`] with every phase solve taking all 12 relaxation steps.
+/// Debug builds only: the tests compare it with [`run`] bit for bit over
+/// the shipped models, pinning the fixed-point exit.
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub fn run_all_iterations(
+    app: &AppModel,
+    machine: &MachineConfig,
+    mode: ExecMode,
+    policy: &mut dyn PlacementPolicy,
+) -> RunResult {
+    run_iterating(app, machine, mode, policy, Iterations::All)
+}
+
+fn run_iterating(
+    app: &AppModel,
+    machine: &MachineConfig,
+    mode: ExecMode,
+    policy: &mut dyn PlacementPolicy,
+    iterations: Iterations,
 ) -> RunResult {
     RUN_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
     let _span = ecohmem_obs::span("memsim.run");
@@ -235,6 +278,8 @@ pub fn run(
     let mut total_migrations = 0u64;
     let mut migration_time = 0.0_f64;
     let mut chain: Vec<TierId> = Vec::with_capacity(n_tiers + 1);
+    let mut chain_ends: Option<(TierId, TierId)> = None;
+    let observes = mode == ExecMode::AppDirect && policy.observes_phases();
 
     for (pi, phase) in app.phases.iter().enumerate() {
         // Chaos-testing probe: a no-op unless a kill point was armed, in
@@ -245,6 +290,7 @@ pub fn run(
         // 1. Migrations requested by a reactive policy at the last phase
         // boundary.
         let mut migrated_bytes = 0u64;
+        let used_before: u64 = if cfg!(debug_assertions) { used_bytes(&heaps) } else { 0 };
         for m in pending_migrations.drain(..) {
             let Some(r) = live.record_of(m.object) else { continue };
             let obj = &mut records[r];
@@ -268,6 +314,7 @@ pub fn run(
             obj.tier = m.to;
             obj.address = new_addr;
         }
+        debug_assert_eq!(used_bytes(&heaps), used_before, "migrations conserve bytes");
 
         // 2. Allocations.
         for op in &phase.allocs {
@@ -289,15 +336,21 @@ pub fn run(
                     }
                 };
                 // Fallback chain: preferred, policy fallback, then any tier.
-                chain.clear();
-                chain.push(preferred);
-                if !chain.contains(&policy.fallback()) && mode == ExecMode::AppDirect {
-                    chain.push(policy.fallback());
-                }
-                for i in 0..n_tiers {
-                    let tid = TierId(i as u8);
-                    if !chain.contains(&tid) {
-                        chain.push(tid);
+                // It depends on nothing else, so consecutive allocations
+                // with the same pair reuse it.
+                let ends = (preferred, policy.fallback());
+                if chain_ends != Some(ends) {
+                    chain_ends = Some(ends);
+                    chain.clear();
+                    chain.push(preferred);
+                    if !chain.contains(&ends.1) && mode == ExecMode::AppDirect {
+                        chain.push(ends.1);
+                    }
+                    for i in 0..n_tiers {
+                        let tid = TierId(i as u8);
+                        if !chain.contains(&tid) {
+                            chain.push(tid);
+                        }
                     }
                 }
                 let mut placed = None;
@@ -335,6 +388,14 @@ pub fn run(
             }
         }
 
+        // Only a forced allocation overcommits a tier, and the engine
+        // counts each one as an OOM.
+        debug_assert_eq!(
+            heaps.iter().map(TierHeap::forced_allocs).sum::<u64>(),
+            oom_events,
+            "every forced allocation is an OOM event"
+        );
+
         // 3 + 4. Traffic assembly and the timing fixed point, on the one
         // DRAM-cache split of this phase in Memory Mode.
         let streams = phase_streams(phase, &live);
@@ -343,7 +404,7 @@ pub fn run(
             ExecMode::AppDirect => None,
         };
         let splits = cached.as_ref().map(|c| c.splits.as_slice());
-        let solution = solve_phase(machine, phase, &streams, &records, splits);
+        let solution = solve_phase(machine, phase, &streams, &records, splits, iterations);
 
         // 5a. Per-object attribution: run totals, then the phase's activity
         // in id order.
@@ -426,8 +487,9 @@ pub fn run(
         });
         t += solution.duration;
 
-        // 6. Reactive policy observation.
-        if mode == ExecMode::AppDirect {
+        // 6. Reactive policy observation, built only for a policy that
+        // reads it.
+        if observes {
             let obs = PhaseObservation {
                 phase: pi32,
                 objects: phase_object_heat(pi32, &live, &records, &accessed),
@@ -486,6 +548,11 @@ pub fn run(
         migrated_bytes: total_migrated_bytes,
         migration_time,
     }
+}
+
+/// Bytes allocated over all tiers.
+fn used_bytes(heaps: &[TierHeap]) -> u64 {
+    heaps.iter().map(TierHeap::used).sum()
 }
 
 /// Per-tier read/write line volumes for a phase under the given placement:
@@ -570,6 +637,7 @@ fn solve_phase(
     streams: &[Stream<'_>],
     records: &[ObjectRecord],
     splits: Option<&[CacheSplit]>,
+    iterations: Iterations,
 ) -> PhaseSolution {
     let n = machine.tiers.len();
     let (read_bytes, write_bytes) = phase_tier_volumes(machine, streams, records, splits);
@@ -648,8 +716,8 @@ fn solve_phase(
         duration = 1e-12;
     }
     let mut read_lat = vec![0.0; n];
+    let mut write_lat = vec![0.0; n];
     for _ in 0..FIXED_POINT_ITERS {
-        let mut write_lat = vec![0.0; n];
         for i in 0..n {
             let br = read_bytes[i] / duration;
             let bwr = write_bytes[i] / duration;
@@ -667,9 +735,14 @@ fn solve_phase(
         let next = compute_time.max(mem_time).max(1e-12);
         // A non-finite iterate (degenerate latency curve, zero-duration
         // phase dividing out) must not contaminate the relaxation.
-        if next.is_finite() {
-            duration = 0.5 * duration + 0.5 * next;
+        let relaxed = if next.is_finite() { 0.5 * duration + 0.5 * next } else { duration };
+        // A step is a pure function of `duration`: once one leaves it
+        // bit-identical, every later step repeats this one exactly, and
+        // the latencies above are already those of the final duration.
+        if relaxed.to_bits() == duration.to_bits() && iterations == Iterations::UntilFixed {
+            break;
         }
+        duration = relaxed;
     }
 
     let tier_read_bw: Vec<f64> = (0..n).map(|i| read_bytes[i] / duration).collect();

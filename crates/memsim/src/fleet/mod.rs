@@ -508,10 +508,12 @@ fn simulate_node(
                     density: states[i].density,
                 })
                 .collect();
-            scheduler::grants(cfg.scheduler, &demands, total_quanta)
-                .into_iter()
-                .map(|q| q * quantum)
-                .collect()
+            let quanta = scheduler::grants(cfg.scheduler, &demands, total_quanta);
+            debug_assert!(
+                quanta.iter().sum::<u64>() <= total_quanta,
+                "epoch grants {quanta:?} exceed the node's {total_quanta} quanta"
+            );
+            quanta.into_iter().map(|q| q * quantum).collect()
         };
         let total_grant: u64 = grants_bytes.iter().sum();
         let shares: Vec<f64> =

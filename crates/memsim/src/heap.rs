@@ -22,6 +22,8 @@ pub struct TierHeap {
     /// Exact-size free lists: size → addresses available for reuse.
     free: BTreeMap<u64, Vec<u64>>,
     failed_allocs: u64,
+    /// Allocations served by [`Self::force_alloc`].
+    forced_allocs: u64,
 }
 
 impl TierHeap {
@@ -44,6 +46,7 @@ impl TierHeap {
             peak: 0,
             free: BTreeMap::new(),
             failed_allocs: 0,
+            forced_allocs: 0,
         }
     }
 
@@ -87,11 +90,23 @@ impl TierHeap {
         self.failed_allocs
     }
 
+    /// Number of allocations served by [`Self::force_alloc`].
+    pub(crate) fn forced_allocs(&self) -> u64 {
+        self.forced_allocs
+    }
+
+    /// The heap invariant: `used` never exceeds the capacity unless a
+    /// forced allocation overcommitted it.
+    fn within_capacity(&self) -> bool {
+        self.used <= self.capacity || self.forced_allocs > 0
+    }
+
     /// Shrinks the usable capacity (e.g. debug-info footprint in HR mode,
     /// or kernel page-metadata in the tiering baseline). Saturates at the
     /// currently-used size.
     pub fn reserve(&mut self, bytes: u64) {
         self.capacity = self.capacity.saturating_sub(bytes).max(self.used);
+        debug_assert!(self.within_capacity(), "reserve overcommitted the heap");
     }
 
     /// Allocates `size` bytes; returns the address, or `None` when the tier
@@ -117,6 +132,7 @@ impl TierHeap {
         };
         self.used += size;
         self.peak = self.peak.max(self.used);
+        debug_assert!(self.within_capacity(), "alloc overcommitted the heap");
         Some(addr)
     }
 
@@ -130,6 +146,7 @@ impl TierHeap {
         self.cursor += size;
         self.used += size;
         self.peak = self.peak.max(self.used);
+        self.forced_allocs += 1;
         addr
     }
 
@@ -222,6 +239,16 @@ mod tests {
         h.reserve(1 << 30);
         assert_eq!(h.capacity(), 4096);
         assert!(h.alloc(64).is_none());
+    }
+
+    #[test]
+    fn only_forced_allocations_overcommit() {
+        let mut h = TierHeap::new(TierId::PMEM, 4096);
+        h.alloc(4096).unwrap();
+        assert_eq!(h.forced_allocs(), 0);
+        h.force_alloc(64);
+        assert_eq!(h.forced_allocs(), 1);
+        assert!(h.used() > h.capacity());
     }
 
     #[test]

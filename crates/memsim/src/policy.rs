@@ -77,6 +77,15 @@ pub trait PlacementPolicy {
         Vec::new()
     }
 
+    /// Whether [`Self::observe_phase`] reads its observation. The engine
+    /// builds the per-object heat only for observing policies; a policy
+    /// whose `observe_phase` always returns no migrations may answer
+    /// `false` to skip that work. The default is `true`, so a new reactive
+    /// policy never silently loses its observations.
+    fn observes_phases(&self) -> bool {
+        true
+    }
+
     /// Fixed time cost per applied migration, on top of the bytes-moved /
     /// tier-bandwidth transfer term: the syscall + page-table work of a
     /// `move_pages`-style remap. Zero for policies that never migrate.
@@ -119,6 +128,10 @@ impl PlacementPolicy for FixedTier {
     fn fallback(&self) -> TierId {
         self.fallback
     }
+
+    fn observes_phases(&self) -> bool {
+        false
+    }
 }
 
 /// Places allocations by an explicit site → tier map, with a fallback for
@@ -160,6 +173,10 @@ impl PlacementPolicy for SiteMapPolicy {
 
     fn fallback(&self) -> TierId {
         self.fallback
+    }
+
+    fn observes_phases(&self) -> bool {
+        false
     }
 }
 

@@ -8,27 +8,36 @@
 //! shortest-round-trip float formatting over a multi-megabyte string, paid
 //! on cache *hits* too. [`StableHash`] walks the same structure directly:
 //! every primitive feeds the hash state as machine words (floats as raw
-//! bits, strings as bytes), and nothing is ever formatted. That is still
-//! not free: on a 2-vCPU Xeon container a shipped `AppModel` hashes in
-//! 0.06 ms (phaseshift) to 1.8 ms (LAMMPS), and OpenFOAM in 7.5 ms, while
-//! a `MachineConfig` takes under a microsecond. Callers that key many runs
+//! bits, strings as bytes), and nothing is ever formatted. Walking every
+//! field still cost 0.04 ms (phaseshift) to 1.3 ms (LAMMPS) per shipped
+//! `AppModel`, and 5.4 ms for OpenFOAM, and the binary map's line tables
+//! were over 90% of it. So the map is not walked here (see below): a
+//! model's first hash now costs 0.01–1.8 ms, mostly its image's one-time
+//! digest, and every later hash of it or of a clone 0.002–0.04 ms
+//! (medians of 20, release build, 2-vCPU Xeon container). A
+//! `MachineConfig` takes under a microsecond. Callers that key many runs
 //! of one model hash it once and pass the digest to
 //! [`crate::runner::RunKey::from_app_hash`].
 //!
 //! Field coverage is enforced mechanically: every struct impl begins with
 //! an exhaustive destructuring pattern, so adding a field to a hashed
 //! model type fails compilation here until the new field joins the hash.
-//! (The two exceptions, [`CallStack`] and [`BinaryMap`], keep their fields
-//! private behind total accessors — `frames()` and `modules()` return the
-//! entire state by construction.)
+//! The two exceptions keep their fields private. [`CallStack`]'s total
+//! accessor `frames()` returns its entire state by construction. A
+//! [`BinaryMap`] feeds one word, its [`BinaryMap::digest`]: a content
+//! digest memtrace computes at most once per image and shares with every
+//! clone (and so with every `workloads::scale_model` output). That digest
+//! destructures `ModuleInfo` and `LineEntry` exhaustively under the same
+//! rule, and two maps with equal content have equal digests, so a decoded
+//! image keys like the built one.
 
 use crate::cache::CacheModelCfg;
 use crate::curve::LatencyCurve;
 use crate::machine::MachineConfig;
 use crate::model::{AccessPattern, AccessSpec, AllocOp, AppModel, FreeOp, PhaseSpec};
 use crate::tier::{TierKind, TierSpec};
-use memtrace::binmap::{BinaryMap, LineEntry, ModuleInfo};
-use memtrace::{CallStack, Frame, FuncId, ModuleId, SiteId, TierId};
+use memtrace::wordhash::WordHasher;
+use memtrace::{BinaryMap, CallStack, Frame, FuncId, ModuleId, SiteId, TierId};
 
 /// Stable content hash of a value, used to derive cache keys.
 ///
@@ -58,40 +67,14 @@ const TAG_VARIANT: u64 = 6;
 const TAG_SEQ: u64 = 7;
 const TAG_STRUCT: u64 = 8;
 
-/// Multiply-mix word hasher, eight bytes per multiply. Words are dealt
-/// round-robin over four independent lanes, so consecutive words do not
-/// wait on each other's multiply; `finish` folds the lanes and the word
-/// count together through a splitmix64 finalizer.
-pub struct Hasher {
-    lanes: [u64; LANES],
-    words: u64,
-}
-
-const LANES: usize = 4;
-
-impl Default for Hasher {
-    fn default() -> Self {
-        // Distinct nonzero seeds: a zero word still moves its lane, and
-        // equal words in different lanes mix differently.
-        Hasher {
-            lanes: [
-                0x243f_6a88_85a3_08d3,
-                0x1319_8a2e_0370_7344,
-                0xa409_3822_299f_31d0,
-                0x082e_fa98_ec4e_6c89,
-            ],
-            words: 0,
-        }
-    }
-}
+/// The hash state: memtrace's [`WordHasher`] behind the domain tags.
+#[derive(Default)]
+pub struct Hasher(WordHasher);
 
 impl Hasher {
     #[inline]
     fn word(&mut self, w: u64) {
-        let lane = &mut self.lanes[self.words as usize % LANES];
-        *lane = (*lane ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        *lane ^= *lane >> 29;
-        self.words += 1;
+        self.0.word(w);
     }
 
     /// Feeds the struct shape tag. External `StableHash` impls (e.g. the
@@ -108,32 +91,11 @@ impl Hasher {
     }
 
     fn bytes(&mut self, b: &[u8]) {
-        self.word(b.len() as u64);
-        let mut chunks = b.chunks_exact(8);
-        for c in &mut chunks {
-            self.word(u64::from_le_bytes(c.try_into().expect("exact chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            self.word(u64::from_le_bytes(tail));
-        }
+        self.0.bytes(b);
     }
 
     fn finish(self) -> u64 {
-        // Fold the lanes in order (the fold is order-sensitive, so words
-        // swapped between lanes change the hash), then avalanche with the
-        // splitmix64 finalizer so low-entropy inputs still spread over all
-        // 64 output bits.
-        let mut z = self.words;
-        for lane in self.lanes {
-            z = (z ^ lane).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            z ^= z >> 29;
-        }
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.0.finish()
     }
 }
 
@@ -413,22 +375,9 @@ impl StableHash for CallStack {
 
 impl StableHash for BinaryMap {
     fn hash_into(&self, h: &mut Hasher) {
-        // `modules()` is the map's entire state.
-        self.modules().hash_into(h);
-    }
-}
-
-impl StableHash for ModuleInfo {
-    fn hash_into(&self, h: &mut Hasher) {
-        let ModuleInfo { id, name, text_size, debug_info_size, files, line_table } = self;
-        hash_fields!(h, id, name, text_size, debug_info_size, files, line_table);
-    }
-}
-
-impl StableHash for LineEntry {
-    fn hash_into(&self, h: &mut Hasher) {
-        let LineEntry { start, end, file, line } = self;
-        hash_fields!(h, start, end, file, line);
+        // The image's content digest, computed once per shared image (see
+        // the module docs).
+        h.word(self.digest());
     }
 }
 
@@ -456,30 +405,6 @@ mod tests {
         assert_eq!(stable_hash(&vec![1u64, 2]), stable_hash(&vec![1u64, 2]));
         assert_ne!(stable_hash(&vec![1u64, 2]), stable_hash(&vec![2u64, 1]));
         assert_ne!(stable_hash(&vec![vec![1u64], vec![]]), stable_hash(&vec![vec![], vec![1u64]]));
-    }
-
-    #[test]
-    fn every_lane_position_matters() {
-        // Words swapped between neighbouring lanes, or a zero word fed to
-        // a lane, must still change the hash.
-        let feed = |words: &[u64]| {
-            let mut h = Hasher::default();
-            for &w in words {
-                h.word(w);
-            }
-            h.finish()
-        };
-        for len in 2..12u64 {
-            let base: Vec<u64> = (0..len).map(|i| i * 0x1234_5678 + 7).collect();
-            for i in 0..base.len() - 1 {
-                let mut swapped = base.clone();
-                swapped.swap(i, i + 1);
-                assert_ne!(feed(&base), feed(&swapped), "len {len}, swap at {i}");
-            }
-            let mut zeros = base.clone();
-            zeros.push(0);
-            assert_ne!(feed(&base), feed(&zeros), "len {len}, trailing zero word");
-        }
     }
 
     #[test]

@@ -16,10 +16,12 @@
 use crate::callstack::{CallStack, CodeLocation, Frame, HumanStack};
 use crate::error::TraceError;
 use crate::ids::ModuleId;
+use crate::wordhash::WordHasher;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// One entry of a module's synthetic debug line table: a half-open offset
 /// range `[start, end)` mapped to a source location.
@@ -80,27 +82,58 @@ impl ModuleInfo {
 ///
 /// The image never changes once built, and every trace and profile of an
 /// application carries it, so clones share the modules: a line table runs
-/// to hundreds of KiB.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// to hundreds of KiB. They share the content [`digest`](Self::digest)
+/// too, computed at most once per built or decoded map. Equality is
+/// content equality.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct BinaryMap {
-    modules: Arc<[ModuleInfo]>,
+    image: Arc<Image>,
+}
+
+/// The state every clone of one [`BinaryMap`] shares.
+#[derive(Default, Serialize, Deserialize)]
+struct Image {
+    modules: Vec<ModuleInfo>,
+    /// [`digest_modules`] of `modules`, once first asked for.
+    #[serde(skip)]
+    digest: OnceLock<u64>,
+}
+
+impl PartialEq for BinaryMap {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.image, &other.image) || self.modules() == other.modules()
+    }
+}
+
+impl fmt::Debug for BinaryMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BinaryMap").field("modules", &self.modules()).finish()
+    }
 }
 
 impl BinaryMap {
     /// Rebuilds a map from deserialized modules (crate-internal: the JSON
     /// codec needs it; everyone else goes through [`BinaryMapBuilder`]).
     pub(crate) fn from_modules(modules: Vec<ModuleInfo>) -> Self {
-        BinaryMap { modules: modules.into() }
+        BinaryMap { image: Arc::new(Image { modules, digest: OnceLock::new() }) }
+    }
+
+    /// A 64-bit digest of the modules' entire content. Equal maps have
+    /// equal digests. It is computed on the first call and shared by
+    /// every clone, so hashing a model's image for a run-cache key costs
+    /// one word instead of a walk over its line tables.
+    pub fn digest(&self) -> u64 {
+        *self.image.digest.get_or_init(|| digest_modules(&self.image.modules))
     }
 
     /// All modules, in id order.
     pub fn modules(&self) -> &[ModuleInfo] {
-        &self.modules
+        &self.image.modules
     }
 
     /// Looks up one module.
     pub fn module(&self, id: ModuleId) -> Option<&ModuleInfo> {
-        self.modules.get(id.0 as usize)
+        self.modules().get(id.0 as usize)
     }
 
     /// Module name helper (falls back to `mod<N>` for unknown ids, which can
@@ -111,18 +144,18 @@ impl BinaryMap {
 
     /// Number of modules.
     pub fn len(&self) -> usize {
-        self.modules.len()
+        self.modules().len()
     }
 
     /// True when the image has no modules.
     pub fn is_empty(&self) -> bool {
-        self.modules.is_empty()
+        self.modules().is_empty()
     }
 
     /// Total debug-information bytes across all modules. This is the per-rank
     /// DRAM footprint FlexMalloc pays in human-readable mode (§VIII-D).
     pub fn total_debug_info_bytes(&self) -> u64 {
-        self.modules.iter().map(|m| m.debug_info_size).sum()
+        self.modules().iter().map(|m| m.debug_info_size).sum()
     }
 
     /// Translates a canonical call stack to its human-readable form using
@@ -141,6 +174,36 @@ impl BinaryMap {
         }
         Ok(HumanStack::new(locations))
     }
+}
+
+/// The content digest behind [`BinaryMap::digest`]: every field of every
+/// module and line entry, as 64-bit words. Each variable-length part is
+/// length-prefixed, so distinct contents feed distinct word streams.
+/// Field coverage is enforced like memsim's `StableHash` impls: each
+/// struct is destructured exhaustively, so a new field fails compilation
+/// here until it joins the digest.
+fn digest_modules(modules: &[ModuleInfo]) -> u64 {
+    let mut h = WordHasher::default();
+    h.word(modules.len() as u64);
+    for module in modules {
+        let ModuleInfo { id, name, text_size, debug_info_size, files, line_table } = module;
+        h.word(u64::from(id.0));
+        h.bytes(name.as_bytes());
+        h.word(*text_size);
+        h.word(*debug_info_size);
+        h.word(files.len() as u64);
+        for file in files {
+            h.bytes(file.as_bytes());
+        }
+        h.word(line_table.len() as u64);
+        for entry in line_table {
+            let LineEntry { start, end, file, line } = entry;
+            h.word(*start);
+            h.word(*end);
+            h.word(u64::from(*file) << 32 | u64::from(*line));
+        }
+    }
+    h.finish()
 }
 
 /// Builder for synthetic binary maps used by the workload models.
@@ -198,7 +261,7 @@ impl BinaryMapBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> BinaryMap {
-        BinaryMap { modules: self.modules.into() }
+        BinaryMap::from_modules(self.modules)
     }
 }
 
@@ -369,6 +432,18 @@ mod tests {
         let abs = lm.absolutize(&stack).unwrap();
         let back = lm.canonicalize(&abs).unwrap();
         assert_eq!(stack, back);
+    }
+
+    #[test]
+    fn digest_is_computed_once_per_image() {
+        let map = sample_map();
+        let clone = map.clone();
+        assert!(map.image.digest.get().is_none(), "the digest is lazy");
+        let d = clone.digest();
+        // The clone's first call filled the cell the original reads.
+        assert_eq!(map.image.digest.get(), Some(&d));
+        assert_eq!(map.digest(), d);
+        assert_eq!(map, clone);
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod textfmt;
 pub mod trace;
 pub mod warn;
 pub mod wire;
+pub mod wordhash;
 
 pub use binfmt::{read_trace, write_trace, write_trace_v2, TraceBuf};
 pub use binmap::{BinaryMap, BinaryMapBuilder, LoadMap, ModuleInfo};

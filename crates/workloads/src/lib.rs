@@ -115,6 +115,38 @@ mod tests {
         assert!(model_by_name("nope").is_none());
     }
 
+    /// The engine stops a phase's fixed-point solve at the first step that
+    /// leaves the duration bit-identical. Over every shipped model, in
+    /// both modes, that must give the same result, bit for bit, as
+    /// always taking all the steps.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn fixed_point_exit_matches_the_full_solve() {
+        use memsim::{engine, ExecMode, FixedTier, MachineConfig};
+        use memtrace::TierId;
+        let machine = MachineConfig::optane_pmem6();
+        let runs = [
+            (ExecMode::AppDirect, TierId::DRAM),
+            (ExecMode::AppDirect, TierId::PMEM),
+            (ExecMode::MemoryMode, TierId::PMEM),
+        ];
+        for app in all_models().into_iter().chain([phaseshift::model()]) {
+            for (mode, tier) in runs {
+                let policy = || FixedTier::with_fallback(tier, TierId::PMEM);
+                let exit = engine::run(&app, &machine, mode, &mut policy());
+                let full = engine::run_all_iterations(&app, &machine, mode, &mut policy());
+                // Debug renders every float in its shortest round-trip
+                // form, so equal text means equal bits for every float
+                // but a NaN (and a NaN still has to be a NaN on both).
+                assert!(
+                    format!("{exit:?}") == format!("{full:?}"),
+                    "{} {mode:?} on {tier}: the early exit changed the result",
+                    app.name
+                );
+            }
+        }
+    }
+
     #[test]
     fn models_have_distinct_sites_and_stacks() {
         for m in all_models() {
