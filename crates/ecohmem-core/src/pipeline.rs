@@ -7,7 +7,7 @@ use memtrace::{
     FaultSpec, FaultTarget, PlacementReport, StackFormat, TraceError, TraceFile, Warning,
     WarningKind,
 };
-use profiler::{analyze, profile_or_empty, profile_run_cached, ProfileSet, ProfilerConfig};
+use profiler::{analyze, analyze_sanitizing, profile_run_cached, ProfileSet, ProfilerConfig};
 
 // The policy is shared with the streaming ingestor (`ecohmem-online`), so
 // it lives with the warning vocabulary in `memtrace`; re-exported here to
@@ -122,13 +122,14 @@ pub fn run_pipeline(app: &AppModel, cfg: &PipelineConfig) -> Result<PipelineOutc
     }
 
     // 2. Analyze (Paramedir). Strict fails on the first malformed event;
-    // the lenient policies sanitize the trace and analyze the remainder.
+    // the lenient policies sanitize the trace and build the analyzer's
+    // tables in one validator walk, and analyze the remainder.
     let analyze_span = ecohmem_obs::span("pipeline.analyze");
     let profile = match cfg.policy {
         DegradationPolicy::Strict => analyze(&trace)?,
         policy => {
             let events_before = trace.len();
-            let (sanitize_warnings, window) = trace.sanitize_verbose();
+            let (profile, sanitize_warnings, window) = analyze_sanitizing(&mut trace);
             warnings.extend(sanitize_warnings);
             // Sanitize warns per damage class; surface the aggregate data
             // loss too — with the time window it covered — so a lenient
@@ -149,12 +150,6 @@ pub fn run_pipeline(app: &AppModel, cfg: &PipelineConfig) -> Result<PipelineOutc
                     "trace unusable after sanitization: all {events_before} events dropped"
                 )));
             }
-            // Sanitizing is idempotent (a second pass repairs nothing,
-            // tested per fault kind), so the sanitized trace goes straight
-            // to the analyzer.
-            let (profile, failed) =
-                profile_or_empty(analyze(&trace), &trace.app_name, trace.duration, &trace.binmap);
-            warnings.extend(failed);
             profile
         }
     };

@@ -20,8 +20,13 @@
 //!   kind, so it never branches on the kind.
 //! * [`TraceColumns`] — the object and site tables of a trace, built by
 //!   [`TraceColumns::build`] in one walk over the op stream that also runs
-//!   the strict [`Validator`]. The samples are not copied: the analyzer
-//!   scans them in the batch's own columns, in row order.
+//!   the strict [`Validator`], or by [`TraceColumns::build_lenient`],
+//!   whose lenient walk also marks the ops sanitizing drops in a
+//!   [`DropMask`]. The samples are not copied: the analyzer scans them in
+//!   the batch's own columns, in row order.
+//! * [`EventBatch::compact`] — the one in-place compaction: it drops the
+//!   marked ops and their rows, touching only the kinds with drops and,
+//!   in each, only the rows from the first dropped one on.
 //! * dense interning — [`crate::ObjectId`]s (sparse `u64`s) and
 //!   [`crate::SiteId`]s are mapped to dense `u32` indices, so per-object
 //!   and per-site statistics live in flat arrays instead of hash maps.
@@ -37,9 +42,9 @@
 use crate::error::TraceError;
 use crate::events::TraceEvent;
 use crate::ids::{FuncId, ObjectId, SiteId};
-use crate::integrity::Validator;
+use crate::integrity::{self, Validator};
 use crate::trace::TraceFile;
-use crate::warn::DegradationPolicy;
+use crate::warn::{DegradationPolicy, DroppedWindow, Warning};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -107,15 +112,80 @@ pub struct TraceColumns {
 
 impl TraceColumns {
     /// Validates a trace under the strict [`crate::integrity`] rules and
-    /// builds its tables, in one walk over the op stream: every op goes
-    /// through the [`Validator`], and the allocations and frees it
-    /// accepts are replayed into the object table (an id re-used after
-    /// free ends up with its *last* instance, like the scalar analyzer's
-    /// object table). Fails with [`TraceFile::validate`]'s error.
+    /// builds its tables, in one walk over the op stream
+    /// (`Validator::walk`): every op goes through the [`Validator`], and
+    /// the allocations and frees it accepts are replayed into the object
+    /// table (an id re-used after free ends up with its *last* instance,
+    /// like the scalar analyzer's object table). Fails with
+    /// [`TraceFile::validate`]'s error.
     pub fn build(trace: &TraceFile) -> Result<TraceColumns, TraceError> {
-        let (duration, batch) = (trace.duration, &trace.events);
-        let mut cols = TraceColumns { duration, ..TraceColumns::default() };
+        let mut tables = Tables::new(trace, trace.duration);
+        Validator::new(&trace.stacks)
+            .walk(DegradationPolicy::Strict, &trace.events, |op, t| tables.accept(op, t))?;
+        Ok(tables.finish())
+    }
 
+    /// Sanitizes a trace and builds its tables in the same walk, without
+    /// touching the trace: the metadata repair runs on copies, the
+    /// [`Validator`] runs under a lenient policy, and the allocations and
+    /// frees it accepts are replayed into the tables. It accepts exactly
+    /// the events a strict pass over its output would accept, so the
+    /// tables equal [`Self::build`] of the trace
+    /// [`TraceFile::sanitize_verbose`] makes, and the warnings and window
+    /// are the ones that call reports. [`TraceFile::apply_sanitize`] then
+    /// turns the trace itself into that sanitized trace.
+    pub fn build_lenient(trace: &TraceFile) -> LenientBuild {
+        let (mut duration, mut hz, mut load_period, mut store_period) = (
+            trace.duration,
+            trace.sampling_hz,
+            trace.load_sample_period,
+            trace.store_sample_period,
+        );
+        let repairs =
+            integrity::repair_metadata(&mut duration, &mut hz, &mut load_period, &mut store_period);
+        let mut tables = Tables::new(trace, duration);
+        let mut v = Validator::new(&trace.stacks);
+        let dropped = v
+            .walk(DegradationPolicy::BestEffort, &trace.events, |op, t| tables.accept(op, t))
+            .expect("a lenient walk never fails");
+        LenientBuild {
+            columns: tables.finish(),
+            warnings: integrity::sanitize_warnings(&v, repairs),
+            window: v.window,
+            dropped,
+        }
+    }
+}
+
+/// What [`TraceColumns::build_lenient`] found: the tables of the sanitized
+/// trace, sanitize's warnings (empty exactly when the trace needs no
+/// repair) and dropped window, and the ops to drop.
+#[derive(Debug, Clone)]
+pub struct LenientBuild {
+    /// The tables of the events the validator accepted.
+    pub columns: TraceColumns,
+    /// One warning per metadata repair and per kind of dropped event.
+    pub warnings: Vec<Warning>,
+    /// The time window the dropped events covered.
+    pub window: DroppedWindow,
+    /// The positions of the dropped ops; `None` when nothing was dropped.
+    pub dropped: Option<DropMask>,
+}
+
+/// The table half of a build: replays the allocations and frees the
+/// validator accepts into the object table.
+struct Tables<'a> {
+    batch: &'a EventBatch,
+    cols: TraceColumns,
+    site_dense: HashMap<SiteId, u32>,
+    obj_dense: HashMap<ObjectId, u32>,
+}
+
+impl<'a> Tables<'a> {
+    /// Empty tables over `trace`'s site table; objects never freed live
+    /// until `duration`.
+    fn new(trace: &'a TraceFile, duration: f64) -> Tables<'a> {
+        let mut cols = TraceColumns { duration, ..TraceColumns::default() };
         let mut site_dense: HashMap<SiteId, u32> = HashMap::with_capacity(trace.stacks.len());
         for (i, (site, _)) in trace.stacks.iter().enumerate() {
             site_dense.entry(*site).or_insert_with(|| {
@@ -124,49 +194,60 @@ impl TraceColumns {
                 (cols.site_ids.len() - 1) as u32
             });
         }
+        Tables { batch: &trace.events, cols, site_dense, obj_dense: HashMap::new() }
+    }
 
-        let mut v = Validator::new(&trace.stacks);
-        let times = batch.time_columns();
-        let mut obj_dense: HashMap<ObjectId, u32> = HashMap::new();
-        for &op in &batch.ops {
-            let t = times.at(op);
-            v.offer_op(DegradationPolicy::Strict, batch, op, t)?;
-            let r = op.row();
-            match op.kind() {
-                OpKind::Alloc => {
-                    // The validator admits only sites of the table.
-                    let ds = site_dense[&batch.alloc_sites[r]];
-                    let object = batch.alloc_objects[r];
-                    let o = &mut cols.objects;
-                    match obj_dense.get(&object) {
-                        Some(&d) => {
-                            let d = d as usize;
-                            o.sites[d] = ds;
-                            o.sizes[d] = batch.alloc_sizes[r];
-                            o.addresses[d] = batch.alloc_addresses[r];
-                            o.alloc_times[d] = t;
-                            o.free_times[d] = duration;
-                        }
-                        None => {
-                            obj_dense.insert(object, o.ids.len() as u32);
-                            o.ids.push(object);
-                            o.sites.push(ds);
-                            o.sizes.push(batch.alloc_sizes[r]);
-                            o.addresses.push(batch.alloc_addresses[r]);
-                            o.alloc_times.push(t);
-                            o.free_times.push(duration);
-                        }
+    /// Replays one accepted op at time `t`. Samples and phase markers,
+    /// nearly every op, return at once; the replay sits out of line.
+    #[inline(always)]
+    fn accept(&mut self, op: BatchOp, t: f64) {
+        if !op.is_timed_only() {
+            self.replay(op, t);
+        }
+    }
+
+    /// [`Self::accept`] for an allocation or a free.
+    #[inline(never)]
+    fn replay(&mut self, op: BatchOp, t: f64) {
+        let (batch, r) = (self.batch, op.row());
+        match op.kind() {
+            OpKind::Alloc => {
+                // The validator admits only sites of the table.
+                let ds = self.site_dense[&batch.alloc_sites[r]];
+                let object = batch.alloc_objects[r];
+                let (o, duration) = (&mut self.cols.objects, self.cols.duration);
+                match self.obj_dense.get(&object) {
+                    Some(&d) => {
+                        let d = d as usize;
+                        o.sites[d] = ds;
+                        o.sizes[d] = batch.alloc_sizes[r];
+                        o.addresses[d] = batch.alloc_addresses[r];
+                        o.alloc_times[d] = t;
+                        o.free_times[d] = duration;
+                    }
+                    None => {
+                        self.obj_dense.insert(object, o.ids.len() as u32);
+                        o.ids.push(object);
+                        o.sites.push(ds);
+                        o.sizes.push(batch.alloc_sizes[r]);
+                        o.addresses.push(batch.alloc_addresses[r]);
+                        o.alloc_times.push(t);
+                        o.free_times.push(duration);
                     }
                 }
-                OpKind::Free => {
-                    // The validator admits only frees of live objects.
-                    let d = obj_dense[&batch.free_objects[r]];
-                    cols.objects.free_times[d as usize] = t;
-                }
-                OpKind::Load | OpKind::Store | OpKind::Phase => {}
             }
+            OpKind::Free => {
+                // The validator admits only frees of live objects.
+                let d = self.obj_dense[&batch.free_objects[r]];
+                self.cols.objects.free_times[d as usize] = t;
+            }
+            OpKind::Load | OpKind::Store | OpKind::Phase => {}
         }
+    }
 
+    /// The finished tables, with each site's objects in [`ObjectId`] order.
+    fn finish(self) -> TraceColumns {
+        let mut cols = self.cols;
         cols.site_objects = vec![Vec::new(); cols.site_ids.len()];
         for (d, &ds) in cols.objects.sites.iter().enumerate() {
             cols.site_objects[ds as usize].push(d as u32);
@@ -175,7 +256,7 @@ impl TraceColumns {
         for objs in &mut cols.site_objects {
             objs.sort_unstable_by_key(|&d| ids[d as usize]);
         }
-        Ok(cols)
+        cols
     }
 }
 
@@ -434,7 +515,7 @@ impl BatchOp {
     }
 
     /// The same kind at another row.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn with_row(self, row: usize) -> BatchOp {
         BatchOp::new(self.kind(), row)
     }
@@ -687,58 +768,174 @@ impl EventBatch {
         self.time_columns().0.map(<[f64]>::len)
     }
 
-    /// Keeps the ops `keep` accepts, visiting them in order, and compacts
-    /// the columns: every kept row moves down over the dropped rows of its
-    /// kind, in row order, and the kept ops are re-pointed at the moved
-    /// rows. Rows no op refers to are dropped too.
-    pub fn retain(&mut self, mut keep: impl FnMut(&EventBatch, BatchOp) -> bool) {
-        let flags: Vec<bool> = self.ops.iter().map(|&op| keep(self, op)).collect();
-        if flags.iter().all(|&k| k) {
-            return;
+    /// Drops the ops at the positions `dropped` marks, with their rows,
+    /// in place. This is the one compaction routine behind
+    /// [`Self::retain`], `truncate`, [`TraceFile::sanitize_verbose`]
+    /// and the lenient analysis.
+    ///
+    /// Kept ops and the kept rows of each kind keep their relative order
+    /// (rows stay in emission order, which the analyzer's object-cursor
+    /// memo relies on). A kind none of whose rows is dropped is left
+    /// alone, and a kind's rows below its first dropped row stay where
+    /// they are: only later rows move down, and only ops pointing at them
+    /// are re-pointed. Each kind with drops gets a bitset of its rows and
+    /// a count of the dropped rows below each row past its first drop;
+    /// nothing is allocated per op.
+    ///
+    /// Every row must be referred to by at most one op, as every
+    /// constructor of a batch leaves it. Rows no op refers to are dropped
+    /// too when anything is dropped, so a compacted batch holds exactly
+    /// the kept ops' rows. An empty mask changes nothing.
+    pub fn compact(&mut self, dropped: &DropMask) {
+        assert_eq!(dropped.words.len(), self.ops.len().div_ceil(64), "one mask bit per op");
+        let Some(start) = dropped.iter().next() else { return };
+        let lens = self.kind_lens();
+        let mut drops: [RowDrops; 5] = lens.map(RowDrops::none);
+        for i in dropped.iter() {
+            let op = self.ops[i];
+            let k = op.kind() as usize;
+            drops[k].mark(op.row(), lens[k]);
         }
-        let mut kept_rows = self.kind_lens().map(|n| vec![false; n]);
-        for (&op, &k) in self.ops.iter().zip(&flags) {
-            kept_rows[op.kind() as usize][op.row()] = k;
-        }
-        // New row of each kept row: the number of kept rows below it.
-        let new_rows = kept_rows.each_ref().map(|mask| {
-            let mut next = 0u32;
-            mask.iter()
-                .map(|&k| {
-                    let r = next;
-                    next += u32::from(k);
-                    r
-                })
-                .collect::<Vec<u32>>()
-        });
-        let mut flag = flags.iter();
-        self.ops.retain(|_| *flag.next().expect("one flag per op"));
-        for op in &mut self.ops {
-            *op = op.with_row(new_rows[op.kind() as usize][op.row()] as usize);
+        for (d, rows) in drops.iter_mut().zip(lens) {
+            d.tally(rows);
         }
 
-        fn compact<T>(column: &mut Vec<T>, mask: &[bool]) {
-            let mut k = mask.iter();
-            column.retain(|_| *k.next().expect("one mask bit per row"));
+        // Ops before the first dropped one stay in place, but may point
+        // past a first dropped row: rows are not in op order.
+        for op in &mut self.ops[..start] {
+            *op = RowDrops::repoint(&drops, *op);
         }
-        let [a, f, l, st, p] = &kept_rows;
-        compact(&mut self.alloc_times, a);
-        compact(&mut self.alloc_objects, a);
-        compact(&mut self.alloc_sites, a);
-        compact(&mut self.alloc_sizes, a);
-        compact(&mut self.alloc_addresses, a);
-        compact(&mut self.free_times, f);
-        compact(&mut self.free_objects, f);
-        compact(&mut self.load_times, l);
-        compact(&mut self.load_addresses, l);
-        compact(&mut self.load_latencies, l);
-        compact(&mut self.load_functions, l);
-        compact(&mut self.store_times, st);
-        compact(&mut self.store_addresses, st);
-        compact(&mut self.store_l1d_miss, st);
-        compact(&mut self.store_functions, st);
-        compact(&mut self.phase_times, p);
-        compact(&mut self.phase_ids, p);
+        let (mut w, n) = (start, self.ops.len());
+        for (m, &word) in dropped.words.iter().enumerate().skip(start / 64) {
+            if word == u64::MAX {
+                continue;
+            }
+            for i in (64 * m).max(start)..n.min(64 * m + 64) {
+                if word >> (i % 64) & 1 == 0 {
+                    self.ops[w] = RowDrops::repoint(&drops, self.ops[i]);
+                    w += 1;
+                }
+            }
+        }
+        self.ops.truncate(w);
+        self.squeeze(&drops);
+
+        // Each kept op has a row of its own, so fewer kept ops than rows
+        // left means some rows have no op.
+        let rows: usize = lens.iter().zip(&drops).map(|(n, d)| n - d.count).sum();
+        if w < rows {
+            self.drop_unreferenced();
+        }
+    }
+
+    /// [`Self::compact`]'s rare tail: drops the rows no op refers to.
+    #[cold]
+    fn drop_unreferenced(&mut self) {
+        let lens = self.kind_lens();
+        let mut referenced = [0usize; 5];
+        for op in &self.ops {
+            referenced[op.kind() as usize] += 1;
+        }
+        let mut drops: [RowDrops; 5] = std::array::from_fn(|k| {
+            if referenced[k] < lens[k] {
+                RowDrops::all(lens[k])
+            } else {
+                RowDrops::none(lens[k])
+            }
+        });
+        for &op in &self.ops {
+            drops[op.kind() as usize].unmark(op.row());
+        }
+        for (d, rows) in drops.iter_mut().zip(lens) {
+            d.tally(rows);
+        }
+        for op in &mut self.ops {
+            *op = RowDrops::repoint(&drops, *op);
+        }
+        self.squeeze(&drops);
+    }
+
+    /// Drops the marked rows from every column of each kind with drops,
+    /// moving all of a kind's columns in one pass over its kept rows.
+    fn squeeze(&mut self, drops: &[RowDrops; 5]) {
+        let [a, f, l, st, p] = drops;
+        if a.any() {
+            let n = a.squeeze(self.alloc_times.len(), |to, from| {
+                self.alloc_times[to] = self.alloc_times[from];
+                self.alloc_objects[to] = self.alloc_objects[from];
+                self.alloc_sites[to] = self.alloc_sites[from];
+                self.alloc_sizes[to] = self.alloc_sizes[from];
+                self.alloc_addresses[to] = self.alloc_addresses[from];
+            });
+            self.alloc_times.truncate(n);
+            self.alloc_objects.truncate(n);
+            self.alloc_sites.truncate(n);
+            self.alloc_sizes.truncate(n);
+            self.alloc_addresses.truncate(n);
+        }
+        if f.any() {
+            let n = f.squeeze(self.free_times.len(), |to, from| {
+                self.free_times[to] = self.free_times[from];
+                self.free_objects[to] = self.free_objects[from];
+            });
+            self.free_times.truncate(n);
+            self.free_objects.truncate(n);
+        }
+        if l.any() {
+            let n = l.squeeze(self.load_times.len(), |to, from| {
+                self.load_times[to] = self.load_times[from];
+                self.load_addresses[to] = self.load_addresses[from];
+                self.load_latencies[to] = self.load_latencies[from];
+                self.load_functions[to] = self.load_functions[from];
+            });
+            self.load_times.truncate(n);
+            self.load_addresses.truncate(n);
+            self.load_latencies.truncate(n);
+            self.load_functions.truncate(n);
+        }
+        if st.any() {
+            let n = st.squeeze(self.store_times.len(), |to, from| {
+                self.store_times[to] = self.store_times[from];
+                self.store_addresses[to] = self.store_addresses[from];
+                self.store_l1d_miss[to] = self.store_l1d_miss[from];
+                self.store_functions[to] = self.store_functions[from];
+            });
+            self.store_times.truncate(n);
+            self.store_addresses.truncate(n);
+            self.store_l1d_miss.truncate(n);
+            self.store_functions.truncate(n);
+        }
+        if p.any() {
+            let n = p.squeeze(self.phase_times.len(), |to, from| {
+                self.phase_times[to] = self.phase_times[from];
+                self.phase_ids[to] = self.phase_ids[from];
+            });
+            self.phase_times.truncate(n);
+            self.phase_ids.truncate(n);
+        }
+    }
+
+    /// Keeps the ops `keep` accepts, visiting them in order, and drops the
+    /// rest with their rows ([`Self::compact`]). A batch `keep` accepts
+    /// whole allocates nothing.
+    pub fn retain(&mut self, mut keep: impl FnMut(&EventBatch, BatchOp) -> bool) {
+        let mut dropped: Option<DropMask> = None;
+        for (i, &op) in self.ops.iter().enumerate() {
+            if !keep(self, op) {
+                DropMask::note(&mut dropped, self.ops.len(), i);
+            }
+        }
+        if let Some(dropped) = dropped {
+            self.compact(&dropped);
+        }
+    }
+
+    /// Keeps the first `keep` events and drops the rest with their rows
+    /// ([`Self::compact`]).
+    pub(crate) fn truncate(&mut self, keep: usize) {
+        if keep < self.ops.len() {
+            self.compact(&DropMask::suffix(self.ops.len(), keep));
+        }
     }
 
     /// Reconstructs one op as a [`TraceEvent`]. The batch columns are
@@ -836,6 +1033,219 @@ impl EventBatch {
     /// True when the batch holds no events.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+}
+
+/// A set of op positions of one batch, one bit each: the ops a lenient
+/// walk rejected, a predicate refused or a fault injector cut, for
+/// [`EventBatch::compact`] to drop.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DropMask {
+    /// Bit `i % 64` of word `i / 64` is set when op `i` is dropped; no bit
+    /// past the last op is set.
+    words: Vec<u64>,
+}
+
+impl DropMask {
+    /// An empty mask over `ops` ops.
+    pub(crate) fn new(ops: usize) -> DropMask {
+        DropMask { words: vec![0; ops.div_ceil(64)] }
+    }
+
+    /// The mask over `ops` ops that marks every op from position `from`
+    /// on.
+    pub(crate) fn suffix(ops: usize, from: usize) -> DropMask {
+        let mut mask = DropMask::new(ops);
+        (from..ops).for_each(|i| mask.insert(i));
+        mask
+    }
+
+    /// Marks op `i`.
+    #[inline]
+    pub(crate) fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Number of marked ops.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The marked positions, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        Marks { words: &self.words, next: 0, bits: 0 }
+    }
+
+    /// Marks op `i` of `ops` in `mask`, making the mask at the first mark:
+    /// a pass that drops nothing allocates nothing.
+    #[inline]
+    pub(crate) fn note(mask: &mut Option<DropMask>, ops: usize, i: usize) {
+        match mask {
+            Some(mask) => mask.insert(i),
+            None => *mask = Some(DropMask::first(ops, i)),
+        }
+    }
+
+    /// A mask over `ops` ops with op `i` marked.
+    #[cold]
+    fn first(ops: usize, i: usize) -> DropMask {
+        let mut mask = DropMask::new(ops);
+        mask.insert(i);
+        mask
+    }
+}
+
+/// The marked positions of a [`DropMask`], ascending.
+struct Marks<'a> {
+    words: &'a [u64],
+    /// The word after the one `bits` came from.
+    next: usize,
+    /// The marks of the current word not yet returned.
+    bits: u64,
+}
+
+impl Iterator for Marks<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.words.get(self.next)?;
+            self.next += 1;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(64 * (self.next - 1) + bit)
+    }
+}
+
+/// The dropped rows of one kind's columns: a bitset for the column
+/// squeeze, and, once the marks are final, the count of dropped rows
+/// below a row for re-pointing ops. That count is a running count per 64
+/// rows plus the count below the row inside its 64, which is a byte per
+/// row when at least a quarter of the rows are kept and a popcount
+/// otherwise: the bytes cost a pass over the rows, and a popcount
+/// measured several times slower than a lookup on targets without a
+/// popcount instruction.
+#[derive(Debug)]
+struct RowDrops {
+    /// Where the squeeze and the counts start: the first dropped row,
+    /// rounded down to a multiple of 64; the kind's row count while no row
+    /// is dropped.
+    first: usize,
+    /// Bit `r % 64` of word `r / 64` is set when row `r` is dropped;
+    /// empty while no row is.
+    bits: Vec<u64>,
+    /// Dropped rows below row `first + 64 * k`, at `k`.
+    before: Vec<u32>,
+    /// Dropped rows below row `first + j` inside its 64, at `j`; empty
+    /// when few rows are kept (see [`Self::tally`]).
+    within: Vec<u8>,
+    /// Dropped rows in all.
+    count: usize,
+}
+
+impl RowDrops {
+    /// `rows` rows, none of them dropped.
+    fn none(rows: usize) -> RowDrops {
+        RowDrops { first: rows, bits: Vec::new(), before: Vec::new(), within: Vec::new(), count: 0 }
+    }
+
+    /// `rows` rows, every one of them dropped.
+    fn all(rows: usize) -> RowDrops {
+        let mut bits = vec![u64::MAX; rows.div_ceil(64)];
+        if !rows.is_multiple_of(64) {
+            bits[rows / 64] = (1 << (rows % 64)) - 1;
+        }
+        RowDrops { first: 0, bits, ..RowDrops::none(rows) }
+    }
+
+    /// Marks row `row` of `rows` as dropped.
+    #[inline]
+    fn mark(&mut self, row: usize, rows: usize) {
+        if self.bits.is_empty() {
+            self.bits = vec![0; rows.div_ceil(64)];
+        }
+        self.bits[row / 64] |= 1 << (row % 64);
+        self.first = self.first.min(row / 64 * 64);
+    }
+
+    /// Keeps row `row`, if any row is marked.
+    #[inline]
+    fn unmark(&mut self, row: usize) {
+        if let Some(word) = self.bits.get_mut(row / 64) {
+            *word &= !(1 << (row % 64));
+        }
+    }
+
+    /// True when some row is dropped.
+    fn any(&self) -> bool {
+        self.first < self.bits.len() * 64
+    }
+
+    /// Counts the dropped rows below the rows from `first` on, once the
+    /// marks are final: per 64 rows always, and per row inside its 64
+    /// when at least a quarter of those rows are kept.
+    fn tally(&mut self, rows: usize) {
+        if !self.any() {
+            return;
+        }
+        let words = &self.bits[self.first / 64..];
+        let mut n = 0u32;
+        self.before = words
+            .iter()
+            .map(|w| {
+                let below = n;
+                n += w.count_ones();
+                below
+            })
+            .collect();
+        self.count = n as usize;
+        let span = rows - self.first;
+        if 4 * (span - self.count) < span {
+            return;
+        }
+        self.within = vec![0; span];
+        for (within, &word) in self.within.chunks_mut(64).zip(words) {
+            let mut n = 0u8;
+            for (b, slot) in within.iter_mut().enumerate() {
+                *slot = n;
+                n += (word >> b) as u8 & 1;
+            }
+        }
+    }
+
+    /// `op` re-pointed at its row's place once the dropped rows of its
+    /// kind are gone.
+    #[inline]
+    fn repoint(drops: &[RowDrops; 5], op: BatchOp) -> BatchOp {
+        let d = &drops[op.kind() as usize];
+        let r = op.row();
+        let Some(j) = r.checked_sub(d.first) else { return op };
+        let within = match d.within.get(j) {
+            Some(&n) => u32::from(n),
+            None => (d.bits[r / 64] & ((1 << (r % 64)) - 1)).count_ones(),
+        };
+        // A row only moves down, so the difference never borrows from the
+        // kind bits.
+        BatchOp(op.0 - d.before[j / 64] - within)
+    }
+
+    /// Moves each kept row of `rows` from `first` on down over the
+    /// dropped ones, in order, through `shift(to, from)`, which moves
+    /// every column of the kind. Returns the rows left.
+    fn squeeze(&self, rows: usize, mut shift: impl FnMut(usize, usize)) -> usize {
+        let mut to = self.first;
+        for (j, &word) in self.bits.iter().enumerate().skip(self.first / 64) {
+            let base = 64 * j;
+            let mut keep = !word & (u64::MAX >> (64 - (rows - base).min(64)));
+            while keep != 0 {
+                shift(to, base + keep.trailing_zeros() as usize);
+                to += 1;
+                keep &= keep - 1;
+            }
+        }
+        to
     }
 }
 
@@ -1217,6 +1627,203 @@ mod tests {
         b.retain(|_, op| !op.is_sample());
         assert_eq!(b.to_events(), vec![events[2].clone(), events[4].clone()]);
         assert!(b.load_times.is_empty() && b.load_functions.is_empty());
+    }
+
+    /// The compaction `retain` did before [`EventBatch::compact`]: one
+    /// flag per op, a kept-row mask and a new-row map per kind, then a
+    /// `retain` of the ops and of every column. Kept as the oracle the
+    /// compaction is checked against.
+    fn retain_oracle(b: &mut EventBatch, flags: &[bool]) {
+        if flags.iter().all(|&k| k) {
+            return;
+        }
+        let mut kept_rows = b.kind_lens().map(|n| vec![false; n]);
+        for (&op, &k) in b.ops.iter().zip(flags) {
+            kept_rows[op.kind() as usize][op.row()] = k;
+        }
+        let new_rows = kept_rows.each_ref().map(|mask| {
+            let mut next = 0u32;
+            mask.iter()
+                .map(|&k| {
+                    let r = next;
+                    next += u32::from(k);
+                    r
+                })
+                .collect::<Vec<u32>>()
+        });
+        let mut flag = flags.iter();
+        b.ops.retain(|_| *flag.next().expect("one flag per op"));
+        for op in &mut b.ops {
+            *op = op.with_row(new_rows[op.kind() as usize][op.row()] as usize);
+        }
+        fn compact<T>(column: &mut Vec<T>, mask: &[bool]) {
+            let mut k = mask.iter();
+            column.retain(|_| *k.next().expect("one mask bit per row"));
+        }
+        let [a, f, l, st, p] = &kept_rows;
+        compact(&mut b.alloc_times, a);
+        compact(&mut b.alloc_objects, a);
+        compact(&mut b.alloc_sites, a);
+        compact(&mut b.alloc_sizes, a);
+        compact(&mut b.alloc_addresses, a);
+        compact(&mut b.free_times, f);
+        compact(&mut b.free_objects, f);
+        compact(&mut b.load_times, l);
+        compact(&mut b.load_addresses, l);
+        compact(&mut b.load_latencies, l);
+        compact(&mut b.load_functions, l);
+        compact(&mut b.store_times, st);
+        compact(&mut b.store_addresses, st);
+        compact(&mut b.store_l1d_miss, st);
+        compact(&mut b.store_functions, st);
+        compact(&mut b.phase_times, p);
+        compact(&mut b.phase_ids, p);
+    }
+
+    /// A random batch: every field distinct, each kind's rows shuffled
+    /// against op order, and, when `orphans`, rows no op refers to.
+    fn random_batch(rng: &mut crate::rng::SplitMix64, n: usize, orphans: bool) -> EventBatch {
+        let mut b = EventBatch::default();
+        for i in 0..n as u64 {
+            let t = i as f64;
+            match rng.below(5) {
+                0 => b.push_alloc(t, ObjectId(i), SiteId(i as u32), i + 1, 0x1000 * i),
+                1 => b.push_free(t, ObjectId(i)),
+                2 => b.push_load(t, 64 * i, i as f64, FuncId(i as u16)),
+                3 => b.push_store(t, 64 * i, i % 2 == 0, FuncId(i as u16)),
+                _ => b.push_phase(t, i as u32),
+            }
+        }
+        if orphans {
+            for i in 0..rng.below(8) {
+                let t = -1.0 - i as f64;
+                // Push a row of some kind, then take its op back out.
+                match rng.below(5) {
+                    0 => b.push_alloc(t, ObjectId(1000 + i), SiteId(0), 8, 0x10),
+                    1 => b.push_free(t, ObjectId(1000 + i)),
+                    2 => b.push_load(t, 0x20, 1.0, FuncId(0)),
+                    3 => b.push_store(t, 0x30, true, FuncId(0)),
+                    _ => b.push_phase(t, 1000),
+                }
+                b.ops.pop();
+            }
+        }
+        // Shuffle each kind's rows, re-pointing the ops, so rows are in no
+        // particular order against the op stream.
+        let lens = b.kind_lens();
+        let perms: [Vec<usize>; 5] = std::array::from_fn(|k| {
+            let mut p: Vec<usize> = (0..lens[k]).collect();
+            for i in (1..p.len()).rev() {
+                p.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            p
+        });
+        let events: Vec<TraceEvent> = b.ops.iter().map(|&op| b.event_of(op)).collect();
+        let mut shuffled = b.clone();
+        for (k, perm) in perms.iter().enumerate() {
+            for (from, &to) in perm.iter().enumerate() {
+                let (src, dst) = (BatchOp::new(KINDS[k], from), BatchOp::new(KINDS[k], to));
+                move_row(&b, src, &mut shuffled, dst);
+            }
+        }
+        for op in &mut shuffled.ops {
+            *op = op.with_row(perms[op.kind() as usize][op.row()]);
+        }
+        assert_eq!(shuffled.to_events(), events);
+        shuffled
+    }
+
+    const KINDS: [OpKind; 5] =
+        [OpKind::Alloc, OpKind::Free, OpKind::Load, OpKind::Store, OpKind::Phase];
+
+    /// Copies the fields of row `src` of `from` into row `dst` of `to`.
+    fn move_row(from: &EventBatch, src: BatchOp, to: &mut EventBatch, dst: BatchOp) {
+        let (s, d) = (src.row(), dst.row());
+        match src.kind() {
+            OpKind::Alloc => {
+                to.alloc_times[d] = from.alloc_times[s];
+                to.alloc_objects[d] = from.alloc_objects[s];
+                to.alloc_sites[d] = from.alloc_sites[s];
+                to.alloc_sizes[d] = from.alloc_sizes[s];
+                to.alloc_addresses[d] = from.alloc_addresses[s];
+            }
+            OpKind::Free => {
+                to.free_times[d] = from.free_times[s];
+                to.free_objects[d] = from.free_objects[s];
+            }
+            OpKind::Load => {
+                to.load_times[d] = from.load_times[s];
+                to.load_addresses[d] = from.load_addresses[s];
+                to.load_latencies[d] = from.load_latencies[s];
+                to.load_functions[d] = from.load_functions[s];
+            }
+            OpKind::Store => {
+                to.store_times[d] = from.store_times[s];
+                to.store_addresses[d] = from.store_addresses[s];
+                to.store_l1d_miss[d] = from.store_l1d_miss[s];
+                to.store_functions[d] = from.store_functions[s];
+            }
+            OpKind::Phase => {
+                to.phase_times[d] = from.phase_times[s];
+                to.phase_ids[d] = from.phase_ids[s];
+            }
+        }
+    }
+
+    #[test]
+    fn compaction_equals_the_oracle_on_random_batches_and_masks() {
+        let mut rng = crate::rng::SplitMix64::new(0xc0_ffee);
+        for case in 0..600 {
+            let n = [0, 1, 2, 63, 64, 65, 130, 700][case % 8] + rng.below(4) as usize;
+            let batch = random_batch(&mut rng, n, case % 3 == 0);
+            // Nothing, everything, a suffix, one op, and random densities.
+            let cut = rng.below(n as u64 + 1) as usize;
+            let one = rng.below(n.max(1) as u64) as usize;
+            let p = rng.next_f64();
+            let flags: Vec<bool> = (0..n)
+                .map(|i| match case % 6 {
+                    0 => true,
+                    1 => false,
+                    2 => i < cut,
+                    3 => i != one,
+                    _ => rng.next_f64() >= p,
+                })
+                .collect();
+            let mut oracle = batch.clone();
+            retain_oracle(&mut oracle, &flags);
+
+            let mut compacted = batch.clone();
+            let mut mask = DropMask::new(n);
+            flags.iter().enumerate().filter(|(_, &k)| !k).for_each(|(i, _)| mask.insert(i));
+            assert_eq!(mask.count(), flags.iter().filter(|&&k| !k).count());
+            compacted.compact(&mask);
+            let mut retained = batch.clone();
+            let mut keep = flags.iter();
+            retained.retain(|_, _| *keep.next().unwrap());
+            for got in [&compacted, &retained] {
+                assert_eq!(format!("{got:?}"), format!("{oracle:?}"), "case {case}: n {n}");
+            }
+            if case % 6 == 2 {
+                let mut truncated = batch.clone();
+                truncated.truncate(cut);
+                assert_eq!(format!("{truncated:?}"), format!("{oracle:?}"), "case {case}");
+                assert_eq!(DropMask::suffix(n, cut), mask, "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn drop_masks_iterate_their_marks_in_order() {
+        for (ops, marks) in [(0, vec![]), (5, vec![0, 4]), (200, vec![1, 63, 64, 127, 128, 199])] {
+            let mut m = DropMask::new(ops);
+            marks.iter().for_each(|&i| m.insert(i));
+            assert_eq!(m.iter().collect::<Vec<_>>(), marks);
+            assert_eq!(m.count(), marks.len());
+        }
+        for (ops, from) in [(0, 0), (10, 3), (64, 0), (64, 64), (130, 64), (130, 100)] {
+            let m = DropMask::suffix(ops, from);
+            assert_eq!(m.iter().collect::<Vec<_>>(), (from..ops).collect::<Vec<_>>());
+        }
     }
 
     #[test]

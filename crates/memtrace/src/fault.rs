@@ -217,14 +217,12 @@ impl FaultSpec {
             FaultKind::TruncateEvents => {
                 let keep = ((events.len() as f64) * (1.0 - severity)).floor() as usize;
                 let dropped = events.len() - keep;
-                let mut position = 0;
-                events.retain(|_, _| {
-                    position += 1;
-                    position <= keep
-                });
+                events.truncate(keep);
                 dropped
             }
             FaultKind::DropSamples => {
+                // One draw per sample, in trace order; only the sample
+                // columns are compacted.
                 let before = events.len();
                 events.retain(|_, op| !op.is_sample() || rng.gen::<f64>() >= severity);
                 before - events.len()

@@ -15,12 +15,22 @@
 //! Under [`DegradationPolicy::Strict`], [`Validator::offer`] turns the
 //! first violation into the [`TraceError`] `validate` reports; under the
 //! lenient policies it drops the event instead, tallying it per
-//! [`WarningKind`] and widening the [`DroppedWindow`]. A rejected event leaves the state untouched, so a
-//! lenient pass accepts exactly the events a strict pass over its output
-//! would accept.
+//! [`WarningKind`] and widening the [`DroppedWindow`]. A rejected event
+//! leaves the state untouched, so a lenient pass accepts exactly the
+//! events a strict pass over its output would accept.
+//!
+//! A whole batch goes through `Validator::walk`: one pass over its op
+//! stream that hands each accepted op to the caller and marks each
+//! dropped one in a [`DropMask`]. `TraceFile::validate` and
+//! `TraceFile::sanitize_verbose` walk with nothing to build;
+//! `TraceColumns::build` (strict) and `TraceColumns::build_lenient`
+//! replay the accepted allocations and frees into the analyzer's tables
+//! in the same walk. So a lenient analysis sanitizes and builds in one
+//! pass, and compacts the batch ([`EventBatch::compact`]) only when
+//! something was dropped.
 
 use crate::callstack::CallStack;
-use crate::columns::{BatchOp, EventBatch, OpKind};
+use crate::columns::{BatchOp, DropMask, EventBatch, OpKind};
 use crate::error::TraceError;
 use crate::events::TraceEvent;
 use crate::ids::{ObjectId, SiteId};
@@ -49,6 +59,17 @@ pub enum Shape {
 }
 
 impl Shape {
+    /// The shape the rules check of one op of a batch: samples and phase
+    /// markers are [`Shape::Other`] without reading any of their columns.
+    #[inline]
+    fn checked(b: &EventBatch, op: BatchOp) -> Shape {
+        if op.is_timed_only() {
+            Shape::Other
+        } else {
+            Shape::of_op(b, op)
+        }
+    }
+
     /// The shape of an AoS event.
     #[inline]
     pub fn of_event(e: &TraceEvent) -> Shape {
@@ -181,8 +202,43 @@ impl Validator {
         op: BatchOp,
         t: f64,
     ) -> Result<bool, TraceError> {
-        let shape = if op.is_timed_only() { Shape::Other } else { Shape::of_op(b, op) };
-        self.offer(policy, t, shape)
+        self.offer(policy, t, Shape::checked(b, op))
+    }
+
+    /// Runs every op of `batch`, in order, through the rules under
+    /// `policy`, handing each accepted op and its timestamp to `accept`.
+    /// `Strict` fails with [`crate::TraceFile::validate`]'s error at the
+    /// first violation. The lenient policies drop the op instead and mark
+    /// its position in the returned mask, which is allocated at the first
+    /// drop, so a clean batch costs no allocation; `None` means nothing
+    /// was dropped. This is the one walk behind validation, sanitizing
+    /// and the analyzer's table build.
+    #[inline]
+    pub(crate) fn walk(
+        &mut self,
+        policy: DegradationPolicy,
+        batch: &EventBatch,
+        mut accept: impl FnMut(BatchOp, f64),
+    ) -> Result<Option<DropMask>, TraceError> {
+        let times = batch.time_columns();
+        if policy == DegradationPolicy::Strict {
+            for &op in &batch.ops {
+                let t = times.at(op);
+                self.strict(t, Shape::checked(batch, op))?;
+                accept(op, t);
+            }
+            return Ok(None);
+        }
+        let mut dropped = None;
+        for (i, &op) in batch.ops.iter().enumerate() {
+            let t = times.at(op);
+            if self.lenient(t, Shape::checked(batch, op)) {
+                accept(op, t);
+            } else {
+                DropMask::note(&mut dropped, batch.len(), i);
+            }
+        }
+        Ok(dropped)
     }
 
     /// Checks the next event, failing with the error strict validation
@@ -205,8 +261,9 @@ impl Validator {
         }
     }
 
-    /// The lenient policies' accounting for one dropped event.
-    #[cold]
+    /// The lenient policies' accounting for one dropped event. Inlined:
+    /// on a badly damaged trace nearly every event comes through here.
+    #[inline]
     fn note_drop(&mut self, kind: WarningKind, t: f64) {
         self.dropped += 1;
         self.window.note(t);

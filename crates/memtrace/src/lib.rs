@@ -35,7 +35,7 @@ pub mod wordhash;
 pub use binfmt::{read_trace, write_trace, write_trace_v2, TraceBuf};
 pub use binmap::{BinaryMap, BinaryMapBuilder, LoadMap, ModuleInfo};
 pub use callstack::{CallStack, CodeLocation, Frame, HumanStack, StackFormat};
-pub use columns::{EventBatch, ObjectIndex, TraceColumns, SAME_TIER_SPAN};
+pub use columns::{DropMask, EventBatch, LenientBuild, ObjectIndex, TraceColumns, SAME_TIER_SPAN};
 pub use error::TraceError;
 pub use events::TraceEvent;
 pub use fault::{FaultKind, FaultSpec, FaultTarget, ProcessFaultKind};

@@ -3,13 +3,12 @@
 
 use crate::binmap::BinaryMap;
 use crate::callstack::CallStack;
-use crate::columns::EventBatch;
+use crate::columns::{DropMask, EventBatch};
 use crate::error::TraceError;
 use crate::ids::SiteId;
 use crate::integrity::{self, Validator};
 use crate::warn::{DegradationPolicy, DroppedWindow, Warning, WarningKind};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -105,13 +104,8 @@ impl TraceFile {
     /// aggregating so that truncated or corrupted traces are rejected
     /// loudly instead of silently producing a bad placement.
     pub fn validate(&self) -> Result<(), TraceError> {
-        let b = &self.events;
-        let times = b.time_columns();
-        let mut v = Validator::new(&self.stacks);
-        for &op in &b.ops {
-            v.offer_op(DegradationPolicy::Strict, b, op, times.at(op))?;
-        }
-        Ok(())
+        let strict = DegradationPolicy::Strict;
+        Validator::new(&self.stacks).walk(strict, &self.events, |_, _| {}).map(drop)
     }
 
     /// Serializes the trace to JSON.
@@ -170,41 +164,42 @@ impl TraceFile {
     /// the dropped events covered, so a degraded placement is auditable:
     /// a profile blind to the first 10 s is a different risk than one
     /// missing scattered milliseconds.
+    ///
+    /// One lenient `Validator::walk` marks the events to drop, and the
+    /// batch is compacted ([`EventBatch::compact`]) only if it marked any.
+    /// A caller that analyzes the result should use
+    /// [`crate::TraceColumns::build_lenient`] and [`Self::apply_sanitize`]
+    /// instead, which build the analyzer's tables in the same walk.
     pub fn sanitize_verbose(&mut self) -> (Vec<Warning>, DroppedWindow) {
-        let repairs = integrity::repair_metadata(
+        let repairs = self.repair_metadata();
+        let mut v = Validator::new(&self.stacks);
+        let lenient = DegradationPolicy::BestEffort;
+        let dropped = v.walk(lenient, &self.events, |_, _| {}).expect("a lenient walk never fails");
+        if let Some(dropped) = dropped {
+            self.events.compact(&dropped);
+        }
+        (integrity::sanitize_warnings(&v, repairs), v.window)
+    }
+
+    /// Turns the trace into what [`Self::sanitize`] makes of it, given the
+    /// events a lenient walk over it already marked: resets the broken
+    /// metadata and drops the `dropped` events (from
+    /// [`crate::TraceColumns::build_lenient`] over this trace).
+    pub fn apply_sanitize(&mut self, dropped: Option<&DropMask>) {
+        self.repair_metadata();
+        if let Some(dropped) = dropped {
+            self.events.compact(dropped);
+        }
+    }
+
+    /// Resets the run metadata no consumer can use, one warning per field.
+    fn repair_metadata(&mut self) -> Vec<Warning> {
+        integrity::repair_metadata(
             &mut self.duration,
             &mut self.sampling_hz,
             &mut self.load_sample_period,
             &mut self.store_sample_period,
-        );
-        let mut v = Validator::new(&self.stacks);
-        // A lenient policy drops what it rejects and never fails.
-        let lenient = DegradationPolicy::BestEffort;
-        self.events.retain(|b, op| matches!(v.offer_op(lenient, b, op, b.time_of(op)), Ok(true)));
-        (integrity::sanitize_warnings(&v, repairs), v.window)
-    }
-
-    /// [`Self::sanitize`] without a copy when there is nothing to repair:
-    /// the trace itself when its metadata is usable and every event passes
-    /// the rules, else a sanitized copy. The warnings are `sanitize`'s.
-    pub fn sanitized(&self) -> (Cow<'_, TraceFile>, Vec<Warning>) {
-        let (mut duration, mut hz, mut load_period, mut store_period) =
-            (self.duration, self.sampling_hz, self.load_sample_period, self.store_sample_period);
-        let repairs =
-            integrity::repair_metadata(&mut duration, &mut hz, &mut load_period, &mut store_period);
-        if repairs.is_empty() {
-            let (mut v, b) = (Validator::new(&self.stacks), &self.events);
-            let times = b.time_columns();
-            let lenient = DegradationPolicy::BestEffort;
-            // Stops at the first event sanitizing would drop.
-            if b.ops.iter().all(|&op| matches!(v.offer_op(lenient, b, op, times.at(op)), Ok(true)))
-            {
-                return (Cow::Borrowed(self), integrity::sanitize_warnings(&v, repairs));
-            }
-        }
-        let mut copy = self.clone();
-        let warnings = copy.sanitize();
-        (Cow::Owned(copy), warnings)
+        )
     }
 
     /// Deserializes a trace from JSON, salvaging a valid prefix when the

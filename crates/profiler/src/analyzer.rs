@@ -8,10 +8,13 @@
 //! the same object-matching job Paramedir performs (§IV-A).
 //!
 //! The analysis is columnar and reads the trace in place. One walk over
-//! the trace's [`memtrace::EventBatch`] op stream runs the strict
-//! [`memtrace::Validator`] and replays the allocations and frees into the
-//! object and site tables ([`memtrace::columns::TraceColumns::build`]);
-//! the samples are never copied. An [`memtrace::columns::ObjectIndex`]
+//! the trace's [`memtrace::EventBatch`] op stream runs the
+//! [`memtrace::Validator`] and replays the allocations and frees it
+//! accepts into the object and site tables: strict for [`analyze`]
+//! ([`memtrace::columns::TraceColumns::build`]), lenient for
+//! [`analyze_lenient`] and [`analyze_sanitizing`], which sanitize the
+//! trace in the same walk ([`TraceColumns::build_lenient`]). The samples
+//! are never copied. An [`memtrace::columns::ObjectIndex`]
 //! whose entries inline the liveness window gives zero hash lookups per
 //! sample, and sample attribution is fused with bandwidth binning into one
 //! pass over each of the batch's own sample columns, accumulating integer
@@ -28,9 +31,9 @@
 //! fault-injected traces after sanitization.
 
 use crate::profile::{ObjectLifetime, ProfileSet, SiteProfile};
-use memtrace::columns::{ObjectIndex, TraceColumns};
-use memtrace::{BinaryMap, CallStack, EventBatch, ObjectId, SiteId, TraceError, TraceEvent};
-use memtrace::{TraceFile, Warning, WarningKind};
+use memtrace::columns::{LenientBuild, ObjectIndex, TraceColumns};
+use memtrace::{CallStack, DroppedWindow, EventBatch, ObjectId, SiteId, TraceError, TraceEvent};
+use memtrace::{TraceFile, Warning};
 use std::collections::HashMap;
 
 /// Same-tier scan bound for interval search, re-exported from the columns
@@ -64,51 +67,44 @@ pub fn analyze_legacy(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
     scalar_analyze(trace)
 }
 
-/// Lenient analysis: sanitizes the trace — dropping the events strict
-/// validation would reject, on a copy only when there is something to
-/// drop or repair ([`TraceFile::sanitized`]) — and analyzes the
-/// remainder. Never fails: if analysis is still impossible the result is
-/// an empty profile (which places everything in the fallback tier
-/// downstream) plus a warning saying so. The warning list is nonempty
-/// exactly when the trace needed repair or could not be analyzed.
+/// Lenient analysis of a borrowed trace. One validator walk sanitizes it
+/// and builds the analyzer's tables ([`TraceColumns::build_lenient`]). A
+/// clean trace is then analyzed in place; a damaged one is copied,
+/// sanitized from what the walk found ([`TraceFile::apply_sanitize`]) and
+/// analyzed. Never fails: a trace with every event dropped analyzes to an
+/// empty profile, which places everything in the fallback tier
+/// downstream. The warnings are sanitize's, nonempty exactly when the
+/// trace needed repair.
 pub fn analyze_lenient(trace: &TraceFile) -> (ProfileSet, Vec<Warning>) {
-    let (clean, mut warnings) = trace.sanitized();
-    ecohmem_obs::count("analyzer.lenient.repairs", warnings.len() as u64);
-    let (profile, failed) =
-        profile_or_empty(analyze(&clean), &trace.app_name, clean.duration, &trace.binmap);
-    warnings.extend(failed);
-    (profile, warnings)
+    let _span = ecohmem_obs::span("analyzer.analyze");
+    let built = build_lenient(trace);
+    ecohmem_obs::count("analyzer.lenient.repairs", built.warnings.len() as u64);
+    let profile = if built.warnings.is_empty() {
+        analyze_cols(trace, &built.columns)
+    } else {
+        let mut copy = trace.clone();
+        copy.apply_sanitize(built.dropped.as_ref());
+        analyze_cols(&copy, &built.columns)
+    };
+    (profile, built.warnings)
 }
 
-/// The lenient policies' last resort: an analysis result, or — when the
-/// analysis failed — an empty profile (which places everything in the
-/// fallback tier downstream) plus the [`WarningKind::EmptyProfile`]
-/// warning saying so.
-pub fn profile_or_empty(
-    analysis: Result<ProfileSet, TraceError>,
-    app_name: &str,
-    duration: f64,
-    binmap: &BinaryMap,
-) -> (ProfileSet, Option<Warning>) {
-    match analysis {
-        Ok(p) => (p, None),
-        Err(e) => (
-            ProfileSet {
-                app_name: app_name.to_string(),
-                duration,
-                sites: Vec::new(),
-                bw_series: Vec::new(),
-                peak_bw: 0.0,
-                binmap: binmap.clone(),
-            },
-            Some(Warning::new(
-                WarningKind::EmptyProfile,
-                format!(
-                    "analysis failed after sanitization: {e}; continuing with an empty profile"
-                ),
-            )),
-        ),
-    }
+/// Lenient analysis of an owned trace, which it sanitizes in place: the
+/// same single walk as [`analyze_lenient`], then a compaction of the
+/// trace only if the walk dropped something. Returns the profile, the
+/// warnings and dropped window [`TraceFile::sanitize_verbose`] would
+/// report, and leaves the trace as that call would.
+pub fn analyze_sanitizing(trace: &mut TraceFile) -> (ProfileSet, Vec<Warning>, DroppedWindow) {
+    let _span = ecohmem_obs::span("analyzer.analyze");
+    let built = build_lenient(trace);
+    trace.apply_sanitize(built.dropped.as_ref());
+    (analyze_cols(trace, &built.columns), built.warnings, built.window)
+}
+
+/// [`TraceColumns::build_lenient`] under the build span.
+fn build_lenient(trace: &TraceFile) -> LenientBuild {
+    let _span = ecohmem_obs::span("analyzer.columns.build");
+    TraceColumns::build_lenient(trace)
 }
 
 /// Converts per-bin sample counts into the `(bin_start, bytes/sec)`

@@ -25,7 +25,8 @@ pub mod sampler;
 pub mod timeline;
 
 pub use analyzer::{
-    analyze, analyze_columnar, analyze_legacy, analyze_lenient, bandwidth_series, profile_or_empty,
+    analyze, analyze_columnar, analyze_legacy, analyze_lenient, analyze_sanitizing,
+    bandwidth_series,
 };
 pub use profile::{ObjectLifetime, ProfileSet, SiteIndex, SiteProfile};
 pub use sampler::{

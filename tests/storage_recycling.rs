@@ -5,12 +5,14 @@
 //! and the next trace is built in them (`EventBatch::take_spare`). The
 //! gain is page faults, which no functional test sees, so this suite
 //! counts allocations instead: a counting global allocator, confined to
-//! this test binary, tallies each thread's own allocations.
+//! this test binary, tallies each thread's own allocations. The lenient
+//! path is pinned the same way: a clean trace costs neither a copy nor a
+//! drop mask, and compacting a damaged one allocates only bitsets.
 
 use memsim::{ExecMode, FixedTier, MachineConfig, RunResult};
 use memtrace::columns::SPARE_FLOOR;
-use memtrace::{EventBatch, FaultKind, FaultSpec, FuncId, TierId, TraceFile};
-use profiler::{analyze, analyze_lenient, synthesize_trace, ProfilerConfig};
+use memtrace::{EventBatch, FaultKind, FaultSpec, FuncId, TierId, TraceColumns, TraceFile};
+use profiler::{analyze, analyze_lenient, analyze_sanitizing, synthesize_trace, ProfilerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -170,5 +172,42 @@ fn lenient_analysis_copies_only_a_damaged_trace() {
     assert!(
         damaged_bytes >= in_place_bytes + copy_bytes / 2,
         "{damaged_bytes} bytes against {in_place_bytes} for analyze and {copy_bytes} for a copy"
+    );
+}
+
+#[test]
+fn the_lenient_stage_on_a_clean_trace_allocates_like_strict_analysis() {
+    let (app, run) = minife();
+    let trace = synthesize_trace(&app, &run, &ProfilerConfig::default());
+    let (mut owned, copy_bytes) = bytes_allocated_by(|| trace.clone());
+
+    let (strict, strict_bytes) = bytes_allocated_by(|| analyze(&trace).unwrap());
+    let ((lenient, warnings, window), lenient_bytes) =
+        bytes_allocated_by(|| analyze_sanitizing(&mut owned));
+    assert_eq!((&lenient, warnings.len(), window.count), (&strict, 0, 0));
+    assert!(owned == trace, "a clean trace is left as it was");
+    assert!(
+        lenient_bytes < strict_bytes + copy_bytes / 10,
+        "one walk sanitizes and builds, with no mask: {lenient_bytes} bytes against \
+         {strict_bytes} for analyze and {copy_bytes} for a copy"
+    );
+}
+
+#[test]
+fn compacting_a_few_orphan_frees_allocates_a_sliver_of_a_copy() {
+    let (app, run) = minife();
+    let trace = synthesize_trace(&app, &run, &ProfilerConfig::default());
+    let (mut damaged, copy_bytes) = bytes_allocated_by(|| trace.clone());
+    let injected = FaultSpec::with_seed(FaultKind::FreeBeforeAlloc, 1.0, 7);
+    assert!(!injected.apply_to_trace(&mut damaged).is_empty());
+    let built = TraceColumns::build_lenient(&damaged);
+    let dropped = built.dropped.expect("the orphan frees are dropped");
+    assert_eq!(dropped.count(), damaged.len() - trace.len());
+
+    let ((), compact_bytes) = bytes_allocated_by(|| damaged.events.compact(&dropped));
+    assert!(damaged == trace, "only the orphan frees went");
+    assert!(
+        compact_bytes < copy_bytes / 10,
+        "{compact_bytes} bytes to compact, against {copy_bytes} for a copy"
     );
 }
