@@ -109,23 +109,32 @@ fn open(
     .expect("engine open")
 }
 
+/// The trace's events in batches of 16, sliced off its own columns.
+fn batches(trace: &TraceFile) -> impl Iterator<Item = EventBatch> + '_ {
+    (0..trace.len()).step_by(16).map(|lo| trace.events.slice_ops(lo..(lo + 16).min(trace.len())))
+}
+
+/// Timestamp of a nonempty batch's last event.
+fn last_time(batch: &EventBatch) -> f64 {
+    batch.time_of(*batch.ops.last().expect("a nonempty batch"))
+}
+
 /// Feeds ops `[from, to)` of the fixed plan: batches of 16 with a tick
 /// every 4 batches. Returns the op count.
 fn feed(engine: &mut DurableEngine, trace: &TraceFile, from: usize, to: usize) -> usize {
-    let events = trace.events.to_events();
-    let chunks: Vec<&[TraceEvent]> = events.chunks(16).collect();
     let mut op = 0;
-    for (i, chunk) in chunks.iter().enumerate() {
+    for (i, chunk) in batches(trace).enumerate() {
         if op >= to {
             break;
         }
+        let t = last_time(&chunk);
         if op >= from {
-            engine.ingest(chunk.to_vec()).expect("ingest");
+            engine.ingest_batch(chunk).expect("ingest");
         }
         op += 1;
         if (i + 1) % 4 == 0 {
             if op >= from && op < to {
-                engine.tick(chunk.last().unwrap().time()).expect("tick");
+                engine.tick(t).expect("tick");
             }
             op += 1;
         }
@@ -309,8 +318,8 @@ fn scenario_stalled_consumer(trace: &TraceFile, _rng: &mut SplitMix64) -> Outcom
     );
     s.inject_stall(Duration::from_millis(200)).expect("stall injected");
     let mut shed = 0u64;
-    for chunk in trace.events.to_events().chunks(16).take(16) {
-        match s.offer(chunk.to_vec()) {
+    for chunk in batches(trace).take(16) {
+        match s.offer(chunk) {
             Ok(Admission::Admitted) => {}
             Ok(Admission::Shed) => shed += 1,
             Err(e) => return check("stalled-consumer", false, format!("unexpected error: {e}")),
@@ -383,18 +392,17 @@ fn scenario_panic_storm(trace: &TraceFile, _rng: &mut SplitMix64) -> Outcome {
         sup,
         |_| {},
     );
-    let events = trace.events.to_events();
-    let chunks: Vec<&[TraceEvent]> = events.chunks(16).collect();
-    let storm_every = (chunks.len() / 4).max(1);
+    let storm_every = (trace.len().div_ceil(16) / 4).max(1);
     let mut op = 0;
-    for (i, chunk) in chunks.iter().enumerate() {
+    for (i, chunk) in batches(trace).enumerate() {
         if i > 0 && i % storm_every == 0 {
             s.inject_panic("storm").expect("panic injected");
         }
+        let t = last_time(&chunk);
         // A Strict storm must not shed: a dropped alloc batch would break
         // the stream (and the identical-log check) after recovery. The 30s
         // deadline rides out every restart backoff.
-        match s.offer(chunk.to_vec()).expect("offer") {
+        match s.offer(chunk).expect("offer") {
             Admission::Admitted => {}
             Admission::Shed => {
                 return check("panic-storm", false, format!("batch {i} shed during a restart"));
@@ -402,7 +410,7 @@ fn scenario_panic_storm(trace: &TraceFile, _rng: &mut SplitMix64) -> Outcome {
         }
         op += 1;
         if (i + 1) % 4 == 0 {
-            s.tick(chunk.last().unwrap().time()).expect("tick");
+            s.tick(t).expect("tick");
             op += 1;
         }
     }
@@ -442,7 +450,7 @@ fn scenario_restart_budget(trace: &TraceFile, _rng: &mut SplitMix64) -> Outcome 
         sup,
         |_| {},
     );
-    s.offer(trace.events.slice_ops(0..16.min(trace.len())).to_events()).expect("offer");
+    s.offer(trace.events.slice_ops(0..16.min(trace.len()))).expect("offer");
     s.inject_panic("one").expect("inject");
     s.inject_panic("two").expect("inject");
     let failed = s.finish().is_err();

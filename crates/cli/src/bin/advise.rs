@@ -8,11 +8,10 @@
 //!                [--text] [--out FILE] [--stream]
 //! ```
 //!
-//! `--stream` routes the trace through the online engine's bounded-channel
-//! streaming ingestor (`ecohmem_online::stream_profile`) instead of the
-//! batch analyzer — same profile, same report (the convergence contract),
-//! but constant memory in the number of *live* objects rather than total
-//! events. Degradation follows the toolchain contract: strict by default,
+//! `--stream` routes the trace through the online engine's streaming
+//! ingestor (`ecohmem_online::stream_profile`) instead of the batch
+//! analyzer — same profile, same report (the convergence contract).
+//! Degradation follows the toolchain contract: strict by default,
 //! salvage-and-warn with `--lenient`.
 
 use advisor::{Advisor, AdvisorConfig, Algorithm};

@@ -124,6 +124,9 @@ fn main() {
     metrics.finish();
 }
 
+/// Events per batch the `--journal-dir` mode offers the supervisor.
+const FEED_BATCH: usize = 256;
+
 /// The `--online --journal-dir DIR` mode: the crash-safe streaming
 /// replanner. The app's event stream is fed through a supervised
 /// [`ecohmem_online::DurableEngine`] — every batch journaled before it is
@@ -138,7 +141,6 @@ fn run_durable(
     app: &memsim::AppModel,
     machine: &memsim::MachineConfig,
 ) {
-    use ecohmem_online::channel::STREAM_BATCH;
     use ecohmem_online::StreamMeta;
     use memsim::FixedTier;
     use profiler::{profile_run, ProfilerConfig};
@@ -220,27 +222,29 @@ fn run_durable(
         }
     };
 
-    let events: Vec<memtrace::TraceEvent> =
-        trace.events.iter_events().skip(resume_skip as usize).collect();
+    let from = (resume_skip as usize).min(trace.len());
+    let events = trace.len() - from;
     let mut shed_batches = 0u64;
-    let stride = (events.len() / 8).max(1);
+    let stride = (events / 8).max(1);
     let mut fed = 0usize;
-    'feed: for chunk in events.chunks(STREAM_BATCH) {
-        match supervisor.offer(chunk.to_vec()) {
+    for lo in (from..trace.len()).step_by(FEED_BATCH) {
+        let chunk = trace.events.slice_ops(lo..(lo + FEED_BATCH).min(trace.len()));
+        let (len, last_t) = (chunk.len(), chunk.ops.last().map(|&op| chunk.time_of(op)));
+        match supervisor.offer(chunk) {
             Ok(Admission::Admitted) => {}
             Ok(Admission::Shed) => shed_batches += 1,
             Err(e) => {
                 eprintln!("ecohmem-run: stream stopped early: {e}");
-                break 'feed;
+                break;
             }
         }
         let before = fed / stride;
-        fed += chunk.len();
+        fed += len;
         if fed / stride > before {
             // Mid-stream replan ticks, like a live epoch timer would fire.
-            if let Err(e) = supervisor.tick(chunk.last().map(event_time).unwrap_or(0.0)) {
+            if let Err(e) = supervisor.tick(last_t.unwrap_or(0.0)) {
                 eprintln!("ecohmem-run: tick failed: {e}");
-                break 'feed;
+                break;
             }
         }
     }
@@ -249,7 +253,7 @@ fn run_durable(
     println!(
         "{app_name} durable online replan: {} plan revisions over {} events, {} recoveries{}",
         outcome.revisions.len(),
-        events.len(),
+        events,
         outcome.recoveries,
         if outcome.degraded { " (degraded: serving stale state)" } else { "" },
     );
@@ -263,10 +267,6 @@ fn run_durable(
     } else {
         println!("overload: none (0 events shed)");
     }
-}
-
-fn event_time(e: &memtrace::TraceEvent) -> f64 {
-    e.time()
 }
 
 /// The `--online` mode: dynamic placement by the incremental advisor, no

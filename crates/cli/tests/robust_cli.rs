@@ -91,6 +91,40 @@ fn truncated_trace_fails_strict_but_loads_lenient() {
 }
 
 #[test]
+fn streamed_advice_matches_the_batch_analyzer() {
+    let trace_path = scratch("s.trace.json");
+    let trace = trace_path.to_str().unwrap();
+    let out = invoke("profile", &["minife", "--rate", "20", "--out", trace]);
+    assert!(out.status.success(), "profile: {}", stderr(&out));
+
+    let batch_path = scratch("s.batch.json");
+    let streamed_path = scratch("s.streamed.json");
+    let out = invoke("advise", &[trace, "--out", batch_path.to_str().unwrap()]);
+    assert!(out.status.success(), "advise: {}", stderr(&out));
+    let out = invoke("advise", &[trace, "--stream", "--out", streamed_path.to_str().unwrap()]);
+    assert!(out.status.success(), "advise --stream: {}", stderr(&out));
+    let batch = std::fs::read(&batch_path).unwrap();
+    assert!(!batch.is_empty());
+    assert_eq!(std::fs::read(&streamed_path).unwrap(), batch, "--stream writes the same report");
+
+    let json = std::fs::read_to_string(&trace_path).unwrap();
+    let cut_path = scratch("s.cut.json");
+    let cut = cut_path.to_str().unwrap();
+    std::fs::write(&cut_path, &json[..json.len() - 40]).unwrap();
+    let out = invoke("advise", &[cut, "--stream"]);
+    assert_clean_failure(&out, "advise --stream strict on truncated trace");
+    let salvaged_path = scratch("s.salvaged.json");
+    let out =
+        invoke("advise", &[cut, "--stream", "--lenient", "--out", salvaged_path.to_str().unwrap()]);
+    assert!(out.status.success(), "advise --stream --lenient: {}", stderr(&out));
+    assert!(stderr(&out).contains("warning"), "{}", stderr(&out));
+
+    for p in [trace_path, batch_path, streamed_path, cut_path, salvaged_path] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
 fn truncated_report_fails_cleanly() {
     let trace_path = scratch("r.trace.json");
     let report_path = scratch("r.report.json");

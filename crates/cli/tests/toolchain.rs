@@ -93,7 +93,7 @@ fn advise_emits_parseable_text_reports() {
 
     // The emitted text parses back with the library parser.
     let text = std::fs::read_to_string(&report_txt).unwrap();
-    let tracefile = memtrace::TraceFile::load(&trace).unwrap();
+    let tracefile = cli::load_trace(trace.to_str().unwrap()).unwrap();
     let parsed = memtrace::parse_report(&text, &tracefile.binmap, &|name| match name {
         "dram" => Some(memtrace::TierId::DRAM),
         "pmem" => Some(memtrace::TierId::PMEM),

@@ -10,7 +10,7 @@ use crate::integrity::{self, Validator};
 use crate::warn::{DegradationPolicy, DroppedWindow, Warning, WarningKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// A complete profiling trace: run metadata, the site table mapping
@@ -126,23 +126,10 @@ impl TraceFile {
         Ok(())
     }
 
-    /// Reads a trace from a reader.
-    pub fn read_from<R: Read>(mut r: R) -> Result<Self, TraceError> {
-        let mut buf = String::new();
-        r.read_to_string(&mut buf)?;
-        Self::from_json(&buf)
-    }
-
     /// Writes the trace to a file path.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), TraceError> {
         let f = std::fs::File::create(path)?;
         self.write_to(std::io::BufWriter::new(f))
-    }
-
-    /// Loads a trace from a file path.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        let f = std::fs::File::open(path)?;
-        Self::read_from(std::io::BufReader::new(f))
     }
 
     /// Repairs the trace in place so that [`Self::validate`] passes:
@@ -250,17 +237,6 @@ impl TraceFile {
                 }
             }
         }
-    }
-
-    /// Loads a trace from a file leniently: tolerates non-UTF-8 bytes,
-    /// salvages truncated JSON, and sanitizes the result so it passes
-    /// [`Self::validate`]. The warning list describes every repair.
-    pub fn load_lenient(path: impl AsRef<Path>) -> Result<(Self, Vec<Warning>), TraceError> {
-        let data = std::fs::read(path)?;
-        let text = String::from_utf8_lossy(&data);
-        let (mut trace, mut warnings) = Self::from_json_lenient(&text)?;
-        warnings.extend(trace.sanitize());
-        Ok((trace, warnings))
     }
 }
 
@@ -581,18 +557,5 @@ mod tests {
         // Complete JSON of the wrong shape is a schema problem, not
         // truncation; repair must not mask it.
         assert!(TraceFile::from_json_lenient("{\"app_name\": \"x\"}").is_err());
-    }
-
-    #[test]
-    fn load_lenient_reads_a_torn_file() {
-        let t = minimal_trace();
-        let j = t.to_json().unwrap();
-        let path = std::env::temp_dir().join(format!("ecohmem-torn-{}.json", std::process::id()));
-        std::fs::write(&path, &j[..j.len() - 10]).unwrap();
-        let (back, warnings) = TraceFile::load_lenient(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        back.validate().unwrap();
-        assert!(!warnings.is_empty());
-        assert_eq!(back.app_name, "toy");
     }
 }

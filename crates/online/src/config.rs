@@ -32,10 +32,6 @@ pub struct OnlineConfig {
     /// page-table work of a `move_pages`-style remap, on top of the
     /// bytes-moved / tier-bandwidth transfer term charged by the engine.
     pub migration_overhead: f64,
-    /// Depth of the bounded event channel used by [`crate::StreamSession`];
-    /// a full channel blocks the producer (backpressure) instead of
-    /// buffering the whole trace. Clamped to ≥ 1.
-    pub channel_capacity: usize,
     /// Plan hysteresis: a challenger must look this fraction hotter than an
     /// incumbent fast-tier site to evict it. `0.0` disables (required for
     /// exact offline equivalence); the reactive preset uses a positive
@@ -46,14 +42,13 @@ pub struct OnlineConfig {
 
 impl Default for OnlineConfig {
     /// The offline-equivalent configuration: unbounded statistics, re-plan
-    /// every phase, no artificial channel depth.
+    /// every phase, no hysteresis.
     fn default() -> Self {
         OnlineConfig {
             window: None,
             half_life: None,
             epoch_phases: 1,
             migration_overhead: 50e-6,
-            channel_capacity: 1024,
             hysteresis: 0.0,
         }
     }

@@ -170,24 +170,28 @@ fn get_policy(r: &mut Reader) -> Result<DegradationPolicy, TraceError> {
     }
 }
 
+/// What the checkpoint's retired channel-capacity slot holds: the depth of
+/// the event channel the ingestor once ran behind, 1024 for every engine
+/// outside tests. The slot keeps the byte format; its value is unused.
+const RETIRED_CHANNEL_CAPACITY: u64 = 1024;
+
 fn put_online_cfg(out: &mut Vec<u8>, cfg: &OnlineConfig) {
     put_opt_f64(out, cfg.window);
     put_opt_f64(out, cfg.half_life);
     put_u64(out, cfg.epoch_phases as u64);
     put_f64(out, cfg.migration_overhead);
-    put_u64(out, cfg.channel_capacity as u64);
+    put_u64(out, RETIRED_CHANNEL_CAPACITY);
     put_f64(out, cfg.hysteresis);
 }
 
 fn get_online_cfg(r: &mut Reader) -> Result<OnlineConfig, TraceError> {
-    Ok(OnlineConfig {
-        window: get_opt_f64(r)?,
-        half_life: get_opt_f64(r)?,
-        epoch_phases: r.field("epoch phases")?,
-        migration_overhead: r.f64_bits()?,
-        channel_capacity: r.field("channel capacity")?,
-        hysteresis: r.f64_bits()?,
-    })
+    let window = get_opt_f64(r)?;
+    let half_life = get_opt_f64(r)?;
+    let epoch_phases = r.field("epoch phases")?;
+    let migration_overhead = r.f64_bits()?;
+    let _retired: usize = r.field("channel capacity")?;
+    let hysteresis = r.f64_bits()?;
+    Ok(OnlineConfig { window, half_life, epoch_phases, migration_overhead, hysteresis })
 }
 
 // ---------------------------------------------------------- the ingestor
@@ -784,6 +788,52 @@ mod tests {
             restored.push(e).unwrap();
         }
         assert_eq!(original.snapshot(2.0), restored.snapshot(2.0));
+    }
+
+    #[test]
+    fn any_retired_channel_capacity_restores_like_a_fresh_replay() {
+        // Encoders before the slot was retired wrote whatever channel
+        // capacity the caller configured; tests configured 1.
+        for policy in [DegradationPolicy::Strict, DegradationPolicy::BestEffort] {
+            let original = busy_ingestor(policy);
+            let mut current = Vec::new();
+            encode_ingestor(&original, &mut current);
+            let mut cfg_now = Vec::new();
+            put_online_cfg(&mut cfg_now, &original.cfg);
+            let at = current
+                .windows(cfg_now.len())
+                .position(|w| w == cfg_now)
+                .expect("the checkpoint holds the config");
+            for capacity in [1u64, 7, 1 << 40] {
+                let cfg = &original.cfg;
+                let mut cfg_old = Vec::new();
+                put_opt_f64(&mut cfg_old, cfg.window);
+                put_opt_f64(&mut cfg_old, cfg.half_life);
+                put_u64(&mut cfg_old, cfg.epoch_phases as u64);
+                put_f64(&mut cfg_old, cfg.migration_overhead);
+                put_u64(&mut cfg_old, capacity);
+                put_f64(&mut cfg_old, cfg.hysteresis);
+                let old = [&current[..at], &cfg_old[..], &current[at + cfg_now.len()..]].concat();
+
+                let mut r = Reader::new(&old);
+                let mut restored = decode_ingestor(&mut r).unwrap();
+                assert_eq!(r.remaining(), 0, "capacity {capacity}: decoded completely");
+                let mut again = Vec::new();
+                encode_ingestor(&restored, &mut again);
+                assert_eq!(again, current, "capacity {capacity}: re-encodes with 1024");
+
+                let mut fresh = busy_ingestor(policy);
+                assert_eq!(restored.snapshot(2.0), fresh.snapshot(2.0), "capacity {capacity}");
+                let advisor =
+                    || IncrementalAdvisor::new(AdvisorConfig::loads_only(12), Algorithm::Base);
+                let (mut a, mut b) = (advisor(), advisor());
+                assert_eq!(a.tick(&mut restored, 2.0), b.tick(&mut fresh, 2.0));
+                let (mut bytes_a, mut bytes_b) = (Vec::new(), Vec::new());
+                encode_advisor(&a, &mut bytes_a);
+                encode_advisor(&b, &mut bytes_b);
+                assert_eq!(bytes_a, bytes_b, "capacity {capacity}: the ticks agree");
+            }
+        }
     }
 
     #[test]

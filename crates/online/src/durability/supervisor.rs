@@ -38,7 +38,7 @@ use crate::error::IngestError;
 use crate::incremental::PlacementRevision;
 use crate::ingest::StreamMeta;
 use advisor::{AdvisorConfig, Algorithm};
-use memtrace::{DegradationPolicy, DroppedWindow, SiteId, TierId, TraceError, TraceEvent};
+use memtrace::{DegradationPolicy, DroppedWindow, EventBatch, SiteId, TierId, TraceError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -115,10 +115,13 @@ pub struct SupervisorOutcome {
     pub degraded: bool,
 }
 
+// Ingest envelopes are most of the queue; boxing the batch would only add
+// an allocation per offer.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Envelope {
     Ingest {
-        events: Vec<TraceEvent>,
+        events: EventBatch,
         shed: Option<DroppedWindow>,
     },
     Tick {
@@ -231,13 +234,12 @@ impl Supervisor {
     /// Offers a batch of events under the admission deadline. Returns
     /// [`Admission::Shed`] when the queue stayed full — the drop is
     /// counted, windowed, and journaled with the next admitted envelope.
-    pub fn offer(&self, events: Vec<TraceEvent>) -> Result<Admission, IngestError> {
+    pub fn offer(&self, events: EventBatch) -> Result<Admission, IngestError> {
         if events.is_empty() {
             return Ok(Admission::Admitted);
         }
         let tx = self.sender()?;
-        let last_t = events.last().map(|e| e.time());
-        let times: Vec<f64> = events.iter().map(|e| e.time()).collect();
+        let last_t = events.ops.last().map(|&op| events.time_of(op));
         // A restarting worker still holds the queue, so offers during the
         // backoff window wait out the same admission deadline as any other
         // offer and are drained once the replacement recovers; only a
@@ -260,14 +262,14 @@ impl Supervisor {
             Err(TrySendError::Full(env)) => {
                 // Explicit shedding: put the envelope's events (and any
                 // piggybacked window) back into the pending audit trail.
+                let Envelope::Ingest { events, shed } = env else {
+                    unreachable!("offer sends only ingest envelopes")
+                };
                 let mut s = self.shared.lock().expect("supervisor state");
-                if let Envelope::Ingest { shed: Some(w), .. } = env {
+                if let Some(w) = shed {
                     s.pending_shed.merge(&w);
                 }
-                let mut w = DroppedWindow::default();
-                for t in times {
-                    w.note(t);
-                }
+                let w = window_of(&events);
                 s.pending_shed.merge(&w);
                 s.shed_events += w.count;
                 s.shed_window.merge(&w);
@@ -372,9 +374,7 @@ fn drain_to_shed(rx: &Receiver<Envelope>, shared: &Mutex<Shared>) {
     let mut w = DroppedWindow::default();
     while let Some(env) = rx.try_recv() {
         if let Envelope::Ingest { events, .. } = env {
-            for e in &events {
-                w.note(e.time());
-            }
+            w.merge(&window_of(&events));
         }
     }
     if w.count > 0 {
@@ -383,6 +383,23 @@ fn drain_to_shed(rx: &Receiver<Envelope>, shared: &Mutex<Shared>) {
         s.shed_window.merge(&w);
         ecohmem_obs::count("online.shed_events", w.count);
     }
+}
+
+/// The count and time window of a batch's events, read from its time
+/// columns (the window takes no notice of their order).
+fn window_of(events: &EventBatch) -> DroppedWindow {
+    let mut w = DroppedWindow::default();
+    let columns = [
+        &events.alloc_times,
+        &events.free_times,
+        &events.load_times,
+        &events.store_times,
+        &events.phase_times,
+    ];
+    for &t in columns.into_iter().flatten() {
+        w.note(t);
+    }
+    w
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -474,7 +491,7 @@ fn run_loop(
                 if let Some(w) = shed {
                     engine.note_shed(w)?;
                 }
-                engine.ingest(events)?;
+                engine.ingest_batch(events)?;
             }
             Envelope::Tick { now, shed } => {
                 if let Some(w) = shed {
@@ -524,7 +541,7 @@ fn run_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memtrace::{BinaryMap, CallStack, Frame, ModuleId, ObjectId};
+    use memtrace::{BinaryMap, CallStack, Frame, ModuleId, ObjectId, TraceEvent};
     use std::fs;
     use std::path::PathBuf;
 
@@ -592,7 +609,7 @@ mod tests {
                 function: memtrace::FuncId(0),
             });
         }
-        s.offer(events).unwrap();
+        s.offer(EventBatch::from_events(&events)).unwrap();
         s.tick(1.0).unwrap();
         let out = s.finish().unwrap();
         assert!(!out.degraded);
@@ -614,9 +631,9 @@ mod tests {
                 function: memtrace::FuncId(0),
             });
         }
-        s.offer(events).unwrap();
+        s.offer(EventBatch::from_events(&events)).unwrap();
         s.tick(1.0).unwrap();
-        s.offer(vec![alloc(1.5, 2, 1, 1 << 20, 0x9000)]).unwrap();
+        s.offer(EventBatch::from_events(&[alloc(1.5, 2, 1, 1 << 20, 0x9000)])).unwrap();
         s.shutdown().unwrap();
         let out = s.finish().unwrap();
         assert!(!out.degraded);
@@ -658,12 +675,12 @@ mod tests {
         let run = |with_panic: bool| {
             let dir = base.join(if with_panic { "crashed" } else { "smooth" });
             let s = spawn(&dir, DegradationPolicy::Strict, patient());
-            s.offer(vec![alloc(0.0, 1, 0, 1 << 30, 0x1000)]).unwrap();
+            s.offer(EventBatch::from_events(&[alloc(0.0, 1, 0, 1 << 30, 0x1000)])).unwrap();
             s.tick(1.0).unwrap();
             if with_panic {
                 s.inject_panic("chaos").unwrap();
             }
-            s.offer(vec![alloc(1.5, 2, 1, 1 << 20, 0x9000)]).unwrap();
+            s.offer(EventBatch::from_events(&[alloc(1.5, 2, 1, 1 << 20, 0x9000)])).unwrap();
             s.tick(2.0).unwrap();
             s.finish().unwrap()
         };
@@ -688,7 +705,16 @@ mod tests {
         // Fill the queue, then overflow it while the worker sleeps.
         let mut shed = 0;
         for i in 0..8u64 {
-            match s.offer(vec![alloc(i as f64, i + 1, 0, 4096, 0x1000 + i * 0x1000)]).unwrap() {
+            match s
+                .offer(EventBatch::from_events(&[alloc(
+                    i as f64,
+                    i + 1,
+                    0,
+                    4096,
+                    0x1000 + i * 0x1000,
+                )]))
+                .unwrap()
+            {
                 Admission::Admitted => {}
                 Admission::Shed => shed += 1,
             }
@@ -712,7 +738,7 @@ mod tests {
         // to disconnect, then the producer must see ConsumerGone.
         let mut gone = false;
         for _ in 0..200 {
-            match s.offer(vec![alloc(5.0, 9, 0, 64, 0x5000)]) {
+            match s.offer(EventBatch::from_events(&[alloc(5.0, 9, 0, 64, 0x5000)])) {
                 Err(IngestError::ConsumerGone) => {
                     gone = true;
                     break;
@@ -735,8 +761,12 @@ mod tests {
         // it: a fatal panic, then two admitted-but-never-ingested batches.
         s.inject_stall(Duration::from_millis(300)).unwrap();
         s.inject_panic("fatal").unwrap();
-        s.offer(vec![alloc(1.0, 1, 0, 4096, 0x1000)]).unwrap();
-        s.offer(vec![alloc(2.0, 2, 0, 4096, 0x2000), alloc(2.5, 3, 1, 4096, 0x3000)]).unwrap();
+        s.offer(EventBatch::from_events(&[alloc(1.0, 1, 0, 4096, 0x1000)])).unwrap();
+        s.offer(EventBatch::from_events(&[
+            alloc(2.0, 2, 0, 4096, 0x2000),
+            alloc(2.5, 3, 1, 4096, 0x3000),
+        ]))
+        .unwrap();
         let out = s.finish().unwrap();
         assert!(out.degraded);
         assert_eq!(out.shed_events, 3, "admitted-but-unprocessed events are accounted");
@@ -772,7 +802,7 @@ mod tests {
         let dir = tmpdir("budget-soft");
         let sup = SupervisorConfig { restart_budget: 0, backoff_base_ms: 1, ..patient() };
         let s = spawn(&dir, DegradationPolicy::BestEffort, sup);
-        s.offer(vec![alloc(0.0, 1, 0, 1 << 30, 0x1000)]).unwrap();
+        s.offer(EventBatch::from_events(&[alloc(0.0, 1, 0, 1 << 30, 0x1000)])).unwrap();
         s.tick(1.0).unwrap();
         // Wait until the first tick published a live view.
         let mut live = None;

@@ -1,19 +1,21 @@
-//! Structured errors for the online engine's producer-facing surface.
+//! Structured errors for the supervisor's producer-facing surface.
 
 use memtrace::TraceError;
 use std::fmt;
 
-/// Why an event (or batch) could not be admitted into the online engine.
+/// Why a batch (or a tick or control message) could not be admitted into
+/// a [`crate::Supervisor`].
 #[derive(Debug)]
 pub enum IngestError {
-    /// The consumer side of the stream is gone: the ingest thread exited
-    /// (a `Strict` failure, a panic past the restart budget, or a normal
-    /// shutdown) and will never drain the channel again. The producer
-    /// should stop and call the session's `finish` for the root cause.
+    /// The consumer side of the stream is gone: the supervisor's worker
+    /// exited (a `Strict` failure, a panic past the restart budget, or a
+    /// normal shutdown) and will never drain its queue again. The producer
+    /// should stop and call [`crate::Supervisor::finish`] for the root
+    /// cause.
     ///
-    /// Before this variant existed, a producer blocked on a *full*
-    /// channel whose consumer had died would wait forever; the queue now
-    /// detects the dropped receiver and fails the send instead.
+    /// A producer blocked on a *full* queue whose consumer dies is woken
+    /// with this error too: the queue detects the dropped receiver and
+    /// fails the send instead of waiting forever.
     ConsumerGone,
     /// Ingestion itself failed (a `Strict` malformation).
     Trace(TraceError),

@@ -21,10 +21,10 @@
 //! Each tick emits the *diff* against the previous plan as
 //! [`PlacementRevision`]s — the stream a dynamic placement layer consumes.
 
-use crate::ingest::{BwContext, StreamIngestor};
+use crate::ingest::StreamIngestor;
 use advisor::{bandwidth, knapsack, AdvisorConfig, Algorithm, Assignment, BwThresholds};
 use memtrace::{BinaryMap, CallStack, SiteId, TierId};
-use profiler::{ProfileSet, SiteProfile};
+use profiler::{BwContext, ProfileSet, SiteProfile};
 use serde::{Deserialize, Serialize};
 
 /// One placement change emitted by an epoch tick.
@@ -49,7 +49,7 @@ pub trait ProfileSource {
     fn take_dirty(&mut self) -> Vec<SiteId>;
     /// The bandwidth context as of `now`, built once per tick and shared
     /// by every site rebuild of that tick.
-    fn bw_context(&self, now: f64) -> BwContext;
+    fn bw_context(&self, now: f64) -> BwContext<'_>;
     /// Rebuilds one site's profile as of `now` into `out`, reusing its
     /// allocations. Returns false, leaving `out` untouched, if the site
     /// has no profile (it vanished).
@@ -63,7 +63,7 @@ impl ProfileSource for StreamIngestor {
         StreamIngestor::take_dirty(self)
     }
 
-    fn bw_context(&self, now: f64) -> BwContext {
+    fn bw_context(&self, now: f64) -> BwContext<'_> {
         StreamIngestor::bw_context(self, now)
     }
 
@@ -73,26 +73,6 @@ impl ProfileSource for StreamIngestor {
 
     fn app_name(&self) -> &str {
         &self.meta().app_name
-    }
-}
-
-/// An empty profile of `site`, for a source to rebuild into.
-pub(crate) fn blank_profile(site: SiteId) -> SiteProfile {
-    SiteProfile {
-        site,
-        stack: CallStack::default(),
-        alloc_count: 0,
-        max_size: 0,
-        total_bytes: 0,
-        peak_live_bytes: 0,
-        load_misses_est: 0.0,
-        store_misses_est: 0.0,
-        has_stores: false,
-        first_alloc: 0.0,
-        last_free: 0.0,
-        bw_at_alloc: 0.0,
-        avg_bw: 0.0,
-        objects: Vec::new(),
     }
 }
 
@@ -186,8 +166,9 @@ impl IncrementalAdvisor {
     pub fn tick(&mut self, source: &mut dyn ProfileSource, now: f64) -> Vec<PlacementRevision> {
         let _span = ecohmem_obs::span("online.tick");
         let rebuilt_before = self.rebuilt_sites;
+        let dirty = source.take_dirty();
         let bw = source.bw_context(now);
-        for site in source.take_dirty() {
+        for site in dirty {
             self.refresh(&*source, site, now, &bw);
             self.rebuilt_sites += 1;
         }
@@ -245,7 +226,7 @@ impl IncrementalAdvisor {
                 }
             }
             Err(i) => {
-                let mut p = blank_profile(site);
+                let mut p = SiteProfile::empty(site);
                 if source.rebuild_site(site, now, bw, &mut p) {
                     self.estimates.insert(i, (p.load_misses_est, p.store_misses_est));
                     sites.insert(i, p);
@@ -304,7 +285,7 @@ mod tests {
         fn take_dirty(&mut self) -> Vec<SiteId> {
             std::mem::take(&mut self.dirty)
         }
-        fn bw_context(&self, _now: f64) -> BwContext {
+        fn bw_context(&self, _now: f64) -> BwContext<'_> {
             BwContext::default()
         }
         fn rebuild_site(

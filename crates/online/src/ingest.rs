@@ -8,7 +8,11 @@
 //! still running*. With aging disabled (the default [`OnlineConfig`]),
 //! feeding a full valid trace and snapshotting at the end reproduces the
 //! batch analyzer's [`ProfileSet`] exactly; this online → offline
-//! convergence is property-tested in `tests/convergence.rs`.
+//! convergence is property-tested in `tests/convergence.rs`. The
+//! streaming part is the bookkeeping: live blocks, per-site peak-live
+//! sweeps and aged miss estimates. A site's profile is then built through
+//! the analyzer's own aggregation (`SiteProfile::aggregate`) and
+//! bandwidth series (`profiler::BwContext`).
 //!
 //! Sample → object matching is the streaming version of the analyzer's
 //! interval search: a sorted table of block start addresses holds the
@@ -35,7 +39,7 @@ use memtrace::{
     BinaryMap, CallStack, DegradationPolicy, DroppedWindow, ObjectId, Shape, SiteId, TraceError,
     TraceEvent, TraceFile, Validator, Warning, WarningKind,
 };
-use profiler::{ObjectLifetime, ProfileSet, SiteProfile};
+use profiler::{BwContext, ObjectLifetime, ProfileSet, SiteProfile};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -283,44 +287,6 @@ impl LiveBlocks {
     }
 }
 
-/// Phase-binned bandwidth context, computed on demand from the ingestor's
-/// running bins (the streaming equivalent of the analyzer's pass 3).
-#[derive(Debug, Clone, Default)]
-pub struct BwContext {
-    bins: Vec<f64>,
-    /// `(bin_start_seconds, bytes_per_second)`.
-    pub series: Vec<(f64, f64)>,
-    /// Peak of the series.
-    pub peak: f64,
-}
-
-impl BwContext {
-    /// System bandwidth at a given time.
-    pub fn at(&self, t: f64) -> f64 {
-        self.bw_of_bin(self.bin_of(t))
-    }
-
-    fn bin_of(&self, t: f64) -> usize {
-        self.bins.partition_point(|&b| b <= t).saturating_sub(1)
-    }
-
-    fn bw_of_bin(&self, i: usize) -> f64 {
-        self.series.get(i).map(|&(_, bw)| bw).unwrap_or(0.0)
-    }
-
-    /// [`Self::at`] for a run of lookups: keeps the previous answer's
-    /// bin `[bins[i], bins[i + 1])` and only searches outside it.
-    fn at_from(&self, t: f64, bin: &mut usize) -> f64 {
-        let i = *bin;
-        let inside = self.bins.get(i).is_some_and(|&lo| lo <= t)
-            && self.bins.get(i + 1).is_none_or(|&hi| t < hi);
-        if !inside {
-            *bin = self.bin_of(t);
-        }
-        self.bw_of_bin(*bin)
-    }
-}
-
 /// The streaming trace ingestor.
 #[derive(Debug)]
 pub struct StreamIngestor {
@@ -357,7 +323,7 @@ pub struct StreamIngestor {
 
     // Bandwidth binning (one bin per phase marker, like the analyzer):
     // integer sample counts, converted to bytes/sec on demand by the
-    // shared `profiler::bandwidth_series` helper, so the streaming series
+    // analyzer's own `profiler::BwContext`, so the streaming series
     // matches the batch analyzer's to the last bit under any event
     // grouping.
     pub(crate) bins: Vec<f64>,
@@ -624,7 +590,7 @@ impl StreamIngestor {
 
     fn record_sample(&mut self, time: f64, address: u64, kind: SampleKind) {
         // Bandwidth binning (pass 3 of the analyzer, done inline): integer
-        // per-kind counts; `bandwidth_series` converts to bytes/sec.
+        // per-kind counts; `BwContext::new` converts to bytes/sec.
         match kind {
             SampleKind::LoadMiss => match self.bin_load.last_mut() {
                 Some(b) => *b += 1,
@@ -687,23 +653,18 @@ impl StreamIngestor {
         best.map(|(_, slot)| slot)
     }
 
-    /// The bandwidth series as of `duration` (the analyzer's pass 3,
-    /// computed by the same shared helper so the two agree bit-for-bit).
-    pub fn bw_context(&self, duration: f64) -> BwContext {
-        let (bins, loads, misses) = if self.bins.is_empty() {
-            (vec![0.0], vec![self.pending_load], vec![self.pending_store_miss])
+    /// The bandwidth series as of `duration`: the analyzer's pass 3 over
+    /// the running bin counts, read in place.
+    pub fn bw_context(&self, duration: f64) -> BwContext<'_> {
+        let (load_period, store_period) =
+            (self.meta.load_sample_period, self.meta.store_sample_period);
+        if self.bins.is_empty() {
+            let (loads, misses) = ([self.pending_load], [self.pending_store_miss]);
+            BwContext::new(&[0.0], &loads, &misses, load_period, store_period, duration)
         } else {
-            (self.bins.clone(), self.bin_load.clone(), self.bin_store_miss.clone())
-        };
-        let (series, peak) = profiler::bandwidth_series(
-            &bins,
-            &loads,
-            &misses,
-            self.meta.load_sample_period,
-            self.meta.store_sample_period,
-            duration,
-        );
-        BwContext { bins, series, peak }
+            let (loads, misses) = (&self.bin_load, &self.bin_store_miss);
+            BwContext::new(&self.bins, loads, misses, load_period, store_period, duration)
+        }
     }
 
     /// Rebuilds one site's profile as of `duration` into `out`, reusing
@@ -733,8 +694,8 @@ impl StreamIngestor {
         if acc.objects.is_empty() {
             return false;
         }
-        let mut bin = 0;
-        let lifetime = |o: &ObjAcc, bin: &mut usize| ObjectLifetime {
+        let mut bw_at = bw.cursor();
+        let mut lifetime = |o: &ObjAcc| ObjectLifetime {
             object: o.id,
             size: o.size,
             alloc_time: o.alloc_time,
@@ -742,69 +703,38 @@ impl StreamIngestor {
             load_samples: o.load_samples,
             store_samples: o.store_samples,
             store_l1d_miss_samples: o.store_l1d_miss_samples,
-            bw_at_alloc: bw.at_from(o.alloc_time, bin),
+            bw_at_alloc: bw_at(o.alloc_time),
         };
         out.objects.clear();
         if acc.by_id {
-            out.objects
-                .extend(acc.objects.iter().map(|&s| lifetime(&self.objects[s as usize], &mut bin)));
+            out.objects.extend(acc.objects.iter().map(|&s| lifetime(&self.objects[s as usize])));
         } else {
             let mut order: Vec<&ObjAcc> =
                 acc.objects.iter().map(|&s| &self.objects[s as usize]).collect();
             order.sort_by_key(|o| o.id);
-            out.objects.extend(order.into_iter().map(|o| lifetime(o, &mut bin)));
+            out.objects.extend(order.into_iter().map(lifetime));
         }
 
-        // Every aggregate below is the analyzer's expression over the
-        // objects in id order, so the floating-point sums match it bit for
-        // bit.
-        let objs = &out.objects;
-        let alloc_count = objs.len() as u64;
-        let max_size = objs.iter().map(|o| o.size).max().unwrap_or(0);
-        let total_bytes: u64 = objs.iter().map(|o| o.size).sum();
-        let peak_live_bytes = acc.sweep.peak_at(duration).unwrap_or_else(|| peak_live(objs));
-        let load_samples: u64 = objs.iter().map(|o| o.load_samples).sum();
-        let store_miss_samples: u64 = objs.iter().map(|o| o.store_l1d_miss_samples).sum();
-        let store_samples: u64 = objs.iter().map(|o| o.store_samples).sum();
-        // With aging disabled the aged value IS the raw total, so the batch
-        // formula below reproduces the analyzer bit-for-bit; with a window
-        // or decay configured the estimate tracks recent activity instead.
-        let aged = self.cfg.window.is_some() || self.cfg.half_life.is_some();
-        let load_misses_est = if aged {
-            acc.load_stat.value(&self.cfg, duration) * self.meta.load_sample_period
-        } else {
-            load_samples as f64 * self.meta.load_sample_period
-        };
-        let store_misses_est = if aged {
-            acc.store_stat.value(&self.cfg, duration) * self.meta.store_sample_period
-        } else {
-            store_miss_samples as f64 * self.meta.store_sample_period
-        };
-        let first_alloc = objs.iter().map(|o| o.alloc_time).fold(f64::INFINITY, f64::min);
-        let last_free = objs.iter().map(|o| o.free_time).fold(0.0, f64::max);
-        let total_lifetime: f64 = objs.iter().map(|o| (o.free_time - o.alloc_time).max(0.0)).sum();
-        let bw_at_alloc =
-            objs.iter().map(|o| o.bw_at_alloc).sum::<f64>() / alloc_count.max(1) as f64;
-        let avg_bw = if total_lifetime > 0.0 {
-            (load_misses_est + store_misses_est) * 64.0 / total_lifetime
-        } else {
-            0.0
-        };
+        // With aging disabled the sampled totals are the analyzer's
+        // estimates; with a window or decay configured the estimates track
+        // recent activity instead.
+        let (lp, sp) = (self.meta.load_sample_period, self.meta.store_sample_period);
+        let (load_misses_est, store_misses_est) =
+            if self.cfg.window.is_some() || self.cfg.half_life.is_some() {
+                (
+                    acc.load_stat.value(&self.cfg, duration) * lp,
+                    acc.store_stat.value(&self.cfg, duration) * sp,
+                )
+            } else {
+                out.sampled_misses(lp, sp)
+            };
+        let peak_live_bytes =
+            acc.sweep.peak_at(duration).unwrap_or_else(|| profiler::peak_live(&out.objects));
         out.site = acc.id;
         if out.stack != *stack {
             out.stack = stack.clone();
         }
-        out.alloc_count = alloc_count;
-        out.max_size = max_size;
-        out.total_bytes = total_bytes;
-        out.peak_live_bytes = peak_live_bytes;
-        out.load_misses_est = load_misses_est;
-        out.store_misses_est = store_misses_est;
-        out.has_stores = store_samples > 0;
-        out.first_alloc = first_alloc;
-        out.last_free = last_free;
-        out.bw_at_alloc = bw_at_alloc;
-        out.avg_bw = avg_bw;
+        out.aggregate(load_misses_est, store_misses_est, peak_live_bytes);
         true
     }
 
@@ -814,7 +744,7 @@ impl StreamIngestor {
         let bw = self.bw_context(duration);
         let mut sites = Vec::new();
         for (site, stack) in self.meta.stacks.iter() {
-            let mut p = crate::incremental::blank_profile(*site);
+            let mut p = SiteProfile::empty(*site);
             if self.build_site(self.site_slots[site], stack, duration, &bw, &mut p) {
                 sites.push(p);
             }
@@ -884,22 +814,18 @@ impl SampleKind {
     }
 }
 
-/// Peak simultaneously-live bytes among one site's objects — the
-/// analyzer's edge sweep.
-fn peak_live(objs: &[ObjectLifetime]) -> u64 {
-    let mut edges: Vec<(f64, i64)> = Vec::with_capacity(objs.len() * 2);
-    for o in objs {
-        edges.push((o.alloc_time, o.size as i64));
-        edges.push((o.free_time, -(o.size as i64)));
-    }
-    edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut cur = 0i64;
-    let mut peak = 0i64;
-    for (_, d) in edges {
-        cur += d;
-        peak = peak.max(cur);
-    }
-    peak.max(0) as u64
+/// Streams a whole trace through one [`StreamIngestor`] on the caller's
+/// thread, reading the trace's own [`EventBatch`] — the streaming
+/// counterpart of `profiler::analyze` (strict) and
+/// `profiler::analyze_lenient` (with a lenient policy).
+pub fn stream_profile(
+    trace: &TraceFile,
+    policy: DegradationPolicy,
+    cfg: OnlineConfig,
+) -> Result<(ProfileSet, Vec<Warning>), TraceError> {
+    let mut ingestor = StreamIngestor::new(StreamMeta::of(trace), policy, cfg);
+    ingestor.push_batch(&trace.events)?;
+    ingestor.finish(trace.duration)
 }
 
 #[cfg(test)]

@@ -4,11 +4,13 @@
 //! trace, advise a placement, deploy it on the *next* run. This crate
 //! closes the loop at runtime, in three layers:
 //!
-//! * [`StreamIngestor`] / [`StreamSession`] — streaming trace ingestion:
-//!   the batch analyzer's statistics maintained one event at a time, with
-//!   sliding-window and exponentially-decayed miss estimators
-//!   ([`DecayedWindow`]), fed through a *bounded* channel so a slow
-//!   planner exerts backpressure instead of buffering the trace.
+//! * [`StreamIngestor`] — streaming trace ingestion: the batch analyzer's
+//!   statistics maintained one event (or one columnar batch) at a time on
+//!   the caller's thread, with sliding-window and exponentially-decayed
+//!   miss estimators ([`DecayedWindow`]). Its profiles go through the
+//!   analyzer's own per-site aggregation and bandwidth series
+//!   (`profiler::SiteProfile::aggregate`, `profiler::BwContext`);
+//!   [`stream_profile`] streams a whole trace file through one ingestor.
 //! * [`IncrementalAdvisor`] — the greedy knapsack (and optional
 //!   bandwidth-aware pass) re-solved on epoch ticks over cached per-site
 //!   profiles, rebuilding only the sites dirtied since the last tick and
@@ -32,7 +34,6 @@
 //! engine through panics with byte-identical recovered state, shedding
 //! load explicitly under overload instead of stalling producers.
 
-pub mod channel;
 pub mod config;
 pub mod durability;
 pub mod error;
@@ -41,7 +42,6 @@ pub mod ingest;
 pub mod policy;
 pub mod stats;
 
-pub use channel::{stream_profile, StreamSession};
 pub use config::OnlineConfig;
 pub use durability::{
     Admission, DurabilityConfig, DurableEngine, PlacementView, RecoveryReport, Supervisor,
@@ -49,7 +49,7 @@ pub use durability::{
 };
 pub use error::IngestError;
 pub use incremental::{IncrementalAdvisor, PlacementRevision, ProfileSource};
-pub use ingest::{BwContext, StreamIngestor, StreamMeta};
+pub use ingest::{stream_profile, StreamIngestor, StreamMeta};
 pub use memtrace::DegradationPolicy;
 pub use policy::OnlinePolicy;
 pub use stats::DecayedWindow;

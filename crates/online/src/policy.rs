@@ -25,12 +25,11 @@
 
 use crate::config::OnlineConfig;
 use crate::incremental::{IncrementalAdvisor, PlacementRevision, ProfileSource};
-use crate::ingest::BwContext;
 use crate::stats::DecayedWindow;
 use advisor::{AdvisorConfig, Algorithm};
 use memsim::{AllocContext, Migration, PhaseObservation, PlacementPolicy};
 use memtrace::{CallStack, SiteId, TierId};
-use profiler::SiteProfile;
+use profiler::{BwContext, SiteProfile};
 use std::collections::{HashMap, HashSet};
 
 /// Per-site state reconstructed from allocations and phase observations.
@@ -63,7 +62,7 @@ impl ProfileSource for PhaseSource {
         v
     }
 
-    fn bw_context(&self, _now: f64) -> BwContext {
+    fn bw_context(&self, _now: f64) -> BwContext<'_> {
         // The engine's observation carries no bandwidth series; the miss
         // density the knapsack ranks by does not need one.
         BwContext::default()

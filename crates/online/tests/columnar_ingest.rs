@@ -19,8 +19,7 @@ use ecohmem_online::durability::codec::{
     decode_advisor, decode_ingestor, encode_advisor, encode_ingestor,
 };
 use ecohmem_online::{
-    BwContext, IncrementalAdvisor, OnlineConfig, PlacementRevision, ProfileSource, StreamIngestor,
-    StreamMeta,
+    IncrementalAdvisor, OnlineConfig, PlacementRevision, ProfileSource, StreamIngestor, StreamMeta,
 };
 use memsim::{ExecMode, FixedTier, MachineConfig};
 use memtrace::wire::Reader;
@@ -28,7 +27,7 @@ use memtrace::{
     BinaryMap, CallStack, DegradationPolicy, EventBatch, FaultKind, FaultSpec, FaultTarget, Frame,
     FuncId, ModuleId, ObjectId, SiteId, TierId, TraceError, TraceEvent, TraceFile,
 };
-use profiler::{ProfileSet, SiteProfile};
+use profiler::{BwContext, ProfileSet, SiteProfile};
 use std::cell::Cell;
 use std::collections::HashSet;
 
@@ -237,7 +236,7 @@ impl ProfileSource for Checked<'_> {
         self.ing.take_dirty()
     }
 
-    fn bw_context(&self, now: f64) -> BwContext {
+    fn bw_context(&self, now: f64) -> BwContext<'_> {
         let bw = ProfileSource::bw_context(&*self.ing, now);
         assert_eq!(bw.series, self.reference.bw_series, "bandwidth series at {now}");
         bw

@@ -30,7 +30,8 @@
 //! on the golden workloads, on arbitrary generated traces, and on
 //! fault-injected traces after sanitization.
 
-use crate::profile::{ObjectLifetime, ProfileSet, SiteProfile};
+use crate::bandwidth::{bin_of, sorted_bins, BinCursor, BwContext};
+use crate::profile::{peak_live, ObjectLifetime, ProfileSet, SiteProfile};
 use memtrace::columns::{LenientBuild, ObjectIndex, TraceColumns};
 use memtrace::{CallStack, DroppedWindow, EventBatch, ObjectId, SiteId, TraceError, TraceEvent};
 use memtrace::{TraceFile, Warning};
@@ -105,91 +106,6 @@ pub fn analyze_sanitizing(trace: &mut TraceFile) -> (ProfileSet, Vec<Warning>, D
 fn build_lenient(trace: &TraceFile) -> LenientBuild {
     let _span = ecohmem_obs::span("analyzer.columns.build");
     TraceColumns::build_lenient(trace)
-}
-
-/// Converts per-bin sample counts into the `(bin_start, bytes/sec)`
-/// bandwidth series plus its peak. Shared by both analyzer paths and the
-/// streaming ingestor, so all three derive bit-identical series from the
-/// same counts: load misses and L1D store misses each contribute one
-/// cacheline per sampling period.
-pub fn bandwidth_series(
-    bins: &[f64],
-    load_counts: &[u64],
-    store_miss_counts: &[u64],
-    load_period: f64,
-    store_period: f64,
-    duration: f64,
-) -> (Vec<(f64, f64)>, f64) {
-    let load_bytes = load_period * 64.0;
-    let store_bytes = store_period * 64.0;
-    let mut series = Vec::with_capacity(bins.len());
-    for (i, &start) in bins.iter().enumerate() {
-        let end = bins.get(i + 1).copied().unwrap_or(duration);
-        let width = (end - start).max(1e-9);
-        let bytes = load_counts[i] as f64 * load_bytes + store_miss_counts[i] as f64 * store_bytes;
-        series.push((start, bytes / width));
-    }
-    let peak = series.iter().map(|&(_, bw)| bw).fold(0.0, f64::max);
-    (series, peak)
-}
-
-/// Sorted phase-marker bins (at least one, starting at 0 when the trace
-/// has no markers) and the bin index of a timestamp.
-fn sorted_bins(mut bins: Vec<f64>) -> Vec<f64> {
-    if bins.is_empty() {
-        bins.push(0.0);
-    }
-    // total_cmp: a NaN phase-marker time must not panic the analyzer (it
-    // sorts last and merely produces a useless bin).
-    bins.sort_by(f64::total_cmp);
-    bins
-}
-
-#[inline]
-fn bin_of(bins: &[f64], t: f64) -> usize {
-    bins.partition_point(|&b| b <= t).saturating_sub(1)
-}
-
-/// [`bin_of`] for scans whose consecutive samples tend to share a bin: it
-/// keeps the previous answer's bin `[bins[b], bins[b + 1])` (unbounded
-/// above for the last bin or a NaN successor), inside which `bin_of` is
-/// constant at `b`. A sample in that bin skips the search; anything else
-/// — a bin change, a time below the first bin, a NaN time — falls back to
-/// [`bin_of`], so every answer is exactly `bin_of`'s.
-struct BinCursor<'a> {
-    bins: &'a [f64],
-    lo: f64,
-    hi: f64,
-    bin: usize,
-}
-
-impl<'a> BinCursor<'a> {
-    /// `bins` as produced by [`sorted_bins`]: nonempty, `total_cmp`-sorted.
-    fn new(bins: &'a [f64]) -> BinCursor<'a> {
-        let mut c = BinCursor { bins, lo: f64::NAN, hi: f64::NAN, bin: 0 };
-        c.remember(0);
-        c
-    }
-
-    fn remember(&mut self, bin: usize) {
-        self.bin = bin;
-        // A negative NaN sorts first under `total_cmp`, which leaves the
-        // search predicate unpartitioned; a NaN `lo` disables the memo so
-        // such bins always take the search path.
-        self.lo = if self.bins[0].is_nan() { f64::NAN } else { self.bins[bin] };
-        self.hi = match self.bins.get(bin + 1) {
-            Some(&next) if !next.is_nan() => next,
-            _ => f64::INFINITY,
-        };
-    }
-
-    #[inline]
-    fn bin(&mut self, t: f64) -> usize {
-        if !(self.lo <= t && t < self.hi) {
-            self.remember(bin_of(self.bins, t));
-        }
-        self.bin
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -271,7 +187,7 @@ fn analyze_cols(trace: &TraceFile, cols: &TraceColumns) -> ProfileSet {
     };
     ecohmem_obs::count("analyzer.samples.unmatched", total.unmatched); // not fatal
 
-    let (bw_series, peak_bw) = bandwidth_series(
+    let bw = BwContext::new(
         &bins,
         &total.bin_load,
         &total.bin_store_miss,
@@ -279,41 +195,35 @@ fn analyze_cols(trace: &TraceFile, cols: &TraceColumns) -> ProfileSet {
         trace.store_sample_period,
         trace.duration,
     );
-    let bw_at =
-        |t: f64| -> f64 { bw_series.get(bin_of(&bins, t)).map(|&(_, bw)| bw).unwrap_or(0.0) };
 
     // Pass 4: aggregate per site, in stack-table order like the scalar
     // path (the final sort by SiteId makes the order moot anyway).
     let o = &cols.objects;
     let mut sites = Vec::with_capacity(cols.site_ids.len());
-    let mut views: Vec<ObjView> = Vec::new();
     for (ds, &stack_idx) in cols.site_stacks.iter().enumerate() {
         let objs = &cols.site_objects[ds];
         if objs.is_empty() {
             continue;
         }
-        views.clear();
-        views.extend(objs.iter().map(|&d| {
-            let d = d as usize;
-            ObjView {
-                id: o.ids[d],
-                size: o.sizes[d],
-                alloc_time: o.alloc_times[d],
-                free_time: o.free_times[d],
-                load_samples: total.obj_load[d],
-                store_samples: total.obj_store[d],
-                store_l1d_miss_samples: total.obj_store_miss[d],
-            }
-        }));
+        let mut bw_at = bw.cursor();
+        let objects = objs
+            .iter()
+            .map(|&d| {
+                let d = d as usize;
+                ObjectLifetime {
+                    object: o.ids[d],
+                    size: o.sizes[d],
+                    alloc_time: o.alloc_times[d],
+                    free_time: o.free_times[d],
+                    load_samples: total.obj_load[d],
+                    store_samples: total.obj_store[d],
+                    store_l1d_miss_samples: total.obj_store_miss[d],
+                    bw_at_alloc: bw_at(o.alloc_times[d]),
+                }
+            })
+            .collect();
         let (site, stack) = &trace.stacks[stack_idx];
-        sites.push(site_profile(
-            *site,
-            stack.clone(),
-            &views,
-            trace.load_sample_period,
-            trace.store_sample_period,
-            &bw_at,
-        ));
+        sites.push(site_profile(trace, *site, stack, objects));
     }
     sites.sort_by_key(|s| s.site);
     ecohmem_obs::count("analyzer.sites.aggregated", sites.len() as u64);
@@ -322,10 +232,24 @@ fn analyze_cols(trace: &TraceFile, cols: &TraceColumns) -> ProfileSet {
         app_name: trace.app_name.to_string(),
         duration: trace.duration,
         sites,
-        bw_series,
-        peak_bw,
+        bw_series: bw.series,
+        peak_bw: bw.peak,
         binmap: trace.binmap.clone(),
     }
+}
+
+/// One site's profile from its objects in id order, through the shared
+/// aggregation: sampled miss estimates and the sorted peak-live sweep.
+fn site_profile(
+    trace: &TraceFile,
+    site: SiteId,
+    stack: &CallStack,
+    objects: Vec<ObjectLifetime>,
+) -> SiteProfile {
+    let mut p = SiteProfile { stack: stack.clone(), objects, ..SiteProfile::empty(site) };
+    let (load, store) = p.sampled_misses(trace.load_sample_period, trace.store_sample_period);
+    p.aggregate(load, store, peak_live(&p.objects));
+    p
 }
 
 // ---------------------------------------------------------------------------
@@ -448,7 +372,7 @@ fn scalar_analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
     ecohmem_obs::count("analyzer.samples.unmatched", unmatched_samples); // not fatal
 
     // Pass 3: system bandwidth series binned by phase markers; integer
-    // sample counts per bin, converted by the shared helper so the scalar,
+    // sample counts per bin, converted by the shared context so the scalar,
     // columnar and streaming paths agree to the last bit.
     let bins = sorted_bins(
         trace
@@ -471,7 +395,7 @@ fn scalar_analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
             _ => {}
         }
     }
-    let (bw_series, peak_bw) = bandwidth_series(
+    let bw = BwContext::new(
         &bins,
         &bin_load,
         &bin_store_miss,
@@ -479,8 +403,6 @@ fn scalar_analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
         trace.store_sample_period,
         trace.duration,
     );
-    let bw_at =
-        |t: f64| -> f64 { bw_series.get(bin_of(&bins, t)).map(|&(_, bw)| bw).unwrap_or(0.0) };
 
     // Pass 4: aggregate per site.
     let mut per_site: HashMap<SiteId, Vec<u32>> = HashMap::new();
@@ -488,31 +410,26 @@ fn scalar_analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
         per_site.entry(o.site).or_default().push(i as u32);
     }
     let mut sites = Vec::with_capacity(per_site.len());
-    let mut views: Vec<ObjView> = Vec::new();
     for (site, stack) in &trace.stacks {
         let Some(mut list) = per_site.remove(site) else { continue };
         list.sort_unstable_by_key(|&i| objs[i as usize].id);
-        views.clear();
-        views.extend(list.iter().map(|&i| {
-            let o = &objs[i as usize];
-            ObjView {
-                id: o.id,
-                size: o.size,
-                alloc_time: o.alloc_time,
-                free_time: o.free_time,
-                load_samples: o.load_samples,
-                store_samples: o.store_samples,
-                store_l1d_miss_samples: o.store_l1d_miss_samples,
-            }
-        }));
-        sites.push(site_profile(
-            *site,
-            stack.clone(),
-            &views,
-            trace.load_sample_period,
-            trace.store_sample_period,
-            &bw_at,
-        ));
+        let objects = list
+            .iter()
+            .map(|&i| {
+                let o = &objs[i as usize];
+                ObjectLifetime {
+                    object: o.id,
+                    size: o.size,
+                    alloc_time: o.alloc_time,
+                    free_time: o.free_time,
+                    load_samples: o.load_samples,
+                    store_samples: o.store_samples,
+                    store_l1d_miss_samples: o.store_l1d_miss_samples,
+                    bw_at_alloc: bw.at(o.alloc_time),
+                }
+            })
+            .collect();
+        sites.push(site_profile(trace, *site, stack, objects));
     }
     sites.sort_by_key(|s| s.site);
     ecohmem_obs::count("analyzer.sites.aggregated", sites.len() as u64);
@@ -521,104 +438,10 @@ fn scalar_analyze(trace: &TraceFile) -> Result<ProfileSet, TraceError> {
         app_name: trace.app_name.clone(),
         duration: trace.duration,
         sites,
-        bw_series,
-        peak_bw,
+        bw_series: bw.series,
+        peak_bw: bw.peak,
         binmap: trace.binmap.clone(),
     })
-}
-
-// ---------------------------------------------------------------------------
-// Shared per-site aggregation
-// ---------------------------------------------------------------------------
-
-/// One object's contribution to its site profile. Both analyzer paths
-/// materialize these in ObjectId order and fold them through
-/// [`site_profile`], which guarantees their floating-point aggregates are
-/// computed in the same order — the structural core of the differential
-/// guarantee.
-struct ObjView {
-    id: ObjectId,
-    size: u64,
-    alloc_time: f64,
-    free_time: f64,
-    load_samples: u64,
-    store_samples: u64,
-    store_l1d_miss_samples: u64,
-}
-
-fn site_profile(
-    site: SiteId,
-    stack: CallStack,
-    views: &[ObjView],
-    load_period: f64,
-    store_period: f64,
-    bw_at: &dyn Fn(f64) -> f64,
-) -> SiteProfile {
-    let alloc_count = views.len() as u64;
-    let max_size = views.iter().map(|v| v.size).max().unwrap_or(0);
-    let total_bytes: u64 = views.iter().map(|v| v.size).sum();
-    let peak_live_bytes = peak_live(views.iter().map(|v| (v.alloc_time, v.free_time, v.size)));
-    let load_samples: u64 = views.iter().map(|v| v.load_samples).sum();
-    let store_miss_samples: u64 = views.iter().map(|v| v.store_l1d_miss_samples).sum();
-    let store_samples: u64 = views.iter().map(|v| v.store_samples).sum();
-    let load_misses_est = load_samples as f64 * load_period;
-    let store_misses_est = store_miss_samples as f64 * store_period;
-    let first_alloc = views.iter().map(|v| v.alloc_time).fold(f64::INFINITY, f64::min);
-    let last_free = views.iter().map(|v| v.free_time).fold(0.0, f64::max);
-    let total_lifetime: f64 = views.iter().map(|v| (v.free_time - v.alloc_time).max(0.0)).sum();
-    let bw_at_alloc =
-        views.iter().map(|v| bw_at(v.alloc_time)).sum::<f64>() / alloc_count.max(1) as f64;
-    let avg_bw = if total_lifetime > 0.0 {
-        (load_misses_est + store_misses_est) * 64.0 / total_lifetime
-    } else {
-        0.0
-    };
-    let object_lifetimes = views
-        .iter()
-        .map(|v| ObjectLifetime {
-            object: v.id,
-            size: v.size,
-            alloc_time: v.alloc_time,
-            free_time: v.free_time,
-            load_samples: v.load_samples,
-            store_samples: v.store_samples,
-            store_l1d_miss_samples: v.store_l1d_miss_samples,
-            bw_at_alloc: bw_at(v.alloc_time),
-        })
-        .collect();
-    SiteProfile {
-        site,
-        stack,
-        alloc_count,
-        max_size,
-        total_bytes,
-        peak_live_bytes,
-        load_misses_est,
-        store_misses_est,
-        has_stores: store_samples > 0,
-        first_alloc,
-        last_free,
-        bw_at_alloc,
-        avg_bw,
-        objects: object_lifetimes,
-    }
-}
-
-/// Peak simultaneously-live bytes among one site's objects.
-fn peak_live(spans: impl Iterator<Item = (f64, f64, u64)>) -> u64 {
-    let mut edges: Vec<(f64, i64)> = Vec::new();
-    for (alloc_time, free_time, size) in spans {
-        edges.push((alloc_time, size as i64));
-        edges.push((free_time, -(size as i64)));
-    }
-    edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut cur = 0i64;
-    let mut peak = 0i64;
-    for (_, d) in edges {
-        cur += d;
-        peak = peak.max(cur);
-    }
-    peak.max(0) as u64
 }
 
 #[cfg(test)]
@@ -707,17 +530,6 @@ mod tests {
         };
         assert_ne!(rebuilt.events.load_times, trace.events.load_times, "rows differ in layout");
         assert_eq!(analyze(&rebuilt).unwrap(), analyze(&trace).unwrap());
-    }
-
-    #[test]
-    fn bandwidth_series_counts_convert_per_period() {
-        let bins = vec![0.0, 1.0];
-        let (series, peak) = bandwidth_series(&bins, &[10, 0], &[0, 5], 2.0, 3.0, 3.0);
-        // Bin 0: 10 load samples × 2 misses × 64B over 1 s.
-        assert_eq!(series[0], (0.0, 10.0 * 2.0 * 64.0));
-        // Bin 1: 5 store-miss samples × 3 stores × 64B over 2 s.
-        assert_eq!(series[1], (1.0, 5.0 * 3.0 * 64.0 / 2.0));
-        assert_eq!(peak, series[0].1);
     }
 
     #[test]
@@ -853,55 +665,6 @@ mod tests {
                 let again = damaged.sanitize();
                 assert!(again.is_empty(), "{kind}@{severity}: second pass warned {again:?}");
                 assert_eq!(damaged, once, "{kind}@{severity}: second pass changed the trace");
-            }
-        }
-    }
-
-    #[test]
-    fn bin_cursor_equals_bin_of() {
-        let nan_tail = [0.0, 1.0, 1.0, 2.5, f64::NAN, f64::NAN];
-        let layouts: [&[f64]; 6] = [
-            &[0.0],
-            &[0.0, 1.0, 1.0, 1.0, 2.0, 3.0],
-            &[-0.0, 0.0, 0.5, 0.5],
-            &nan_tail,
-            &[-f64::NAN, -1.0, 0.0, 2.0],
-            &[1.0, 2.0, 4.0],
-        ];
-        let probes = [
-            -1.0,
-            -0.0,
-            0.0,
-            0.25,
-            0.5,
-            1.0,
-            1.5,
-            2.0,
-            2.5,
-            3.0,
-            4.0,
-            9.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        let mut rng = 0x5eed_u64;
-        for bins in layouts {
-            let bins = sorted_bins(bins.to_vec());
-            // Ascending probes (the scan's order), then seeded shuffles.
-            for round in 0..64 {
-                let mut order: Vec<f64> = probes.to_vec();
-                if round > 0 {
-                    for i in (1..order.len()).rev() {
-                        rng =
-                            rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                        order.swap(i, (rng >> 33) as usize % (i + 1));
-                    }
-                }
-                let mut cursor = BinCursor::new(&bins);
-                for t in order {
-                    assert_eq!(cursor.bin(t), bin_of(&bins, t), "bins {bins:?}, t {t}");
-                }
             }
         }
     }

@@ -18,17 +18,23 @@
 //!   address-interval search, and aggregates per-site statistics
 //!   (allocation count, largest/total size, estimated load/store misses,
 //!   lifetimes, bandwidth at allocation vs during execution).
+//!
+//! The per-site aggregation ([`SiteProfile::aggregate`]), [`peak_live`]
+//! and the bandwidth series ([`BwContext`]) live here once: both analyzer
+//! paths and the online engine's streaming ingestor build their profiles
+//! through them.
 
 pub mod analyzer;
+mod bandwidth;
 pub mod profile;
 pub mod sampler;
 pub mod timeline;
 
 pub use analyzer::{
     analyze, analyze_columnar, analyze_legacy, analyze_lenient, analyze_sanitizing,
-    bandwidth_series,
 };
-pub use profile::{ObjectLifetime, ProfileSet, SiteIndex, SiteProfile};
+pub use bandwidth::BwContext;
+pub use profile::{peak_live, ObjectLifetime, ProfileSet, SiteIndex, SiteProfile};
 pub use sampler::{
     profile_run, profile_run_cached, synthesize_columns, synthesize_trace, ProfilerConfig,
 };

@@ -73,6 +73,62 @@ pub struct SiteProfile {
 }
 
 impl SiteProfile {
+    /// A profile of `site` with no objects and every aggregate zero: the
+    /// blank an aggregation fills in.
+    pub fn empty(site: SiteId) -> SiteProfile {
+        SiteProfile {
+            site,
+            stack: CallStack::default(),
+            alloc_count: 0,
+            max_size: 0,
+            total_bytes: 0,
+            peak_live_bytes: 0,
+            load_misses_est: 0.0,
+            store_misses_est: 0.0,
+            has_stores: false,
+            first_alloc: 0.0,
+            last_free: 0.0,
+            bw_at_alloc: 0.0,
+            avg_bw: 0.0,
+            objects: Vec::new(),
+        }
+    }
+
+    /// The miss estimates the objects' samples give: load-miss samples ×
+    /// `load_period` and L1D store-miss samples × `store_period`.
+    pub fn sampled_misses(&self, load_period: f64, store_period: f64) -> (f64, f64) {
+        let load_samples: u64 = self.objects.iter().map(|o| o.load_samples).sum();
+        let store_miss_samples: u64 = self.objects.iter().map(|o| o.store_l1d_miss_samples).sum();
+        (load_samples as f64 * load_period, store_miss_samples as f64 * store_period)
+    }
+
+    /// The per-site aggregation: sets every site-level statistic from
+    /// [`Self::objects`], which must be in object-id order, plus the two
+    /// miss estimates and the peak-live bytes the caller derived. The
+    /// analyzer and the streaming ingestor both aggregate here, so their
+    /// floating-point sums run in the same order and agree to the bit.
+    pub fn aggregate(&mut self, load_misses_est: f64, store_misses_est: f64, peak_live_bytes: u64) {
+        let objs = &self.objects;
+        let alloc_count = objs.len() as u64;
+        self.alloc_count = alloc_count;
+        self.max_size = objs.iter().map(|o| o.size).max().unwrap_or(0);
+        self.total_bytes = objs.iter().map(|o| o.size).sum();
+        self.peak_live_bytes = peak_live_bytes;
+        self.load_misses_est = load_misses_est;
+        self.store_misses_est = store_misses_est;
+        self.has_stores = objs.iter().any(|o| o.store_samples > 0);
+        self.first_alloc = objs.iter().map(|o| o.alloc_time).fold(f64::INFINITY, f64::min);
+        self.last_free = objs.iter().map(|o| o.free_time).fold(0.0, f64::max);
+        self.bw_at_alloc =
+            objs.iter().map(|o| o.bw_at_alloc).sum::<f64>() / alloc_count.max(1) as f64;
+        let total_lifetime = self.total_lifetime();
+        self.avg_bw = if total_lifetime > 0.0 {
+            (load_misses_est + store_misses_est) * 64.0 / total_lifetime
+        } else {
+            0.0
+        };
+    }
+
     /// Aggregate lifetime (sum over objects), seconds.
     pub fn total_lifetime(&self) -> f64 {
         self.objects.iter().map(|o| o.lifetime()).sum()
@@ -88,6 +144,25 @@ impl SiteProfile {
         (load_coeff * self.load_misses_est + store_coeff * self.store_misses_est)
             / self.total_bytes as f64
     }
+}
+
+/// Peak simultaneously-live bytes among one site's objects: the largest
+/// running sum over their edges — `(alloc_time, +size)` and
+/// `(free_time, -size)` — sorted by time, then by delta.
+pub fn peak_live(objects: &[ObjectLifetime]) -> u64 {
+    let mut edges: Vec<(f64, i64)> = Vec::with_capacity(objects.len() * 2);
+    for o in objects {
+        edges.push((o.alloc_time, o.size as i64));
+        edges.push((o.free_time, -(o.size as i64)));
+    }
+    edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut cur = 0i64;
+    let mut peak = 0i64;
+    for (_, d) in edges {
+        cur += d;
+        peak = peak.max(cur);
+    }
+    peak.max(0) as u64
 }
 
 /// The analyzer's complete output for one profiled run.

@@ -55,7 +55,6 @@ pub mod prelude {
     };
     pub use ecohmem_online::{
         stream_profile, IncrementalAdvisor, OnlineConfig, OnlinePolicy, PlacementRevision,
-        StreamSession,
     };
     pub use flexmalloc::FlexMalloc;
     pub use memsim::{run, AppModel, ExecMode, MachineConfig, RunResult};

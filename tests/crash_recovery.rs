@@ -161,12 +161,11 @@ fn best_effort_serves_the_stale_placement_after_a_fatal_crash() {
         sup_cfg,
         |_| {},
     );
-    let events = trace.events.to_events();
-    let half = events.len() / 2;
-    for chunk in events[..half].chunks(512) {
-        supervisor.offer(chunk.to_vec()).unwrap();
+    let half = trace.len() / 2;
+    for lo in (0..half).step_by(512) {
+        supervisor.offer(trace.events.slice_ops(lo..(lo + 512).min(half))).unwrap();
     }
-    supervisor.tick(events[half - 1].time()).unwrap();
+    supervisor.tick(trace.events.time_of(trace.events.ops[half - 1])).unwrap();
     let mut live = None;
     for _ in 0..600 {
         if let Some(v) = supervisor.placement() {

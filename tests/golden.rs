@@ -89,7 +89,7 @@ fn durability_scenario() -> String {
     use advisor::{AdvisorConfig, Algorithm};
     use ecohmem_online::{Admission, DurabilityConfig, StreamMeta, Supervisor, SupervisorConfig};
     use memsim::{ExecMode, FixedTier, MachineConfig};
-    use memtrace::{DegradationPolicy, TraceEvent};
+    use memtrace::{DegradationPolicy, EventBatch, TraceEvent};
     use profiler::{profile_run, ProfilerConfig};
     use std::time::Duration;
 
@@ -130,19 +130,20 @@ fn durability_scenario() -> String {
         sup_cfg,
         |_| {},
     );
-    let events = trace.events.to_events();
-    let chunks: Vec<&[TraceEvent]> = events.chunks(512).collect();
-    let crashes = [chunks.len() / 3, 2 * chunks.len() / 3];
-    for (i, chunk) in chunks.iter().enumerate() {
+    let n_chunks = trace.len().div_ceil(512);
+    let crashes = [n_chunks / 3, 2 * n_chunks / 3];
+    for i in 0..n_chunks {
         if i > 0 && crashes.contains(&i) {
             s.inject_panic("golden chaos").unwrap();
         }
-        match s.offer(chunk.to_vec()).unwrap() {
+        let chunk = trace.events.slice_ops(i * 512..((i + 1) * 512).min(trace.len()));
+        let last_t = chunk.time_of(*chunk.ops.last().unwrap());
+        match s.offer(chunk).unwrap() {
             Admission::Admitted => {}
             Admission::Shed => panic!("the golden feed must not shed"),
         }
         if (i + 1) % 8 == 0 {
-            s.tick(chunk.last().unwrap().time()).unwrap();
+            s.tick(last_t).unwrap();
         }
     }
     s.tick(trace.duration).unwrap();
@@ -177,6 +178,7 @@ fn durability_scenario() -> String {
     );
     let markers: Vec<TraceEvent> =
         (0..16).map(|_| TraceEvent::PhaseMarker { time: 1.0, phase: 0 }).collect();
+    let markers = EventBatch::from_events(&markers);
     s2.inject_stall(Duration::from_millis(300)).unwrap();
     let (mut shed, mut admitted_since_stall) = (0u64, 0u64);
     while shed < 3 {
