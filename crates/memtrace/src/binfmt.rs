@@ -189,7 +189,7 @@ pub fn write_trace<W: Write>(trace: &TraceFile, mut w: W) -> Result<(), TraceErr
     out.extend_from_slice(&VERSION_V1.to_le_bytes());
 
     // Header: everything but the events, as length-prefixed JSON (small).
-    let header_json = trace.header().to_json()?;
+    let header_json = crate::jsonio::header_to_json(trace);
     put_varint(&mut out, header_json.len() as u64);
     out.extend_from_slice(header_json.as_bytes());
 
@@ -212,7 +212,7 @@ pub fn write_trace<W: Write>(trace: &TraceFile, mut w: W) -> Result<(), TraceErr
 /// Serializes a trace to the v2 (bucketed) binary format. Same strict
 /// ordering contract as [`write_trace`].
 pub fn write_trace_v2<W: Write>(trace: &TraceFile, mut w: W) -> Result<(), TraceError> {
-    let header_json = trace.header().to_json()?;
+    let header_json = crate::jsonio::header_to_json(trace);
     let n_events = trace.events.len();
     // Bucket payloads, encoded first so the index can carry byte lengths.
     // Delta coding restarts at each bucket's base timestamp, which is what

@@ -212,9 +212,8 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let s = stack();
-        let j = crate::jsonio::stack_to_json(&s).to_string_compact();
-        let parsed = ecohmem_obs::json::Json::parse(&j).unwrap();
-        let back = crate::jsonio::stack_from_json(&parsed).unwrap();
+        let j = crate::jsonio::stack_to_json(&s);
+        let back = crate::jsonio::stack_from_json(&j).unwrap();
         assert_eq!(s, back);
     }
 

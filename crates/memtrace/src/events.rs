@@ -144,9 +144,8 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let e = TraceEvent::PhaseMarker { time: 2.0, phase: 3 };
-        let j = crate::jsonio::event_to_json(&e).to_string_compact();
-        let parsed = ecohmem_obs::json::Json::parse(&j).unwrap();
-        let back = crate::jsonio::event_from_json(&parsed).unwrap();
+        let j = crate::jsonio::event_to_json(&e);
+        let back = crate::jsonio::event_from_json(&j).unwrap();
         assert_eq!(e, back);
     }
 }

@@ -258,6 +258,9 @@ impl FaultSpec {
                     events.free_objects.push(ObjectId(fresh + i as u64));
                 }
                 let frees = (0..extra).rev().map(|i| BatchOp::free(first_row + i));
+                // Exactly the room the frees need: a full op vector would
+                // otherwise grow by doubling, onto fresh pages.
+                events.ops.reserve_exact(extra);
                 events.ops.splice(0..0, frees);
                 extra
             }

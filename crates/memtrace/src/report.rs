@@ -148,13 +148,12 @@ impl PlacementReport {
 
     /// Serializes to JSON.
     pub fn to_json(&self) -> Result<String, TraceError> {
-        Ok(crate::jsonio::report_to_json(self).to_string_compact())
+        Ok(crate::jsonio::report_to_json(self))
     }
 
     /// Deserializes from JSON.
     pub fn from_json(json: &str) -> Result<Self, TraceError> {
-        let value = ecohmem_obs::json::Json::parse(json)?;
-        Ok(crate::jsonio::report_from_json(&value)?)
+        Ok(crate::jsonio::report_from_json(json)?)
     }
 
     /// Writes the report as JSON.

@@ -110,13 +110,12 @@ impl TraceFile {
 
     /// Serializes the trace to JSON.
     pub fn to_json(&self) -> Result<String, TraceError> {
-        Ok(crate::jsonio::trace_to_json(self).to_string_compact())
+        Ok(crate::jsonio::trace_to_json(self))
     }
 
     /// Deserializes a trace from JSON.
     pub fn from_json(json: &str) -> Result<Self, TraceError> {
-        let value = ecohmem_obs::json::Json::parse(json)?;
-        Ok(crate::jsonio::trace_from_json(&value)?)
+        Ok(crate::jsonio::trace_from_json(json, false)?)
     }
 
     /// Writes the trace to a writer as JSON.
@@ -215,27 +214,15 @@ impl TraceFile {
         };
         match Self::from_json(&repaired) {
             Ok(t) => Ok((t, truncation_warning())),
-            Err(_) => {
-                // Bracket repair can leave the *last* event structurally
-                // closed but missing fields (the cut fell inside it). That
-                // single event is part of the torn tail: drop it and retry
-                // once. If the schema problem is anywhere else, repair
-                // cannot help and the original error stands.
-                let Ok(mut value) = ecohmem_obs::json::Json::parse(&repaired) else {
-                    return Err(original);
-                };
-                let popped = match value.get_mut("events") {
-                    Some(ecohmem_obs::json::Json::Arr(events)) => events.pop().is_some(),
-                    _ => false,
-                };
-                if !popped {
-                    return Err(original);
-                }
-                match crate::jsonio::trace_from_json(&value) {
-                    Ok(t) => Ok((t, truncation_warning())),
-                    Err(_) => Err(original),
-                }
-            }
+            // Bracket repair can leave the *last* event structurally
+            // closed but missing fields (the cut fell inside it). That
+            // single event is part of the torn tail: decode again without
+            // it. If the problem is anywhere else, repair cannot help and
+            // the original error stands.
+            Err(_) => match crate::jsonio::trace_from_json(&repaired, true) {
+                Ok(t) => Ok((t, truncation_warning())),
+                Err(_) => Err(original),
+            },
         }
     }
 }

@@ -744,7 +744,6 @@ mod tests {
                     break;
                 }
                 Ok(_) => std::thread::sleep(Duration::from_millis(5)),
-                Err(e) => panic!("unexpected error: {e}"),
             }
         }
         assert!(gone, "producer observes the dead consumer instead of hanging");

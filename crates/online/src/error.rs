@@ -1,6 +1,5 @@
 //! Structured errors for the supervisor's producer-facing surface.
 
-use memtrace::TraceError;
 use std::fmt;
 
 /// Why a batch (or a tick or control message) could not be admitted into
@@ -17,8 +16,6 @@ pub enum IngestError {
     /// with this error too: the queue detects the dropped receiver and
     /// fails the send instead of waiting forever.
     ConsumerGone,
-    /// Ingestion itself failed (a `Strict` malformation).
-    Trace(TraceError),
 }
 
 impl fmt::Display for IngestError {
@@ -27,22 +24,8 @@ impl fmt::Display for IngestError {
             IngestError::ConsumerGone => {
                 write!(f, "stream consumer is gone; no further events can be admitted")
             }
-            IngestError::Trace(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for IngestError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IngestError::ConsumerGone => None,
-            IngestError::Trace(e) => Some(e),
-        }
-    }
-}
-
-impl From<TraceError> for IngestError {
-    fn from(e: TraceError) -> Self {
-        IngestError::Trace(e)
-    }
-}
+impl std::error::Error for IngestError {}

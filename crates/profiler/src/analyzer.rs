@@ -565,7 +565,13 @@ mod tests {
         let p = profiled();
         assert!(p.peak_bw > 0.0);
         assert!(!p.bw_series.is_empty());
-        assert!(p.bw_at(p.duration * 0.5) >= 0.0);
+        // Each site's `bw_at_alloc` averages `BwContext::at` answers, which
+        // are values of the series.
+        let low = p.bw_series.iter().map(|&(_, bw)| bw).fold(f64::INFINITY, f64::min);
+        for s in p.sites.iter().filter(|s| s.alloc_count > 0) {
+            let slack = 1e-9 * p.peak_bw;
+            assert!(s.bw_at_alloc >= low - slack && s.bw_at_alloc <= p.peak_bw + slack, "{s:?}");
+        }
     }
 
     #[test]

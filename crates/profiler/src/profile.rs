@@ -206,18 +206,6 @@ impl ProfileSet {
     pub fn total_load_misses(&self) -> f64 {
         self.sites.iter().map(|s| s.load_misses_est).sum()
     }
-
-    /// System bandwidth (bytes/s) at a given time, from the series.
-    pub fn bw_at(&self, time: f64) -> f64 {
-        let mut last = 0.0;
-        for &(t, bw) in &self.bw_series {
-            if t > time {
-                break;
-            }
-            last = bw;
-        }
-        last
-    }
 }
 
 /// [`ProfileSet::site`] over a sorted index; see [`ProfileSet::site_index`].
@@ -301,17 +289,18 @@ mod tests {
 
     #[test]
     fn bw_at_steps_through_series() {
-        let p = ProfileSet {
-            app_name: "t".into(),
-            duration: 3.0,
-            sites: vec![],
-            bw_series: vec![(0.0, 1e9), (1.0, 5e9), (2.0, 2e9)],
-            peak_bw: 5e9,
-            binmap: BinaryMap::default(),
-        };
-        assert_eq!(p.bw_at(0.5), 1e9);
-        assert_eq!(p.bw_at(1.5), 5e9);
-        assert_eq!(p.bw_at(9.0), 2e9);
+        // One-second bins whose load samples (one miss each, 64 B) make
+        // the series 1, 5 and 2 GB/s.
+        let bins = [0.0, 1.0, 2.0];
+        let loads = [15_625_000, 78_125_000, 31_250_000];
+        let bw = crate::BwContext::new(&bins, &loads, &[0, 0, 0], 1.0, 1.0, 3.0);
+        assert_eq!(bw.series, vec![(0.0, 1e9), (1.0, 5e9), (2.0, 2e9)]);
+        assert_eq!(bw.at(0.5), 1e9);
+        assert_eq!(bw.at(1.5), 5e9);
+        assert_eq!(bw.at(9.0), 2e9);
+        // Before the first bin the answer is bin 0's, as every profile's
+        // `bw_at_alloc` records it.
+        assert_eq!(bw.at(-1.0), 1e9);
     }
 
     #[test]

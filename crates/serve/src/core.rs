@@ -30,10 +30,14 @@
 //!
 //! Tenants streaming the same application re-send identical site tables
 //! and binary maps. The core interns both behind `Arc`s keyed by a
-//! content hash (with a full equality check on hit — a collision can
-//! never alias two different tables), so K tenants of one app share one
-//! table instead of K copies. The tables are read-mostly by construction:
-//! nothing on the ingest path mutates them.
+//! content digest of exactly those two tables (with a full equality check
+//! on hit — a collision can never alias two different tables), so K
+//! tenants of one app share one table instead of K copies, whatever run
+//! metadata (seed, duration, sample periods) their headers carry. The key
+//! is the image's once-per-map [`BinaryMap::digest`] folded with a
+//! [`WordHasher`] digest of the stack table; nothing is re-encoded. The
+//! tables are read-mostly by construction: nothing on the ingest path
+//! mutates them.
 
 use advisor::{AdvisorConfig, Algorithm};
 use ecohmem_online::durability::queue::{self, TrySendError};
@@ -41,6 +45,7 @@ use ecohmem_online::{
     DurabilityConfig, DurableEngine, IncrementalAdvisor, OnlineConfig, PlacementRevision,
     StreamIngestor, StreamMeta,
 };
+use memtrace::wordhash::WordHasher;
 use memtrace::{
     BinaryMap, CallStack, DegradationPolicy, EventBatch, SiteId, TraceError, TraceEvent, TraceFile,
 };
@@ -245,16 +250,21 @@ pub struct ServiceCore {
     inner: Arc<CoreInner>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+/// The interner's bucket key: a digest of the two tables the bucket's
+/// equality check compares, the image and the stack table.
+fn table_key(stacks: &[(SiteId, CallStack)], binmap: &BinaryMap) -> u64 {
+    let mut h = WordHasher::default();
+    h.word(binmap.digest());
+    h.word(stacks.len() as u64);
+    for (site, stack) in stacks {
+        h.word(u64::from(site.0));
+        h.word(stack.frames().len() as u64);
+        for f in stack.frames() {
+            h.word(u64::from(f.module.0));
+            h.word(f.offset);
+        }
     }
-    h
+    h.finish()
 }
 
 /// How many inbox items one worker drains before releasing the tenant —
@@ -428,12 +438,7 @@ fn sanitize(name: &str) -> String {
 
 impl CoreInner {
     fn intern_tables(&self, header: &TraceFile) -> InternEntry {
-        let mut key_bytes = Vec::new();
-        // Hash the codec form of the two tables; cheap relative to engine
-        // construction and independent of in-memory layout.
-        let probe = TraceFile { app_name: String::new(), ..header.header() };
-        let _ = memtrace::binfmt::write_trace(&probe, &mut key_bytes);
-        let key = fnv1a(&key_bytes);
+        let key = table_key(&header.stacks, &header.binmap);
         let mut interner = self.interner.lock().expect("interner lock");
         let bucket = interner.entry(key).or_default();
         for (stacks, binmap) in bucket.iter() {

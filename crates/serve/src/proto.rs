@@ -239,7 +239,7 @@ fn encode_events(events: &EventBatch, mode: Mode, out: &mut Vec<u8>) {
         Mode::Jsonl => {
             let mut text = String::new();
             for e in events.iter_events() {
-                text.push_str(&memtrace::event_to_json(&e).to_string_compact());
+                text.push_str(&memtrace::event_to_json(&e));
                 text.push('\n');
             }
             out.extend_from_slice(text.as_bytes());
@@ -256,9 +256,7 @@ fn decode_events(r: &mut Reader) -> Result<EventBatch, ServeError> {
                 .map_err(|e| ServeError::Protocol(format!("invalid utf-8 in jsonl body: {e}")))?;
             let mut events = EventBatch::default();
             for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                let v = ecohmem_obs::Json::parse(line)
-                    .map_err(|e| ServeError::Protocol(format!("bad jsonl event: {e:?}")))?;
-                let e = memtrace::event_from_json(&v)
+                let e = memtrace::event_from_json(line)
                     .map_err(|e| ServeError::Protocol(format!("bad jsonl event: {e:?}")))?;
                 events.push(&e);
             }

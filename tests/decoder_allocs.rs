@@ -9,7 +9,9 @@
 //! same file by `let <name> = <reader>.count("..", ..)`. Encoders — which
 //! size buffers from data already in memory — are exempt by name.
 
-const DECODERS: [&str; 5] = [
+const DECODERS: [&str; 7] = [
+    "crates/obs/src/json.rs",
+    "crates/memtrace/src/jsonio.rs",
     "crates/memtrace/src/binfmt.rs",
     "crates/memtrace/src/wire.rs",
     "crates/serve/src/proto.rs",

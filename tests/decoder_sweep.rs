@@ -1,8 +1,9 @@
 //! A deterministic no-panic sweep over every decoder of untrusted bytes.
 //!
 //! One encoded instance of each input — a v1 and a v2 binary trace, the
-//! serve protocol's Hello, Events, Revisions and Error frames, a journal
-//! record and the committed ingest checkpoint fixture — is cut at every
+//! JSON trace text (strict and lenient), the serve protocol's Hello,
+//! Events, Revisions and Error frames, a journal record and the committed
+//! ingest checkpoint fixture — is cut at every
 //! byte, has each bit flipped, and has each byte set to 0x00, 0x7f, 0x80
 //! and 0xff. Every decode must return `Ok` or `Err`; a panic fails the
 //! test. Single-byte mutations cannot build a 10-byte varint, so the
@@ -64,6 +65,16 @@ fn read_trace(b: &[u8]) -> bool {
     memtrace::read_trace(b).is_ok()
 }
 
+/// A mutation that is not UTF-8 is read lossily, as the tools' lenient
+/// path reads a trace file.
+fn read_json(b: &[u8]) -> bool {
+    TraceFile::from_json(&String::from_utf8_lossy(b)).is_ok()
+}
+
+fn read_json_lenient(b: &[u8]) -> bool {
+    TraceFile::from_json_lenient(&String::from_utf8_lossy(b)).is_ok()
+}
+
 fn read_frame(b: &[u8]) -> bool {
     matches!(proto::read_frame_from(&mut std::io::Cursor::new(b)), Ok(Some(_)))
 }
@@ -114,9 +125,12 @@ fn no_decoder_panics_on_a_cut_flipped_or_overwritten_byte() {
         from: TierId::PMEM,
         to: TierId::DRAM,
     };
-    let inputs: [(&str, Vec<u8>, Decode); 8] = [
+    let json = t.to_json().unwrap().into_bytes();
+    let inputs: [(&str, Vec<u8>, Decode); 10] = [
         ("v1 trace", v1, read_trace),
         ("v2 trace", v2, read_trace),
+        ("JSON trace", json.clone(), read_json),
+        ("JSON trace, lenient", json, read_json_lenient),
         ("Hello frame", hello, read_frame),
         ("Events frame", encode(&Frame::Events(t.events.clone())), read_frame),
         (
