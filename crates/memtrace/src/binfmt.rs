@@ -293,12 +293,19 @@ fn read_header(r: &mut Reader) -> Result<(TraceFile, usize), TraceError> {
     Ok((header, n_events))
 }
 
-/// Deserializes a trace from the binary format, either version: v1 decodes
-/// the flat stream directly, v2 goes through [`TraceBuf`].
+/// Deserializes a trace from the binary format, either version: reads
+/// `input` to its end, then decodes the bytes with [`decode_trace`].
 pub fn read_trace<R: Read>(mut input: R) -> Result<TraceFile, TraceError> {
     let mut data = Vec::new();
     input.read_to_end(&mut data)?;
-    let mut r = Reader::new(&data);
+    decode_trace(&data)
+}
+
+/// Deserializes a trace held in memory, either version, without copying
+/// it: v1 decodes the flat stream directly, v2 parses the bucket index
+/// the way [`TraceBuf`] does and decodes every bucket in order.
+pub fn decode_trace(data: &[u8]) -> Result<TraceFile, TraceError> {
+    let mut r = Reader::new(data);
     match read_version(&mut r)? {
         VERSION_V1 => {
             let (mut trace, n_events) = read_header(&mut r)?;
@@ -310,7 +317,10 @@ pub fn read_trace<R: Read>(mut input: R) -> Result<TraceFile, TraceError> {
             r.expect_end(|pos, len| format!("event stream ends at byte {pos}, file has {len}"))?;
             Ok(trace)
         }
-        VERSION_V2 => TraceBuf::from_bytes(data)?.to_trace_file(),
+        VERSION_V2 => {
+            let (header, n_events, buckets) = read_index(&mut r)?;
+            decode_buckets(header, n_events, data, &buckets)
+        }
         v => Err(unsupported(v)),
     }
 }
@@ -367,44 +377,7 @@ impl TraceBuf {
             }
             v => return Err(unsupported(v)),
         }
-        let (header, n_events) = read_header(&mut r)?;
-        // Each index entry costs ≥ 3 bytes.
-        let n_buckets = r.count("index buckets", 3, usize::MAX)?;
-        let mut buckets = Vec::with_capacity(n_buckets);
-        for _ in 0..n_buckets {
-            let count = r.count("events in a bucket", 2, MAX_DECLARED_EVENTS)?;
-            let len: usize = r.field("bucket length")?;
-            let base_us = r.varint()?;
-            // Each event costs ≥ 2 bytes (tag + delta varint).
-            if count > len / 2 {
-                return Err(TraceError::Malformed(format!(
-                    "bucket claims {count} events in {len} bytes"
-                )));
-            }
-            buckets.push(BucketMeta { count, base_us, off: 0, len });
-        }
-        let mut off = r.pos();
-        for b in &mut buckets {
-            b.off = off;
-            off = off
-                .checked_add(b.len)
-                .filter(|&e| e <= data.len())
-                .ok_or_else(|| TraceError::Malformed("bucket section out of bounds".into()))?;
-        }
-        if off != data.len() {
-            return Err(TraceError::Malformed(format!(
-                "bucket sections end at byte {off}, file has {}",
-                data.len()
-            )));
-        }
-        // The sections tile the file and hold ≥ 2 bytes per event, so the
-        // sum cannot overflow.
-        let total: usize = buckets.iter().map(|b| b.count).sum();
-        if total != n_events {
-            return Err(TraceError::Malformed(format!(
-                "index counts {total} events, header claims {n_events}"
-            )));
-        }
+        let (header, n_events, buckets) = read_index(&mut r)?;
         Ok(TraceBuf { data, header, n_events, buckets })
     }
 
@@ -426,26 +399,85 @@ impl TraceBuf {
     /// Decodes bucket `i` into a columnar batch. Bounds-checked against
     /// the index; a payload that decodes short or long is rejected.
     pub fn bucket(&self, i: usize) -> Result<EventBatch, TraceError> {
-        let m = self.buckets[i];
-        let mut r = Reader::new(&self.data[m.off..m.off + m.len]);
-        let mut last_us = m.base_us;
-        let mut batch = EventBatch::with_capacity(m.count);
-        for _ in 0..m.count {
-            batch.push(&decode_record(&mut r, &mut last_us)?);
-        }
-        r.expect_end(|pos, len| format!("bucket {i} decoded {pos} of {len} payload bytes"))?;
-        Ok(batch)
+        decode_bucket(&self.data, self.buckets[i], i)
     }
 
     /// Decodes every bucket, in order, into one trace.
     pub fn to_trace_file(&self) -> Result<TraceFile, TraceError> {
-        let mut trace = self.header.clone();
-        trace.events.ops.reserve(self.n_events);
-        for i in 0..self.buckets.len() {
-            trace.events.append(&self.bucket(i)?);
-        }
-        Ok(trace)
+        decode_buckets(self.header.clone(), self.n_events, &self.data, &self.buckets)
     }
+}
+
+/// Reads what a v2 file carries after its version: the header, the
+/// declared event count and the bucket index. The index must tile the
+/// rest of the input exactly and agree with the declared count.
+fn read_index(r: &mut Reader) -> Result<(TraceFile, usize, Vec<BucketMeta>), TraceError> {
+    let (header, n_events) = read_header(r)?;
+    // Each index entry costs ≥ 3 bytes.
+    let n_buckets = r.count("index buckets", 3, usize::MAX)?;
+    let mut buckets = Vec::with_capacity(n_buckets);
+    for _ in 0..n_buckets {
+        let count = r.count("events in a bucket", 2, MAX_DECLARED_EVENTS)?;
+        let len: usize = r.field("bucket length")?;
+        let base_us = r.varint()?;
+        // Each event costs ≥ 2 bytes (tag + delta varint).
+        if count > len / 2 {
+            return Err(TraceError::Malformed(format!(
+                "bucket claims {count} events in {len} bytes"
+            )));
+        }
+        buckets.push(BucketMeta { count, base_us, off: 0, len });
+    }
+    let file_len = r.pos() + r.remaining();
+    let mut off = r.pos();
+    for b in &mut buckets {
+        b.off = off;
+        off = off
+            .checked_add(b.len)
+            .filter(|&e| e <= file_len)
+            .ok_or_else(|| TraceError::Malformed("bucket section out of bounds".into()))?;
+    }
+    if off != file_len {
+        return Err(TraceError::Malformed(format!(
+            "bucket sections end at byte {off}, file has {file_len}"
+        )));
+    }
+    // The sections tile the file and hold ≥ 2 bytes per event, so the
+    // sum cannot overflow.
+    let total: usize = buckets.iter().map(|b| b.count).sum();
+    if total != n_events {
+        return Err(TraceError::Malformed(format!(
+            "index counts {total} events, header claims {n_events}"
+        )));
+    }
+    Ok((header, n_events, buckets))
+}
+
+/// Decodes bucket `i` of a v2 file, whose bytes are `data`.
+fn decode_bucket(data: &[u8], m: BucketMeta, i: usize) -> Result<EventBatch, TraceError> {
+    let mut r = Reader::new(&data[m.off..m.off + m.len]);
+    let mut last_us = m.base_us;
+    let mut batch = EventBatch::with_capacity(m.count);
+    for _ in 0..m.count {
+        batch.push(&decode_record(&mut r, &mut last_us)?);
+    }
+    r.expect_end(|pos, len| format!("bucket {i} decoded {pos} of {len} payload bytes"))?;
+    Ok(batch)
+}
+
+/// Decodes every bucket of a v2 file, in order, onto the events of
+/// `header`.
+fn decode_buckets(
+    mut header: TraceFile,
+    n_events: usize,
+    data: &[u8],
+    buckets: &[BucketMeta],
+) -> Result<TraceFile, TraceError> {
+    header.events.ops.reserve(n_events);
+    for (i, &m) in buckets.iter().enumerate() {
+        header.events.append(&decode_bucket(data, m, i)?);
+    }
+    Ok(header)
 }
 
 /// CRC-32 (IEEE 802.3, poly 0xEDB88320), the checksum guarding journal
@@ -553,11 +585,26 @@ pub fn write_frame(batch: &EventBatch, out: &mut Vec<u8>) {
 }
 
 /// Decodes one frame written by [`write_frame`] straight into a columnar
-/// batch — no per-event enum in between.
+/// batch — no per-event enum in between. A fresh batch allocates each
+/// column it fills once (see [`read_frame_into`]).
 pub fn read_frame(r: &mut Reader) -> Result<EventBatch, TraceError> {
+    let mut batch = EventBatch::default();
+    read_frame_into(r, &mut batch)?;
+    Ok(batch)
+}
+
+/// [`read_frame`] into the storage of `batch`, which is emptied first.
+///
+/// Each column is sized for the frame's declared event count the first
+/// time its kind appears, so a column allocates at most once per frame,
+/// and a batch that already held a frame of that size allocates nothing:
+/// decoding into a recycled batch is allocation-free in steady state. On
+/// error the batch holds an undefined prefix of the frame.
+pub fn read_frame_into(r: &mut Reader, batch: &mut EventBatch) -> Result<(), TraceError> {
+    batch.clear();
     // Each event costs ≥ 2 bytes (tag + varint time).
     let n = r.count("frame events", 2, MAX_FRAME_EVENTS)?;
-    let mut batch = EventBatch::with_capacity(n);
+    batch.ops.reserve(n);
     for _ in 0..n {
         let tag = r.byte()?;
         let time = r.f64_bits()?;
@@ -567,25 +614,83 @@ pub fn read_frame(r: &mut Reader) -> Result<EventBatch, TraceError> {
                 let site = SiteId(r.field("site id")?);
                 let size = r.varint()?;
                 let address = r.varint()?;
+                if batch.alloc_times.is_empty() {
+                    reserve_kind(batch, OpKind::Alloc, n);
+                }
                 batch.push_alloc(time, object, site, size, address);
             }
-            TAG_FREE => batch.push_free(time, ObjectId(r.varint()?)),
+            TAG_FREE => {
+                let object = ObjectId(r.varint()?);
+                if batch.free_times.is_empty() {
+                    reserve_kind(batch, OpKind::Free, n);
+                }
+                batch.push_free(time, object);
+            }
             TAG_LOAD => {
                 let address = r.varint()?;
                 let latency = r.f64_bits()?;
                 let function = FuncId(r.field("function id")?);
+                if batch.load_times.is_empty() {
+                    reserve_kind(batch, OpKind::Load, n);
+                }
                 batch.push_load(time, address, latency, function);
             }
             TAG_STORE_HIT | TAG_STORE_MISS => {
                 let address = r.varint()?;
                 let function = FuncId(r.field("function id")?);
+                if batch.store_times.is_empty() {
+                    reserve_kind(batch, OpKind::Store, n);
+                }
                 batch.push_store(time, address, tag == TAG_STORE_MISS, function);
             }
-            TAG_PHASE => batch.push_phase(time, r.field("phase")?),
+            TAG_PHASE => {
+                let phase = r.field("phase")?;
+                if batch.phase_times.is_empty() {
+                    reserve_kind(batch, OpKind::Phase, n);
+                }
+                batch.push_phase(time, phase);
+            }
             other => return Err(TraceError::Malformed(format!("unknown frame tag {other}"))),
         }
     }
-    Ok(batch)
+    Ok(())
+}
+
+/// Reserves room for `n` rows, the declared event count of the frame
+/// being decoded, in every column of one op kind. [`read_frame_into`]
+/// calls it on the first op of each kind, so a frame sizes a column once
+/// instead of growing it by doubling.
+#[cold]
+fn reserve_kind(batch: &mut EventBatch, kind: OpKind, n: usize) {
+    match kind {
+        OpKind::Alloc => {
+            batch.alloc_times.reserve(n);
+            batch.alloc_objects.reserve(n);
+            batch.alloc_sites.reserve(n);
+            batch.alloc_sizes.reserve(n);
+            batch.alloc_addresses.reserve(n);
+        }
+        OpKind::Free => {
+            batch.free_times.reserve(n);
+            batch.free_objects.reserve(n);
+        }
+        OpKind::Load => {
+            batch.load_times.reserve(n);
+            batch.load_addresses.reserve(n);
+            batch.load_latencies.reserve(n);
+            batch.load_functions.reserve(n);
+        }
+        OpKind::Store => {
+            batch.store_times.reserve(n);
+            batch.store_addresses.reserve(n);
+            batch.store_l1d_miss.reserve(n);
+            batch.store_functions.reserve(n);
+        }
+        OpKind::Phase => {
+            batch.phase_times.reserve(n);
+            batch.phase_ids.reserve(n);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -612,7 +612,11 @@ pub struct EventBatch {
 }
 
 impl EventBatch {
-    /// An empty batch with room for `ops` ops and no column rows.
+    /// An empty batch with room for `ops` ops and no column rows: only
+    /// the `ops` stream is reserved, because the op count does not say
+    /// which kinds' columns will fill. A frame decoder sizes each column
+    /// from the frame's declared count the first time its kind appears
+    /// (`binfmt::read_frame_into`).
     pub fn with_capacity(ops: usize) -> EventBatch {
         let mut b = EventBatch::default();
         b.ops.reserve_exact(ops);
@@ -636,7 +640,7 @@ impl EventBatch {
     }
 
     /// Empties the batch, keeping the capacity of every column.
-    fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.ops.clear();
         self.alloc_times.clear();
         self.alloc_objects.clear();

@@ -151,13 +151,15 @@ enum Engine {
 }
 
 impl Engine {
-    fn ingest(&mut self, events: EventBatch) -> Result<(), TraceError> {
+    /// Ingests one batch. A plain engine hands the spent batch back for
+    /// recycling; a durable one keeps it (its journal record owns it).
+    fn ingest(&mut self, events: EventBatch) -> Result<Option<EventBatch>, TraceError> {
         match self {
             Engine::Plain { ingestor, .. } => {
                 ingestor.push_batch(&events)?;
-                Ok(())
+                Ok(Some(events))
             }
-            Engine::Durable { engine } => engine.ingest_batch(events),
+            Engine::Durable { engine } => engine.ingest_batch(events).map(|()| None),
         }
     }
 
@@ -199,6 +201,9 @@ struct TenantState {
     stalled_drops: AtomicU64,
     /// Transport wake-up hook, fired after each successful outbox push.
     notify: Mutex<Option<OutboxNotify>>,
+    /// Spent batches the worker handed back, at most [`SPARE_BATCHES`]:
+    /// the transport decodes the tenant's next Events frames into them.
+    spares: Mutex<Vec<EventBatch>>,
 }
 
 impl TenantState {
@@ -210,6 +215,15 @@ impl TenantState {
             ecohmem_obs::incr("serve.stalled_drops");
         } else {
             self.wake_transport();
+        }
+    }
+
+    /// Keeps a spent batch for the transport to decode into, unless the
+    /// spare list is full.
+    fn recycle(&self, batch: EventBatch) {
+        let mut spares = self.spares.lock().expect("spares lock");
+        if spares.len() < SPARE_BATCHES {
+            spares.push(batch);
         }
     }
 
@@ -270,6 +284,12 @@ fn table_key(stacks: &[(SiteId, CallStack)], binmap: &BinaryMap) -> u64 {
 /// How many inbox items one worker drains before releasing the tenant —
 /// bounds how long one busy tenant can monopolize a worker.
 const MAX_DRAIN: usize = 32;
+
+/// Spent batches a tenant keeps for its next Events frames. A transport
+/// that keeps pace with the worker takes one back per frame, so a few
+/// cover the steady state; a burst beyond them decodes into fresh
+/// batches, and what the list cannot hold is freed.
+const SPARE_BATCHES: usize = 4;
 
 impl ServiceCore {
     /// Boots the worker pool and an empty tenant registry.
@@ -392,6 +412,7 @@ impl ServiceCore {
             shed_pending: AtomicU64::new(0),
             stalled_drops: AtomicU64::new(0),
             notify: Mutex::new(None),
+            spares: Mutex::new(Vec::with_capacity(SPARE_BATCHES)),
         });
         let n = {
             let mut tenants = inner.tenants.lock().expect("tenants lock");
@@ -500,14 +521,15 @@ impl CoreInner {
     fn handle(&self, st: &TenantState, engine: &mut Option<Engine>, work: Work) {
         match work {
             Work::Ingest(events) => {
-                let failed = match engine.as_mut() {
-                    Some(eng) => eng.ingest(events).err(),
-                    None => None,
-                };
-                if let Some(err) = failed {
-                    st.push_out(Outbound::Error(format!("ingest failed: {err}")));
-                    *engine = None;
-                    self.remove_tenant(st.id);
+                let Some(eng) = engine.as_mut() else { return };
+                match eng.ingest(events) {
+                    Ok(Some(spent)) => st.recycle(spent),
+                    Ok(None) => {}
+                    Err(err) => {
+                        st.push_out(Outbound::Error(format!("ingest failed: {err}")));
+                        *engine = None;
+                        self.remove_tenant(st.id);
+                    }
                 }
             }
             Work::Tick { now, t0 } => {
@@ -604,6 +626,14 @@ impl TenantClient {
             }
             Err(TrySendError::Disconnected(_)) => Err(ServeError::TenantGone),
         }
+    }
+
+    /// A batch this tenant's worker has ingested and handed back, for the
+    /// transport to decode the next Events frame into
+    /// ([`crate::proto::decode_with`] empties it first); `None` when no
+    /// spare is waiting.
+    pub fn recycled_batch(&self) -> Option<EventBatch> {
+        self.state.spares.lock().expect("spares lock").pop()
     }
 
     /// Queues an event batch; sheds after the admission deadline.
@@ -718,6 +748,36 @@ mod tests {
         assert_eq!(revs.len(), 1, "one tick → one Revisions ack: {out:?}");
         assert!(!revs[0].is_empty(), "1 GiB objects under a 12 GiB budget must move");
         assert_eq!(core.tenants(), 0, "finish deregisters");
+        core.shutdown();
+    }
+
+    #[test]
+    fn a_plain_engine_hands_ingested_batches_back_up_to_the_bound() {
+        let core = ServiceCore::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+        let (t, rx) = core.register("t0", &header("toy")).unwrap();
+        assert!(t.recycled_batch().is_none(), "a new tenant has no spares");
+        let batches: Vec<EventBatch> = (0..SPARE_BATCHES + 2)
+            .map(|k| {
+                let mut b = EventBatch::default();
+                b.push_load(0.01 * k as f64, 0x40, 300.0, memtrace::FuncId(0));
+                b
+            })
+            .collect();
+        for b in &batches {
+            assert_eq!(t.ingest_batch(b.clone()).unwrap(), Admitted::Accepted);
+        }
+        // The tick's ack comes after every batch queued before it.
+        t.tick(1.0).unwrap();
+        match rx.recv_deadline(Duration::from_secs(5)) {
+            Ok(Outbound::Revisions(_)) => {}
+            other => panic!("expected the tick's ack, got {other:?}"),
+        }
+        let mut spares: Vec<EventBatch> = std::iter::from_fn(|| t.recycled_batch()).collect();
+        spares.reverse();
+        // The first batches back fill the list; the rest are freed.
+        assert_eq!(spares, batches[..SPARE_BATCHES], "spares come back as they were ingested");
+        t.finish().unwrap();
+        drain(&rx);
         core.shutdown();
     }
 

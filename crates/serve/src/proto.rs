@@ -220,9 +220,10 @@ pub fn encode_header(header: &TraceFile) -> Result<Vec<u8>, TraceError> {
     Ok(out)
 }
 
-/// Decodes a Hello header blob back into an events-free trace.
+/// Decodes a Hello header blob back into an events-free trace, in place:
+/// the blob is not copied first.
 pub fn decode_header(bytes: &[u8]) -> Result<TraceFile, ServeError> {
-    let trace = binfmt::read_trace(bytes).map_err(ServeError::Trace)?;
+    let trace = binfmt::decode_trace(bytes).map_err(ServeError::Trace)?;
     if !trace.events.is_empty() {
         return Err(ServeError::Protocol(format!(
             "hello header carries {} events; events travel in Events frames",
@@ -247,20 +248,21 @@ fn encode_events(events: &EventBatch, mode: Mode, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_events(r: &mut Reader) -> Result<EventBatch, ServeError> {
+/// Decodes an Events body into `events`, which is emptied first.
+fn decode_events(r: &mut Reader, events: &mut EventBatch) -> Result<(), ServeError> {
     match Mode::from_byte(r.byte()?)? {
-        Mode::Bin => Ok(binfmt::read_frame(r)?),
+        Mode::Bin => Ok(binfmt::read_frame_into(r, events)?),
         Mode::Jsonl => {
+            events.clear();
             let rest = r.remaining();
             let text = std::str::from_utf8(r.bytes(rest)?)
                 .map_err(|e| ServeError::Protocol(format!("invalid utf-8 in jsonl body: {e}")))?;
-            let mut events = EventBatch::default();
             for line in text.lines().filter(|l| !l.trim().is_empty()) {
                 let e = memtrace::event_from_json(line)
                     .map_err(|e| ServeError::Protocol(format!("bad jsonl event: {e:?}")))?;
                 events.push(&e);
             }
-            Ok(events)
+            Ok(())
         }
     }
 }
@@ -337,6 +339,15 @@ pub fn encode_events_frame(events: &[TraceEvent], mode: Mode) -> Vec<u8> {
 /// Parses one frame body (tag + payload, length prefix already
 /// stripped and bounds-checked by the reader).
 pub fn decode(data: &[u8]) -> Result<Frame, ServeError> {
+    decode_with(data, EventBatch::default)
+}
+
+/// [`decode`], with an Events body decoded into the batch `storage`
+/// returns instead of into fresh columns: the batch is emptied first, and
+/// one that already held a frame of this size allocates nothing (see
+/// [`binfmt::read_frame_into`]). `storage` is called only for an Events
+/// frame. The result, and the error of a bad frame, equal [`decode`]'s.
+pub fn decode_with(data: &[u8], storage: impl FnOnce() -> EventBatch) -> Result<Frame, ServeError> {
     let Some((&tag, body)) = data.split_first() else {
         return Err(ServeError::Protocol("empty frame".into()));
     };
@@ -351,7 +362,11 @@ pub fn decode(data: &[u8]) -> Result<Frame, ServeError> {
             Frame::Hello { version, tenant, mode, header }
         }
         TAG_HELLO_ACK => Frame::HelloAck { tenant_id: r.varint()? },
-        TAG_EVENTS => Frame::Events(decode_events(&mut r)?),
+        TAG_EVENTS => {
+            let mut events = storage();
+            decode_events(&mut r, &mut events)?;
+            Frame::Events(events)
+        }
         TAG_TICK => Frame::Tick { now: r.f64_bits()? },
         TAG_SHUTDOWN => Frame::Shutdown,
         TAG_REVISIONS => Frame::Revisions(read_revisions(&mut r)?),
@@ -505,13 +520,19 @@ impl FrameReader {
     /// Decodes the next complete frame, or `None` when only a partial
     /// frame (or nothing) is buffered.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, ServeError> {
+        self.next_frame_with(EventBatch::default)
+    }
+
+    /// [`next_frame`](Self::next_frame), decoding an Events frame into
+    /// the batch `storage` returns ([`decode_with`]).
+    pub fn next_frame_with(
+        &mut self,
+        storage: impl FnOnce() -> EventBatch,
+    ) -> Result<Option<Frame>, ServeError> {
         match self.next_frame_raw()? {
-            Some(payload) => {
-                // Reborrow the advanced-over region; the slice is still
-                // in the buffer, `start` has just moved past it.
-                let frame = decode(payload)?;
-                Ok(Some(frame))
-            }
+            // The payload is still in the buffer; `start` has just moved
+            // past it.
+            Some(payload) => decode_with(payload, storage).map(Some),
             None => Ok(None),
         }
     }

@@ -35,9 +35,16 @@
 //!   `idle_timeout` with its tenant's finish path run, its buffers
 //!   freed, and `serve.idle_closed` incremented.
 //!
+//! * **event batches** — an Events frame is decoded into a batch its
+//!   tenant's worker handed back after ingesting it
+//!   ([`TenantClient::recycled_batch`]), so while the shard keeps pace
+//!   with the worker it allocates no columns and the worker frees none.
+//!
 //! Counters: `serve.reactor.wakeups`, `serve.reactor.frames_per_wakeup`
 //! (histogram), `serve.reactor.partial_reads`,
-//! `serve.reactor.batched_writes`, `serve.idle_closed`.
+//! `serve.reactor.batched_writes`, `serve.idle_closed`, and
+//! `serve.batches.recycled` / `serve.batches.fresh` (Events frames
+//! decoded into a handed-back batch / a new one).
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -52,6 +59,7 @@ use crate::proto::{self, Fill, Frame, FrameReader, PROTO_VERSION};
 use crate::server::ServerStats;
 use crate::sys::{Event, Poller, Ready};
 use ecohmem_online::durability::queue;
+use memtrace::EventBatch;
 
 /// Token of the listening socket (shard 0 only).
 const TOKEN_LISTENER: usize = usize::MAX;
@@ -409,7 +417,8 @@ impl Shard {
                     conn.last_read = Instant::now();
                     read_total += n;
                     loop {
-                        match conn.reader.next_frame() {
+                        let client = conn.client.as_ref();
+                        match conn.reader.next_frame_with(|| events_storage(client)) {
                             Ok(Some(frame)) => {
                                 *frames_now += 1;
                                 self.shared.frames.fetch_add(1, Ordering::Relaxed);
@@ -622,6 +631,24 @@ impl Shard {
             self.free.push(token);
         }
         self.shared.session_done();
+    }
+}
+
+/// The batch a connection decodes its next Events frame into: one its
+/// tenant's worker handed back, else a fresh one. A connection that keeps
+/// pace with its worker decodes every frame into recycled columns, so
+/// none is allocated here and freed on a worker; a burst that runs ahead
+/// of the worker decodes into fresh ones.
+fn events_storage(client: Option<&TenantClient>) -> EventBatch {
+    match client.and_then(TenantClient::recycled_batch) {
+        Some(batch) => {
+            ecohmem_obs::incr("serve.batches.recycled");
+            batch
+        }
+        None => {
+            ecohmem_obs::incr("serve.batches.fresh");
+            EventBatch::default()
+        }
     }
 }
 
